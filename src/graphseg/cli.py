@@ -139,7 +139,7 @@ def _cmd_eval(args):
     _write_manifest(args.out_dir, "eval", args, out)
     records = _load_records(args)
     g = _load_graph(args.graph)
-    cfg = LearnConfig(tolerance_ms=args.tolerance_ms, seed=args.seed)
+    cfg = LearnConfig(tolerance_ms=args.tolerance_ms)
     rows = []
     for r in records:
         windows = windows_whole_record(r, args.cycles_per_window)
@@ -199,7 +199,6 @@ def build_parser():
     p.add_argument("--out-dir", required=True)
     p.add_argument("--sample-rate", type=float, default=360.0)
     p.add_argument("--start-state", default="free")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("learn", help="learn a graph from labeled records")
@@ -216,7 +215,6 @@ def build_parser():
     _add_record_flags(p)
     p.add_argument("--graph", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance-ms", type=float, default=100.0)
     p.add_argument("--cycles-per-window", type=int, default=4)
     p.set_defaults(func=_cmd_eval)

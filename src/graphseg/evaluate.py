@@ -27,24 +27,11 @@ def _check_sorted(name, xs):
             raise ValueError(f"{name} must be sorted ascending")
 
 
-def match(labels, detections, tolerance_samples: int) -> MatchResult:
-    """Greedy one-to-one matching within +-tolerance_samples.
-
-    Candidate pairs are taken in order of increasing distance; every label
-    and every detection is used at most once.  Unmatched labels count as
-    false negatives, unmatched detections as false positives.
-    """
-    labels = list(labels)
-    detections = list(detections)
-    _check_sorted("labels", labels)
-    _check_sorted("detections", detections)
-    tol = int(tolerance_samples)
-    det_arr = np.asarray(detections)
+def _greedy_match(labels, detections, starts, stops) -> MatchResult:
+    """Greedy matching where label li may take detections[starts[li]:stops[li]]."""
     cands = []
     for li, lab in enumerate(labels):
-        lo = int(np.searchsorted(det_arr, lab - tol, side="left"))
-        hi = int(np.searchsorted(det_arr, lab + tol, side="right"))
-        for di in range(lo, hi):
+        for di in range(starts[li], stops[li]):
             cands.append((abs(detections[di] - lab), li, di))
     cands.sort()
     used_l = set()
@@ -62,36 +49,46 @@ def match(labels, detections, tolerance_samples: int) -> MatchResult:
                        matched_pairs=pairs)
 
 
-def match_within_bands(labels, detections, band_edges) -> MatchResult:
-    """Band-mode matching: detection d can match label k only when d falls in
-    [band_edges[k], band_edges[k+1]).  Greedy by distance, single use, like
-    match()."""
+def _sorted_lists(labels, detections):
     labels = list(labels)
     detections = list(detections)
     _check_sorted("labels", labels)
     _check_sorted("detections", detections)
-    edges = list(band_edges)
+    return labels, detections
+
+
+def match(labels, detections, tolerance_samples: int) -> MatchResult:
+    """Greedy one-to-one matching within +-tolerance_samples.
+
+    Candidate pairs are taken in order of increasing distance; every label
+    and every detection is used at most once.  Unmatched labels count as
+    false negatives, unmatched detections as false positives.
+    """
+    labels, detections = _sorted_lists(labels, detections)
+    tol = int(tolerance_samples)
+    det_arr = np.asarray(detections)
+    lab_arr = np.asarray(labels)
+    return _greedy_match(
+        labels, detections,
+        np.searchsorted(det_arr, lab_arr - tol, side="left"),
+        np.searchsorted(det_arr, lab_arr + tol, side="right"),
+    )
+
+
+def match_within_bands(labels, detections, band_edges) -> MatchResult:
+    """Band-mode matching: detection d can match label k only when d falls in
+    [band_edges[k], band_edges[k+1]).  Greedy by distance, single use, like
+    match()."""
+    labels, detections = _sorted_lists(labels, detections)
+    edges = np.asarray(list(band_edges))
     if len(edges) != len(labels) + 1:
         raise ValueError("band_edges must have one more entry than labels")
-    cands = []
-    for li, lab in enumerate(labels):
-        for di, det in enumerate(detections):
-            if edges[li] <= det < edges[li + 1]:
-                cands.append((abs(det - lab), li, di))
-    cands.sort()
-    used_l = set()
-    used_d = set()
-    pairs = []
-    for _dist, li, di in cands:
-        if li in used_l or di in used_d:
-            continue
-        used_l.add(li)
-        used_d.add(di)
-        pairs.append((li, di))
-    pairs.sort()
-    tp = len(pairs)
-    return MatchResult(tp=tp, fp=len(detections) - tp, fn=len(labels) - tp,
-                       matched_pairs=pairs)
+    det_arr = np.asarray(detections)
+    return _greedy_match(
+        labels, detections,
+        np.searchsorted(det_arr, edges[:-1], side="left"),
+        np.searchsorted(det_arr, edges[1:], side="left"),
+    )
 
 
 def metrics(tp: int, fp: int, fn: int):

@@ -453,16 +453,3 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
                 return best_val_graph, trace()
     return current, trace()
 
-
-def learn_per_record(records, cfg: LearnConfig = None, initial=None,
-                     cycles_per_window=4):
-    """Train one graph per record over fixed-size cycle windows (the default
-    workflow); returns {record_id: (graph, trace)}."""
-    from .evaluate import windows_whole_record
-
-    out = {}
-    for rec in records:
-        windows = windows_whole_record(rec, cycles_per_window)
-        g0 = initial if initial is not None else default_initial_graph(windows)
-        out[rec.record_id] = learn(g0, windows, cfg)
-    return out

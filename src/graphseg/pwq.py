@@ -332,61 +332,6 @@ def _prefix_min_k(F, dom_hi):
     return out
 
 
-def _emit_const_rev(out, lo, hi, val, tag):
-    # reversed-order variant: pieces arrive right-to-left
-    if hi <= lo:
-        return
-    if out:
-        q = out[-1]
-        if q[0] == hi and q[4] == val and q[2] == 0.0 and q[3] == 0.0 and q[5] == tag:
-            out[-1] = (lo, q[1], 0.0, 0.0, val, tag)
-            return
-    out.append((lo, hi, 0.0, 0.0, val, tag))
-
-
-def _suffix_min_k(F, dom_lo):
-    """Mirror of _prefix_min_k: S(x) = min{f(m') : m' >= x} down to dom_lo."""
-    out = []
-    best = _INF
-    barg = 0.0
-    prev_lo = None
-    for (lo, hi, a, b, c, _t) in reversed(F):
-        if prev_lo is not None and hi < prev_lo:
-            _emit_const_rev(out, hi, prev_lo, best, ("pt", barg))
-        p = _piece_argmin(lo, hi, a, b)
-        if p < hi:
-            qhi = (a * hi + b) * hi + c
-            qp = (a * p + b) * p + c
-            if best <= qp:
-                _emit_const_rev(out, p, hi, best, ("pt", barg))
-            elif best >= qhi:
-                out.append((p, hi, a, b, c, ("thr",)))
-            else:
-                if a > 0.0:
-                    sq = math.sqrt(max(b * b - 4.0 * a * (c - best), 0.0))
-                    xc = (-b + sq) / (2.0 * a)
-                else:
-                    xc = (best - c) / b
-                if xc < p:
-                    xc = p
-                elif xc > hi:
-                    xc = hi
-                _emit_const_rev(out, xc, hi, best, ("pt", barg))
-                if xc > p:
-                    out.append((p, xc, a, b, c, ("thr",)))
-        qp = (a * p + b) * p + c
-        if qp < best:
-            best = qp
-            barg = p
-        if p > lo:
-            _emit_const_rev(out, lo, p, best, ("pt", barg))
-        prev_lo = lo
-    if prev_lo is not None and dom_lo < prev_lo:
-        _emit_const_rev(out, dom_lo, prev_lo, best, ("pt", barg))
-    out.reverse()
-    return out
-
-
 def _shift_right_k(R, gap, dom_hi):
     """Substitute m - gap and clip above: D(m) = R(m - gap) on [.., dom_hi]."""
     if gap == 0.0:
@@ -403,20 +348,9 @@ def _shift_right_k(R, gap, dom_hi):
     return out
 
 
-def _shift_left_k(S, gap, dom_lo):
-    """Substitute m + gap and clip below: D(m) = S(m + gap) on [dom_lo, ..]."""
-    if gap == 0.0:
-        return list(S)
-    out = []
-    for (lo, hi, a, b, c, t) in S:
-        nhi = hi - gap
-        if nhi <= dom_lo:
-            continue
-        nlo = lo - gap
-        if nlo < dom_lo:
-            nlo = dom_lo
-        out.append((nlo, nhi, a, b + 2.0 * a * gap, (a * gap + b) * gap + c, t))
-    return out
+def _reflect_k(pieces):
+    """Substitute -m: the pieces of m -> f(-m), in ascending order."""
+    return [(-hi, -lo, a, -b, c, t) for (lo, hi, a, b, c, t) in reversed(pieces)]
 
 
 def _global_min_k(pieces):
@@ -588,15 +522,10 @@ def min_leq_envelope(f: PiecewiseQuad, gap: float) -> PiecewiseQuad:
 
 
 def min_geq_envelope(f: PiecewiseQuad, gap: float) -> PiecewiseQuad:
-    """Down-change operator D(m) = min{f(m') : m' >= m + gap} (mirror of
-    min_leq_envelope)."""
-    gap = _check_gap(f, gap)
-    if f.is_empty:
-        return PiecewiseQuad([], f.domain, _validate=False)
-    s = _suffix_min_k(f.pieces, f.domain[0])
-    return PiecewiseQuad(
-        _shift_left_k(s, gap, f.domain[0]), f.domain, _validate=False
-    )
+    """Down-change operator D(m) = min{f(m') : m' >= m + gap}: the up-change
+    operator on the reflected axis m -> -m, so its ("pt", x) tags hold the
+    reflected argmin x = -m'."""
+    return reflect(min_leq_envelope(reflect(f), gap))
 
 
 def global_min(f: PiecewiseQuad):
@@ -609,5 +538,4 @@ def global_min(f: PiecewiseQuad):
 def reflect(f: PiecewiseQuad) -> PiecewiseQuad:
     """The function m -> f(-m) on the mirrored domain."""
     lo, hi = f.domain
-    pieces = [(-p.hi, -p.lo, p.a, -p.b, p.c, p.tag) for p in reversed(f.pieces)]
-    return PiecewiseQuad(pieces, (-hi, -lo), _validate=False)
+    return PiecewiseQuad(_reflect_k(f.pieces), (-hi, -lo), _validate=False)

@@ -18,15 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import graph as gr
-from .pwq import (
-    _add_point_loss_k,
-    _global_min_k,
-    _min_k,
-    _prefix_min_k,
-    _shift_left_k,
-    _shift_right_k,
-    _suffix_min_k,
-)
+from .pwq import _add_point_loss_k, _global_min_k, _min_k, _prefix_min_k, _reflect_k
 
 
 class InfeasibleModelError(RuntimeError):
@@ -164,19 +156,32 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
                 src = funcs[src_v]
                 if not src or gap >= width:
                     continue
+                # a down edge is an up edge on the reflected axis m -> -m
                 if is_up:
-                    env = _shift_right_k(_prefix_min_k(src, dhi), gap, dhi)
-                    thr_kind = _K_THR_UP
+                    top, sgn, thr_tag = dhi, 1.0, (eidx, _K_THR_UP, 0.0)
+                    env = _prefix_min_k(src, top)
                 else:
-                    env = _shift_left_k(_suffix_min_k(src, dlo), gap, dlo)
-                    thr_kind = _K_THR_DOWN
+                    top, sgn, thr_tag = -dlo, -1.0, (eidx, _K_THR_DOWN, 0.0)
+                    env = _prefix_min_k(_reflect_k(src), top)
+                    env.reverse()
+                # shift by gap with clipping at top, add the penalty, tag, and
+                # map a down edge's piece back to the original axis (0.0 - x
+                # rather than -x, so an exact zero comes back as +0.0)
                 branch = []
                 for (plo, phi, a, b, c, tg) in env:
-                    if tg[0] == "thr":
-                        ntag = (eidx, thr_kind, 0.0)
+                    plo += gap
+                    if plo >= top:
+                        continue
+                    phi += gap
+                    if phi > top:
+                        phi = top
+                    c = (a * gap - b) * gap + c + lam
+                    b -= 2.0 * a * gap
+                    ntag = thr_tag if tg[0] == "thr" else (eidx, _K_POINT, sgn * tg[1])
+                    if is_up:
+                        branch.append((plo, phi, a, b, c, ntag))
                     else:
-                        ntag = (eidx, _K_POINT, tg[1])
-                    branch.append((plo, phi, a, b, c + lam, ntag))
+                        branch.append((0.0 - phi, 0.0 - plo, a, 0.0 - b, c, ntag))
                 cand = _min_k(cand, branch) if cand else branch
             if not cand:
                 new_funcs.append(cand)
@@ -263,7 +268,6 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
     rev_edges.reverse()
     rev_states.reverse()
     rev_means.reverse()
-    nseg = len(rev_means)
     stats = {
         "mean_pieces": piece_total / ((n - 1) * nstates) if n > 1 else 0.0,
         "max_pieces": piece_max,

@@ -71,6 +71,39 @@ def test_match_within_bands():
         match_within_bands([100], [90], [0, 200, 400])
 
 
+def brute_force_bands(labels, detections, band_edges):
+    """Test oracle: every (label, detection) pair checked against its band."""
+    cands = sorted(
+        (abs(d - lab), li, di)
+        for li, lab in enumerate(labels)
+        for di, d in enumerate(detections)
+        if band_edges[li] <= d < band_edges[li + 1]
+    )
+    used_l, used_d, pairs = set(), set(), []
+    for _dist, li, di in cands:
+        if li not in used_l and di not in used_d:
+            used_l.add(li)
+            used_d.add(di)
+            pairs.append((li, di))
+    return sorted(pairs)
+
+
+def test_match_within_bands_matches_brute_force():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        labels = np.unique(rng.integers(0, 2000, rng.integers(0, 15))).tolist()
+        dets = np.sort(rng.integers(0, 2000, rng.integers(0, 25))).tolist()
+        # bands around the labels, sometimes overlapping or reversed
+        edges = sorted(rng.integers(0, 2000, len(labels) + 1).tolist())
+        if rng.random() < 0.3:
+            edges = rng.integers(-50, 2050, len(labels) + 1).tolist()
+        mr = match_within_bands(labels, dets, edges)
+        pairs = brute_force_bands(labels, dets, edges)
+        assert mr.matched_pairs == pairs
+        assert (mr.tp, mr.fp, mr.fn) == (len(pairs), len(dets) - len(pairs),
+                                         len(labels) - len(pairs))
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------

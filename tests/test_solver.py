@@ -155,6 +155,59 @@ def test_scale_equivariance():
             assert m2 / a == pytest.approx(m1, rel=1e-6, abs=1e-6)
 
 
+def flip(g):
+    """The same graph with every edge's direction swapped."""
+    swap = {gr.UP: gr.DOWN, gr.DOWN: gr.UP}
+    return gr.ConstraintGraph(
+        states=g.states,
+        edges=tuple(
+            gr.Edge(e.source, e.target, swap[e.direction], e.gap, e.penalty)
+            for e in g.edges
+        ),
+        baseline_state=g.baseline_state,
+        rpeak_state=g.rpeak_state,
+    )
+
+
+def test_sign_flip_equivariance():
+    # negating the signal and swapping every edge's direction reflects the
+    # problem through m -> -m; down edges then run the up-edge path and vice
+    # versa, so the two solutions must agree bit for bit
+    from graphseg.data import SynthConfig, generate_synthetic
+
+    rng = np.random.default_rng(123)
+    cases = []
+    for _ in range(30):
+        y = random_signal(rng, n=int(rng.integers(8, 80)))
+        cases.append((y, random_graph(rng, y)))
+    for _ in range(10):
+        y = random_signal(rng, n=60)
+        g = gr.initial_graph(float(rng.uniform(0, 3)), float(rng.uniform(0, 3)),
+                             float(rng.uniform(0.5, 5)))
+        cases.append((y, g))
+    learned = gr.ConstraintGraph(
+        states=(gr.StateId(0, "B"), gr.StateId(1, "R"), gr.StateId(2, "S2"),
+                gr.StateId(3, "S3")),
+        edges=(gr.Edge(0, 2, gr.UP, 6.5, 50.0), gr.Edge(2, 3, gr.DOWN, 3.25, 50.0),
+               gr.Edge(3, 1, gr.UP, 3.25, 50.0), gr.Edge(1, 0, gr.DOWN, 3.0, 50.0)),
+        baseline_state=0,
+        rpeak_state=1,
+    )
+    rec = generate_synthetic(
+        SynthConfig(n_cycles=4, heart_rate_bpm=88, r_amplitude=10.0, noise_sigma=0.2,
+                    baseline_wander_amp=3.0, pre_r_dip=10.5, seed=1015)
+    )
+    cases.append((rec.signal.samples, learned))
+    for y, g in cases:
+        base = solve(sig(y), g, start_state=g.baseline_state)
+        neg = solve(sig(-y), flip(g), start_state=g.baseline_state)
+        assert neg.boundaries == base.boundaries
+        assert neg.states == base.states
+        assert neg.edges_taken == base.edges_taken
+        assert neg.means == [-m for m in base.means]
+        assert neg.total_cost == base.total_cost
+
+
 def test_penalty_monotonicity():
     rng = np.random.default_rng(42)
     for _ in range(15):
