@@ -31,6 +31,7 @@ from .graph import (
 )
 from .solver import (
     InfeasibleModelError,
+    NativeBuildError,
     Segmentation,
     Signal,
     extract_rpeaks,

@@ -1,0 +1,682 @@
+/* Forward pass and backtrack of graphseg.solver.solve.
+ *
+ * This is the functional dynamic program of the Python loop kept as the
+ * test oracle in tests/reference_solver.py, operation for operation: the
+ * same piece lists, the same comparisons in the same order and the same
+ * floating-point expressions, so that both give bit-identical results when
+ * this file is compiled without floating-point contraction
+ * (-ffp-contract=off; a fused multiply-add rounds once where Python rounds
+ * twice).  Each Python expression is written here with the same
+ * association, e.g. `2.0 * a * gap` is (2.0 * a) * gap.
+ *
+ * A piece is (lo, hi, a, b, c) for a*m^2 + b*m + c on [lo, hi] plus a
+ * decision tag (br, kind, pt): the edge index taken (-1 for staying), how
+ * the previous mean follows from the current one, and the argmin point of
+ * a point tag.  Two tags are equal when br and kind are equal and the
+ * points compare equal with ==, as Python compares the tuples.  The
+ * running-minimum envelope tags its pieces K_PT (argmin pt) or K_THR (the
+ * argmin is the evaluation point).
+ */
+
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+#define DISC_TOL 1e-14
+
+enum {
+    K_STAY = 0,     /* previous mean equals the current mean */
+    K_THR_UP = 1,   /* previous mean = m - gap (up edge) */
+    K_THR_DOWN = 2, /* previous mean = m + gap (down edge) */
+    K_POINT = 3,    /* previous mean is the fixed point pt */
+    K_PT = 4,       /* envelope: constant stretch, argmin pt */
+    K_THR = 5       /* envelope: follows the input's descending branch */
+};
+
+enum {
+    SOLVE_OK = 0,
+    SOLVE_INFEASIBLE_STEP = 1, /* every state empty at sample info[1] */
+    SOLVE_INFEASIBLE_END = 2,  /* no finite minimum at the last sample */
+    SOLVE_NO_MEMORY = 3,
+    SOLVE_BAD_RECORD = 4,      /* backtrack met a step with no decision */
+    SOLVE_NOT_FINITE = 5       /* a NaN breakpoint stalled the minimum */
+};
+
+typedef struct {
+    double lo, hi, a, b, c, pt;
+    int32_t br;
+    int8_t kind;
+} Piece;
+
+typedef struct {
+    Piece *p;
+    size_t n, cap;
+} List;
+
+/* The decision records of one state: runs of equal tags of the pre-loss
+ * function, each with its upper breakpoint hi, its argmin point pt and
+ * code = 4 * (br + 1) + kind.  They live in fixed-size blocks, each holding
+ * DEC_BLOCK values of hi, then of pt, then of code, so that growing the
+ * store never copies it and never holds it twice. */
+#define DEC_SHIFT 14
+#define DEC_BLOCK ((size_t)1 << DEC_SHIFT)
+#define DEC_BLOCK_BYTES (DEC_BLOCK * (2 * sizeof(double) + sizeof(int32_t)))
+
+typedef struct {
+    char **blocks;
+    size_t nblocks, cap, n;
+} Decisions;
+
+static double *dec_hi(const Decisions *d, size_t i)
+{
+    return (double *)d->blocks[i >> DEC_SHIFT] + (i & (DEC_BLOCK - 1));
+}
+
+static double *dec_pt(const Decisions *d, size_t i)
+{
+    return (double *)(d->blocks[i >> DEC_SHIFT] + DEC_BLOCK * sizeof(double))
+           + (i & (DEC_BLOCK - 1));
+}
+
+static int32_t *dec_code(const Decisions *d, size_t i)
+{
+    return (int32_t *)(d->blocks[i >> DEC_SHIFT] + DEC_BLOCK * 2 * sizeof(double))
+           + (i & (DEC_BLOCK - 1));
+}
+
+static int grow(void **buf, size_t *cap, size_t need, size_t elem)
+{
+    size_t nc;
+    void *p;
+
+    if (need <= *cap)
+        return 0;
+    nc = *cap ? *cap : 16;
+    while (nc < need)
+        nc *= 2;
+    p = realloc(*buf, nc * elem);
+    if (!p)
+        return -1;
+    *buf = p;
+    *cap = nc;
+    return 0;
+}
+
+static int reserve(List *l, size_t need)
+{
+    return grow((void **)&l->p, &l->cap, need, sizeof(Piece));
+}
+
+static int dec_reserve(Decisions *d, size_t need)
+{
+    while (d->nblocks * DEC_BLOCK < need) {
+        char *b;
+        if (grow((void **)&d->blocks, &d->cap, d->nblocks + 1, sizeof(char *)))
+            return -1;
+        b = malloc(DEC_BLOCK_BYTES);
+        if (!b)
+            return -1;
+        d->blocks[d->nblocks++] = b;
+    }
+    return 0;
+}
+
+static void swap_lists(List *x, List *y)
+{
+    List t = *x;
+    *x = *y;
+    *y = t;
+}
+
+static int same_tag(const Piece *p, const Piece *q)
+{
+    return p->br == q->br && p->kind == q->kind && p->pt == q->pt;
+}
+
+static Piece *push(List *out, double lo, double hi, double a, double b, double c)
+{
+    Piece *r = &out->p[out->n++];
+    r->lo = lo;
+    r->hi = hi;
+    r->a = a;
+    r->b = b;
+    r->c = c;
+    return r;
+}
+
+/* _min_k's append-or-extend: an equal neighbour keeps its coefficients
+ * and tag and only grows. */
+static void emit(List *out, double lo, double hi, const Piece *w)
+{
+    Piece *r;
+
+    if (out->n) {
+        Piece *q = &out->p[out->n - 1];
+        if (q->hi == lo && same_tag(q, w) && q->a == w->a && q->b == w->b
+            && q->c == w->c) {
+            q->hi = hi;
+            return;
+        }
+    }
+    r = &out->p[out->n++];
+    *r = *w;
+    r->lo = lo;
+    r->hi = hi;
+}
+
+/* Each step of the sweep moves x up to a breakpoint of F or G and emits at
+ * most three pieces, so a sweep takes at most MIN_STEPS(nF + nG) steps. */
+#define MIN_STEPS(n) (2 * (n) + 2)
+
+/* Pointwise minimum of two non-empty lists; F wins ties.  out needs room
+ * for 3 * MIN_STEPS(F->n + G->n) pieces.  Returns -1 if the sweep overruns
+ * its step bound, which only a NaN breakpoint (costs beyond the float64
+ * range) can cause; finite input never does. */
+static int min_k(const List *F, const List *G, List *out)
+{
+    const Piece *f = F->p, *g = G->p;
+    size_t nF = F->n, nG = G->n, i = 0, j = 0, steps = 0;
+    double x = f[0].lo < g[0].lo ? f[0].lo : g[0].lo;
+
+    out->n = 0;
+    for (;;) {
+        const Piece *pf, *pg, *w;
+        double x1, xg, nx;
+        int f_cov, g_cov;
+
+        while (i < nF && f[i].hi <= x)
+            i++;
+        while (j < nG && g[j].hi <= x)
+            j++;
+        if (i >= nF && j >= nG)
+            break;
+        if (++steps > MIN_STEPS(nF + nG))
+            return -1;
+        pf = i < nF ? &f[i] : NULL;
+        pg = j < nG ? &g[j] : NULL;
+        if (!pf || !pg) {
+            w = pf ? pf : pg;
+            if (w->lo > x)
+                x = w->lo;
+            x1 = w->hi;
+            emit(out, x, x1, w);
+            x = x1;
+            continue;
+        }
+        nx = pf->lo < pg->lo ? pf->lo : pg->lo;
+        if (nx > x)
+            x = nx;
+        f_cov = pf->lo <= x;
+        g_cov = pg->lo <= x;
+        x1 = f_cov ? pf->hi : pf->lo;
+        xg = g_cov ? pg->hi : pg->lo;
+        if (xg < x1)
+            x1 = xg;
+        if (!f_cov) {
+            if (!g_cov) {
+                x = x1;
+                continue;
+            }
+            w = pg;
+        } else if (!g_cov) {
+            w = pf;
+        } else {
+            double da = pf->a - pg->a, db = pf->b - pg->b, dc = pf->c - pg->c;
+            double cuts[3], lo;
+            int ncut = 0, k;
+
+            if (da == 0.0) {
+                if (db != 0.0) {
+                    double r = -dc / db;
+                    if (x < r && r < x1)
+                        cuts[ncut++] = r;
+                }
+            } else {
+                double disc = db * db - 4.0 * da * dc;
+                if (disc > DISC_TOL) {
+                    double sq = sqrt(disc);
+                    double qq = db >= 0.0 ? -0.5 * (db + sq) : -0.5 * (db - sq);
+                    double ra = qq / da;
+                    double rb = qq != 0.0 ? dc / qq : ra;
+                    if (rb < ra) {
+                        double t = ra;
+                        ra = rb;
+                        rb = t;
+                    }
+                    if (x < ra && ra < x1)
+                        cuts[ncut++] = ra;
+                    if (x < rb && rb < x1 && rb != ra)
+                        cuts[ncut++] = rb;
+                }
+            }
+            cuts[ncut++] = x1;
+            lo = x;
+            for (k = 0; k < ncut; k++) {
+                double cut = cuts[k];
+                double mm = 0.5 * (lo + cut);
+                double d = (da * mm + db) * mm + dc;
+                emit(out, lo, cut, d <= 0.0 ? pf : pg);
+                lo = cut;
+            }
+            x = x1;
+            continue;
+        }
+        emit(out, x, x1, w);
+        x = x1;
+    }
+    return 0;
+}
+
+static double piece_argmin(double lo, double hi, double a, double b)
+{
+    if (a > 0.0) {
+        double v = -b / (2.0 * a);
+        if (v < lo)
+            return lo;
+        if (v > hi)
+            return hi;
+        return v;
+    }
+    if (b > 0.0)
+        return lo;
+    if (b < 0.0)
+        return hi;
+    return lo;
+}
+
+/* _emit_const: an extended neighbour takes a = b = +0.0, the new c and
+ * the new tag. */
+static void emit_const(List *out, double lo, double hi, double val, double arg)
+{
+    Piece *r;
+
+    if (hi <= lo)
+        return;
+    if (out->n) {
+        Piece *q = &out->p[out->n - 1];
+        if (q->hi == lo && q->c == val && q->a == 0.0 && q->b == 0.0
+            && q->kind == K_PT && q->pt == arg) {
+            q->hi = hi;
+            q->a = 0.0;
+            q->b = 0.0;
+            q->c = val;
+            q->pt = arg;
+            return;
+        }
+    }
+    r = push(out, lo, hi, 0.0, 0.0, val);
+    r->kind = K_PT;
+    r->pt = arg;
+}
+
+static void push_thr(List *out, double lo, double hi, const Piece *s)
+{
+    Piece *r = push(out, lo, hi, s->a, s->b, s->c);
+    r->kind = K_THR;
+    r->pt = 0.0;
+}
+
+/* Running minimum of F (n > 0 pieces), extended up to dom_hi.  out needs
+ * room for 4 * n + 1 pieces. */
+static void prefix_min(const Piece *F, size_t n, double dom_hi, List *out)
+{
+    double best = INFINITY, barg = 0.0, prev_hi = 0.0, qp;
+    size_t k;
+
+    out->n = 0;
+    for (k = 0; k < n; k++) {
+        const Piece *s = &F[k];
+        double lo = s->lo, hi = s->hi, a = s->a, b = s->b, c = s->c;
+        double p;
+
+        if (k > 0 && lo > prev_hi)
+            emit_const(out, prev_hi, lo, best, barg);
+        p = piece_argmin(lo, hi, a, b);
+        if (p > lo) {
+            double qlo = (a * lo + b) * lo + c;
+            qp = (a * p + b) * p + c;
+            if (best <= qp) {
+                emit_const(out, lo, p, best, barg);
+            } else if (best >= qlo) {
+                push_thr(out, lo, p, s);
+            } else {
+                double xc;
+                if (a > 0.0) {
+                    double t = b * b - 4.0 * a * (c - best);
+                    double sq = sqrt(0.0 > t ? 0.0 : t); /* max(t, 0.0) */
+                    xc = (-b - sq) / (2.0 * a);
+                } else {
+                    xc = (best - c) / b;
+                }
+                if (xc < lo)
+                    xc = lo;
+                else if (xc > p)
+                    xc = p;
+                emit_const(out, lo, xc, best, barg);
+                if (p > xc)
+                    push_thr(out, xc, p, s);
+            }
+        }
+        qp = (a * p + b) * p + c;
+        if (qp < best) {
+            best = qp;
+            barg = p;
+        }
+        if (hi > p)
+            emit_const(out, p, hi, best, barg);
+        prev_hi = hi;
+    }
+    if (n > 0 && dom_hi > prev_hi)
+        emit_const(out, prev_hi, dom_hi, best, barg);
+}
+
+/* Add (y - m)^2 and drop the tags, merging neighbours that become equal. */
+static void add_point_loss(const List *cand, double y, List *out)
+{
+    double c_add = y * y, b_add = -2.0 * y;
+    size_t k;
+
+    out->n = 0;
+    for (k = 0; k < cand->n; k++) {
+        const Piece *p = &cand->p[k];
+        double a = p->a + 1.0, b = p->b + b_add, c = p->c + c_add;
+        if (out->n) {
+            Piece *q = &out->p[out->n - 1];
+            if (q->hi == p->lo && q->a == a && q->b == b && q->c == c) {
+                q->hi = p->hi;
+                q->a = a;
+                q->b = b;
+                q->c = c;
+                continue;
+            }
+        }
+        push(out, p->lo, p->hi, a, b, c);
+    }
+}
+
+static void tag(Piece *p, int32_t br, int8_t kind, double pt)
+{
+    p->br = br;
+    p->kind = kind;
+    p->pt = pt;
+}
+
+/* Solve one signal.  Edges are given by index; a state's in-edges are
+ * taken in edge-index order.  start < 0 lets the first segment be in any
+ * state.  The output arrays hold n entries; on SOLVE_OK the segments'
+ * states and means are entries [info[0], n), the boundaries and edges
+ * taken entries [info[0], n - 1), and info[2], info[3] hold the sum and
+ * the maximum of the pre-loss piece counts over (state, step). */
+int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
+                   int32_t nedges, const int32_t *e_src, const int32_t *e_tgt,
+                   const int8_t *e_up, const double *e_gap, const double *e_pen,
+                   double dlo, double dhi, int64_t *bounds, int32_t *edges_out,
+                   int32_t *states_out, double *means_out, int64_t *info,
+                   double *total_cost)
+{
+    int status = SOLVE_NO_MEMORY;
+    double width = dhi - dlo;
+    List *funcs = calloc((size_t)nstates, sizeof(List));
+    List *next = calloc((size_t)nstates, sizeof(List));
+    Decisions *dec = calloc((size_t)nstates, sizeof(Decisions));
+    int64_t *off = malloc((size_t)nstates * (size_t)n * sizeof(int64_t));
+    int32_t *in_start = calloc((size_t)nstates + 1, sizeof(int32_t));
+    int32_t *in_edge = malloc(((size_t)nedges + 1) * sizeof(int32_t));
+    List cand = {0}, branch = {0}, tmp = {0}, env = {0}, refl = {0};
+    int64_t piece_total = 0, piece_max = 0, t, first;
+    int32_t v, k, best_v = -1;
+    double best_arg = 0.0, best_val = INFINITY, m, y0 = y[0];
+
+    if (!funcs || !next || !dec || !off || !in_start || !in_edge)
+        goto done;
+
+    /* in-edges grouped by target, each group in edge-index order */
+    for (v = 0; v < nstates; v++) {
+        in_start[v + 1] = in_start[v];
+        for (k = 0; k < nedges; k++)
+            if (e_tgt[k] == v)
+                in_edge[in_start[v + 1]++] = k;
+    }
+
+    for (v = 0; v < nstates; v++) {
+        off[(size_t)v * n] = 0;
+        if (start < 0 || v == start) {
+            if (reserve(&funcs[v], 1))
+                goto done;
+            push(&funcs[v], dlo, dhi, 1.0, -2.0 * y0, y0 * y0);
+        }
+    }
+
+    for (t = 1; t < n; t++) {
+        double yt = y[t];
+        int any = 0;
+
+        for (v = 0; v < nstates; v++) {
+            const List *cur = &funcs[v];
+            Decisions *dv = &dec[v];
+            size_t i;
+            int8_t last_kind = -1;
+            int32_t last_br = 0;
+            double last_pt = 0.0;
+
+            if (reserve(&cand, cur->n))
+                goto done;
+            for (i = 0; i < cur->n; i++) {
+                cand.p[i] = cur->p[i];
+                tag(&cand.p[i], -1, K_STAY, 0.0);
+            }
+            cand.n = cur->n;
+
+            for (k = in_start[v]; k < in_start[v + 1]; k++) {
+                int32_t eidx = in_edge[k];
+                const List *src = &funcs[e_src[eidx]];
+                double gap = e_gap[eidx], lam = e_pen[eidx], top, sgn;
+                int up = e_up[eidx];
+                int8_t thr_kind;
+                size_t jj;
+
+                if (!src->n || gap >= width)
+                    continue;
+                if (reserve(&env, 4 * src->n + 1) || reserve(&branch, 4 * src->n + 1))
+                    goto done;
+                /* a down edge is an up edge on the reflected axis m -> -m */
+                if (up) {
+                    top = dhi;
+                    sgn = 1.0;
+                    thr_kind = K_THR_UP;
+                    prefix_min(src->p, src->n, top, &env);
+                } else {
+                    if (reserve(&refl, src->n))
+                        goto done;
+                    for (i = 0; i < src->n; i++) {
+                        const Piece *s = &src->p[src->n - 1 - i];
+                        Piece *r = &refl.p[i];
+                        r->lo = -s->hi;
+                        r->hi = -s->lo;
+                        r->a = s->a;
+                        r->b = -s->b;
+                        r->c = s->c;
+                    }
+                    top = -dlo;
+                    sgn = -1.0;
+                    thr_kind = K_THR_DOWN;
+                    prefix_min(refl.p, src->n, top, &env);
+                }
+                /* shift by gap with clipping at top, add the penalty, tag,
+                 * and map a down piece back to the original axis (0.0 - x
+                 * rather than -x, so an exact zero comes back as +0.0);
+                 * a down edge walks the envelope in reverse */
+                branch.n = 0;
+                for (jj = 0; jj < env.n; jj++) {
+                    const Piece *e = &env.p[up ? jj : env.n - 1 - jj];
+                    double plo = e->lo + gap, phi, a = e->a, b = e->b, c;
+                    Piece *r;
+
+                    if (plo >= top)
+                        continue;
+                    phi = e->hi + gap;
+                    if (phi > top)
+                        phi = top;
+                    c = (a * gap - b) * gap + e->c + lam;
+                    b -= 2.0 * a * gap;
+                    if (up)
+                        r = push(&branch, plo, phi, a, b, c);
+                    else
+                        r = push(&branch, 0.0 - phi, 0.0 - plo, a, 0.0 - b, c);
+                    if (e->kind == K_THR)
+                        tag(r, eidx, thr_kind, 0.0);
+                    else
+                        tag(r, eidx, K_POINT, sgn * e->pt);
+                }
+                if (!cand.n) {
+                    swap_lists(&cand, &branch);
+                } else if (branch.n) {
+                    if (reserve(&tmp, 3 * MIN_STEPS(cand.n + branch.n)))
+                        goto done;
+                    if (min_k(&cand, &branch, &tmp)) {
+                        status = SOLVE_NOT_FINITE;
+                        goto done;
+                    }
+                    swap_lists(&cand, &tmp);
+                }
+            }
+
+            if (!cand.n) {
+                next[v].n = 0;
+                off[(size_t)v * n + t] = (int64_t)dv->n;
+                continue;
+            }
+            any = 1;
+
+            /* compress the per-piece decisions into runs */
+            if (dec_reserve(dv, dv->n + cand.n))
+                goto done;
+            for (i = 0; i < cand.n; i++) {
+                const Piece *p = &cand.p[i];
+                if (i > 0 && p->br == last_br && p->kind == last_kind
+                    && p->pt == last_pt) {
+                    *dec_hi(dv, dv->n - 1) = p->hi;
+                } else {
+                    *dec_hi(dv, dv->n) = p->hi;
+                    *dec_pt(dv, dv->n) = p->pt;
+                    *dec_code(dv, dv->n) = 4 * (p->br + 1) + p->kind;
+                    dv->n++;
+                    last_br = p->br;
+                    last_kind = p->kind;
+                    last_pt = p->pt;
+                }
+            }
+            off[(size_t)v * n + t] = (int64_t)dv->n;
+
+            piece_total += (int64_t)cand.n;
+            if ((int64_t)cand.n > piece_max)
+                piece_max = (int64_t)cand.n;
+            if (reserve(&next[v], cand.n))
+                goto done;
+            add_point_loss(&cand, yt, &next[v]);
+        }
+        for (v = 0; v < nstates; v++)
+            swap_lists(&funcs[v], &next[v]);
+        if (!any) {
+            info[1] = t;
+            status = SOLVE_INFEASIBLE_STEP;
+            goto done;
+        }
+    }
+
+    for (v = 0; v < nstates; v++) {
+        const List *f = &funcs[v];
+        double arg = 0.0, val = INFINITY;
+        size_t i;
+
+        if (!f->n)
+            continue;
+        for (i = 0; i < f->n; i++) {
+            const Piece *p = &f->p[i];
+            double pa = piece_argmin(p->lo, p->hi, p->a, p->b);
+            double pv = (p->a * pa + p->b) * pa + p->c;
+            if (pv < val) {
+                val = pv;
+                arg = pa;
+            }
+        }
+        if (val < best_val) {
+            best_v = v;
+            best_arg = arg;
+            best_val = val;
+        }
+    }
+    if (best_v < 0) {
+        status = SOLVE_INFEASIBLE_END;
+        goto done;
+    }
+
+    /* backtrack through the decision records, filling the outputs from
+     * their ends: the segments end up in [first, n), the boundaries and
+     * edges in [first, n - 1) */
+    m = best_arg;
+    v = best_v;
+    first = n - 1;
+    states_out[first] = v;
+    means_out[first] = m;
+    for (t = n - 1; t > 0; t--) {
+        const int64_t *o = &off[(size_t)v * n];
+        int64_t lo_i = o[t - 1], hi_i = o[t], i = lo_i;
+        const Decisions *dv = &dec[v];
+        int32_t br, kind;
+
+        if (lo_i >= hi_i) {
+            status = SOLVE_BAD_RECORD;
+            goto done;
+        }
+        while (i < hi_i - 1 && *dec_hi(dv, (size_t)i) < m)
+            i++;
+        br = *dec_code(dv, (size_t)i) / 4 - 1;
+        kind = *dec_code(dv, (size_t)i) % 4;
+        if (br >= 0) {
+            first--;
+            bounds[first] = t;
+            edges_out[first] = br;
+            if (kind == K_THR_UP)
+                m = m - e_gap[br];
+            else if (kind == K_THR_DOWN)
+                m = m + e_gap[br];
+            else
+                m = *dec_pt(dv, (size_t)i);
+            if (m < dlo)
+                m = dlo;
+            else if (m > dhi)
+                m = dhi;
+            v = e_src[br];
+            states_out[first] = v;
+            means_out[first] = m;
+        }
+    }
+    info[0] = first;
+    info[2] = piece_total;
+    info[3] = piece_max;
+    *total_cost = best_val;
+    status = SOLVE_OK;
+
+done:
+    if (funcs && next && dec)
+        for (v = 0; v < nstates; v++) {
+            free(funcs[v].p);
+            free(next[v].p);
+            for (size_t b = 0; b < dec[v].nblocks; b++)
+                free(dec[v].blocks[b]);
+            free(dec[v].blocks);
+        }
+    free(funcs);
+    free(next);
+    free(dec);
+    free(off);
+    free(in_start);
+    free(in_edge);
+    free(cand.p);
+    free(branch.p);
+    free(tmp.p);
+    free(env.p);
+    free(refl.p);
+    return status;
+}

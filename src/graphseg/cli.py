@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
 import traceback
 
@@ -19,7 +20,7 @@ from . import graph as gr
 from .data import DataFormatError, load_record, load_signal_csv
 from .evaluate import DetectionReport, cross_validate, windows_whole_record
 from .learning import LearnConfig, default_initial_graph, evaluate_graph, learn
-from .solver import InfeasibleModelError, extract_rpeaks, solve
+from .solver import InfeasibleModelError, NativeBuildError, extract_rpeaks, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -36,10 +37,8 @@ def _write_manifest(out_dir, command, args, outputs):
         "arguments": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "outputs": sorted(outputs),
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(os.path.join(out_dir, "manifest.json"),
+           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load_graph(path):
@@ -48,8 +47,18 @@ def _load_graph(path):
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write text to a new file beside path, then rename it over path, so
+    that an interrupted write never leaves a partial file under path."""
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{secrets.token_hex(6)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load_records(args):
@@ -243,6 +252,9 @@ def main(argv=None) -> int:
     except InfeasibleModelError as exc:
         print(f"graphseg: infeasible model: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except NativeBuildError as exc:
+        print(f"graphseg: cannot build the compiled solver: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception:
         print("graphseg: internal error", file=sys.stderr)
         traceback.print_exc()

@@ -60,8 +60,9 @@ class QuadPiece(NamedTuple):
 
 # ---------------------------------------------------------------------------
 # Kernels operating on plain piece lists [(lo, hi, a, b, c, tag), ...].
-# The solver drives these directly in its hot loop; the public PiecewiseQuad
-# operations below are thin validated wrappers.
+# The public PiecewiseQuad operations below are thin validated wrappers; the
+# solver's Python reference loop (tests/reference_solver.py) drives them
+# directly, and the compiled solver (_solve.c) repeats them in C.
 # ---------------------------------------------------------------------------
 
 
@@ -126,7 +127,16 @@ def _min_k(F, G):
     if not G:
         return list(F)
     out = []
-    append = out.append
+
+    def emit(lo, hi, w):
+        # an equal neighbour keeps its coefficients and tag and only grows
+        if out:
+            q = out[-1]
+            if q[1] == lo and q[5] == w[5] and q[2] == w[2] and q[3] == w[3] and q[4] == w[4]:
+                out[-1] = (q[0], hi, q[2], q[3], q[4], q[5])
+                return
+        out.append((lo, hi, w[2], w[3], w[4], w[5]))
+
     nF = len(F)
     nG = len(G)
     i = j = 0
@@ -142,41 +152,12 @@ def _min_k(F, G):
         pf = F[i] if i < nF else None
         pg = G[j] if j < nG else None
         # advance x to the next covered point, then find the interval end
-        if pf is None:
-            if pg[0] > x:
-                x = pg[0]
-            x1 = pg[1]
-            q = out[-1] if out else None
-            if (
-                q is not None
-                and q[1] == x
-                and q[5] == pg[5]
-                and q[2] == pg[2]
-                and q[3] == pg[3]
-                and q[4] == pg[4]
-            ):
-                out[-1] = (q[0], x1, q[2], q[3], q[4], q[5])
-            else:
-                append((x, x1, pg[2], pg[3], pg[4], pg[5]))
-            x = x1
-            continue
-        if pg is None:
-            if pf[0] > x:
-                x = pf[0]
-            x1 = pf[1]
-            q = out[-1] if out else None
-            if (
-                q is not None
-                and q[1] == x
-                and q[5] == pf[5]
-                and q[2] == pf[2]
-                and q[3] == pf[3]
-                and q[4] == pf[4]
-            ):
-                out[-1] = (q[0], x1, q[2], q[3], q[4], q[5])
-            else:
-                append((x, x1, pf[2], pf[3], pf[4], pf[5]))
-            x = x1
+        if pf is None or pg is None:
+            w = pg if pf is None else pf
+            if w[0] > x:
+                x = w[0]
+            emit(x, w[1], w)
+            x = w[1]
             continue
         nx = pf[0] if pf[0] < pg[0] else pg[0]
         if nx > x:
@@ -226,34 +207,11 @@ def _min_k(F, G):
                     continue
                 mm = 0.5 * (lo + cut)
                 d = (da * mm + db) * mm + dc
-                w = pf if d <= 0.0 else pg
-                q = out[-1] if out else None
-                if (
-                    q is not None
-                    and q[1] == lo
-                    and q[5] == w[5]
-                    and q[2] == w[2]
-                    and q[3] == w[3]
-                    and q[4] == w[4]
-                ):
-                    out[-1] = (q[0], cut, q[2], q[3], q[4], q[5])
-                else:
-                    append((lo, cut, w[2], w[3], w[4], w[5]))
+                emit(lo, cut, pf if d <= 0.0 else pg)
                 lo = cut
             x = x1
             continue
-        q = out[-1] if out else None
-        if (
-            q is not None
-            and q[1] == x
-            and q[5] == w[5]
-            and q[2] == w[2]
-            and q[3] == w[3]
-            and q[4] == w[4]
-        ):
-            out[-1] = (q[0], x1, q[2], q[3], q[4], q[5])
-        else:
-            append((x, x1, w[2], w[3], w[4], w[5]))
+        emit(x, x1, w)
         x = x1
     return out
 

@@ -1,5 +1,6 @@
 """Command-line integration: outputs, exit codes, reproducibility."""
 
+import errno
 import json
 
 import pytest
@@ -214,6 +215,65 @@ def test_manifest_written_before_computation(tmp_path, step_files, capsys):
                    "--out-dir", str(out)])
     assert rc == 2
     assert (out / "manifest.json").exists()  # snapshot precedes the failure
+
+
+def fail_writes_partway(monkeypatch, marker):
+    """Make every write of a text containing marker stop halfway through
+    with a full disk."""
+    real_open = open
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            if marker not in text:
+                return self.fh.write(text)
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return HalfWriter(fh) if "w" in mode or "x" in mode else fh
+
+    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+
+
+@pytest.mark.parametrize("command", ["detect", "learn"])
+def test_failed_write_leaves_no_partial_output(tmp_path, step_files, monkeypatch,
+                                               capsys, command):
+    # an output is either absent, its previous content or complete: a write
+    # that fails partway leaves neither a truncated file nor a temporary one
+    if command == "detect":
+        sig, graph = step_files
+        args = ["detect", "--signal", str(sig), "--graph", str(graph),
+                "--start-state", "B"]
+        name, marker = "segmentation.json", '"boundaries"'
+    else:
+        _rec, sp, ap = synth_files(tmp_path, "r1", n_cycles=6, seed=2)
+        graph = tmp_path / "g0.json"
+        graph.write_text(gr.serialize(gr.initial_graph(6.5, 3.0, 50.0)))
+        args = ["learn", "--signal", str(sp), "--annotations", str(ap),
+                "--initial-graph", str(graph), "--max-iterations", "0"]
+        name, marker = "r1_graph.json", '"baseline_state"'
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    assert cli.main(args + ["--out-dir", str(rerun)]) == 0
+    before = {p.name: p.read_bytes() for p in rerun.iterdir()}
+
+    fail_writes_partway(monkeypatch, marker)
+    assert cli.main(args + ["--out-dir", str(fresh)]) == 4
+    assert name not in {p.name for p in fresh.iterdir()}
+    assert not [p for p in fresh.iterdir() if p.name.endswith(".tmp")]
+    assert cli.main(args + ["--out-dir", str(rerun)]) == 4
+    assert (rerun / name).read_bytes() == before[name]
+    assert {p.name for p in rerun.iterdir()} == set(before)
 
 
 def test_version_flag(capsys):

@@ -1,0 +1,158 @@
+"""The compiled solver against the Python reference loop, bit for bit.
+
+``graphseg.solver.solve`` runs the forward pass and backtrack in C;
+``reference_solver.solve`` is the same dynamic program in Python.  Every
+output field must agree in ``repr``: boundaries, states, edges, means,
+total cost and piece statistics, and an infeasible model must fail with
+the same error at the same sample.
+"""
+
+import numpy as np
+import pytest
+
+import reference_solver
+from graphseg import graph as gr
+from graphseg.data import SynthConfig, generate_synthetic
+from graphseg.solver import InfeasibleModelError, Signal, solve
+from helpers import random_graph, random_signal
+
+
+def outcome(solve_fn, y, g, start):
+    try:
+        seg = solve_fn(Signal(y, 360.0), g, start_state=start)
+    except InfeasibleModelError as exc:
+        return ("infeasible", exc.state, exc.t)
+    return tuple(repr(v) for v in (seg.boundaries, seg.states, seg.edges_taken,
+                                   seg.means, seg.total_cost, seg.stats))
+
+
+def assert_matches_reference(y, g, start="free"):
+    assert outcome(solve, y, g, start) == outcome(reference_solver.solve, y, g, start)
+
+
+def any_start(rng, g):
+    return ["free", g.baseline_state, int(rng.integers(0, len(g.states)))][
+        int(rng.integers(0, 3))]
+
+
+def scaled(g, gap_scale, penalty_scale):
+    edges = tuple(gr.Edge(e.source, e.target, e.direction, e.gap * gap_scale,
+                          e.penalty * penalty_scale) for e in g.edges)
+    return gr.ConstraintGraph(g.states, edges, g.baseline_state, g.rpeak_state)
+
+
+def cycle_graph(rng, n_states):
+    states = tuple(gr.StateId(i, "B" if i == 0 else "R" if i == 1 else f"S{i}")
+                   for i in range(n_states))
+    edges = tuple(
+        gr.Edge(i, (i + 1) % n_states, gr.UP if rng.random() < 0.5 else gr.DOWN,
+                float(rng.uniform(0.0, 2.0)), float(rng.uniform(0.2, 4.0)))
+        for i in range(n_states))
+    return gr.ConstraintGraph(states, edges, 0, 1)
+
+
+def test_random_graphs_and_starts():
+    rng = np.random.default_rng(2024)
+    for _ in range(420):
+        y = random_signal(rng, n=int(rng.integers(2, 90)))
+        g = random_graph(rng, y)
+        assert_matches_reference(y, g, any_start(rng, g))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
+def test_amplitude_scales(scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 100)
+    for _ in range(40):
+        y = random_signal(rng)
+        g = scaled(random_graph(rng, y), scale, scale * scale)
+        assert_matches_reference(y * scale, g, any_start(rng, g))
+
+
+def test_zero_gap_edges():
+    rng = np.random.default_rng(7)
+    for _ in range(120):
+        y = random_signal(rng)
+        g = random_graph(rng, y, max_gap_cells=0)
+        assert_matches_reference(y, g, any_start(rng, g))
+
+
+def test_runs_of_exact_zeros():
+    # means of exact-zero runs are signed zeros; a down edge that maps a
+    # constant piece back must give the same sign as the Python loop
+    rng = np.random.default_rng(11)
+    for _ in range(120):
+        y = random_signal(rng) - float(rng.uniform(0.0, 10.0))
+        for _ in range(int(rng.integers(1, 4))):
+            a = int(rng.integers(0, len(y)))
+            y[a:a + int(rng.integers(1, 12))] = 0.0
+        g = random_graph(rng, y)
+        assert_matches_reference(y, g, any_start(rng, g))
+
+
+def test_flat_signals():
+    # a zero-span signal takes solve_domain's max(1.0, ...) padding
+    rng = np.random.default_rng(13)
+    for level in [0.0, -0.0, 1e-9, 1.0, -4.2, 7.5, 1e6, -3e8]:
+        for _ in range(8):
+            y = np.full(int(rng.integers(2, 60)), level)
+            g = random_graph(rng, y)
+            assert_matches_reference(y, g, any_start(rng, g))
+
+
+def test_twenty_state_cycle():
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        y = random_signal(rng, n=int(rng.integers(10, 80)))
+        g = cycle_graph(rng, 20)
+        assert gr.validate(g) == []
+        assert_matches_reference(y, g, any_start(rng, g))
+
+
+def test_infeasible_models_fail_alike():
+    # squared amplitudes past the float64 range leave no finite minimum at
+    # the last sample
+    rng = np.random.default_rng(19)
+    for amp in [1e154, 1e160, 1e200, 1e300]:
+        for _ in range(5):
+            y = np.full(int(rng.integers(2, 40)), amp * float(rng.choice([-1.0, 1.0])))
+            g = gr.initial_graph(0.1 * amp, 0.1 * amp, 1.0)
+            start = any_start(rng, g)
+            assert outcome(solve, y, g, start) == ("infeasible", "all", len(y) - 1)
+            assert_matches_reference(y, g, start)
+
+
+def test_cost_overflow_is_a_typed_error():
+    # here the overflow makes a NaN breakpoint, on which the Python loop's
+    # pointwise minimum never advances; the compiled sweep stops and says so
+    amp = 1e154
+    y = np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0]) * amp
+    with pytest.raises(ValueError, match="overflow"):
+        solve(Signal(y, 360.0), gr.initial_graph(0.1 * amp, 0.1 * amp, 1.0))
+
+
+def learned_four_state():
+    return gr.ConstraintGraph(
+        states=(gr.StateId(0, "B"), gr.StateId(1, "R"), gr.StateId(2, "S2"),
+                gr.StateId(3, "S3")),
+        edges=(gr.Edge(0, 2, gr.UP, 6.5, 50.0), gr.Edge(2, 3, gr.DOWN, 3.25, 50.0),
+               gr.Edge(3, 1, gr.UP, 3.25, 50.0), gr.Edge(1, 0, gr.DOWN, 3.0, 50.0)),
+        baseline_state=0,
+        rpeak_state=1,
+    )
+
+
+@pytest.mark.parametrize("record", ["plain", "dip"])
+def test_detect_corpus_records(record):
+    # full-length records of the benchmark's detect workload: a plain
+    # 100,512-sample record under the 2-state graph and a pre-R-dip record
+    # under the learned 4-state graph
+    if record == "plain":
+        cfg = SynthConfig(n_cycles=349, heart_rate_bpm=75.0, r_amplitude=10.0,
+                          noise_sigma=0.2, baseline_wander_amp=3.0, seed=31)
+        g = gr.initial_graph(6.5, 3.0, 50.0)
+    else:
+        cfg = SynthConfig(n_cycles=230, heart_rate_bpm=88.0, r_amplitude=10.0,
+                          noise_sigma=0.2, baseline_wander_amp=3.0, pre_r_dip=10.5,
+                          seed=37)
+        g = learned_four_state()
+    assert_matches_reference(generate_synthetic(cfg).signal.samples, g)

@@ -1,0 +1,61 @@
+"""Building, caching and loading the compiled solver."""
+
+import os
+import stat
+import subprocess
+import sys
+
+import pytest
+
+from graphseg import _native, cli, solver
+from graphseg import graph as gr
+from graphseg.solver import NativeBuildError
+
+
+def test_source_compiles_without_warnings(tmp_path):
+    # production builds carry no -Werror; this keeps new warnings out
+    cmd = [*_native.CC, *_native.CFLAGS, "-Wall", "-Wextra", "-Werror",
+           "-o", str(tmp_path / "solve.so"), _native.SOURCE]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cold_cache_builds_into_a_private_directory(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    assert callable(_native.load())
+    cache = tmp_path / "graphseg"
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+    with open(_native.SOURCE, "rb") as fh:
+        lib = _native.library_path(fh.read())
+    assert os.path.dirname(lib) == str(cache)
+    assert [p.name for p in cache.iterdir()] == [os.path.basename(lib)]
+
+
+def test_shared_cache_directory_is_refused(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    (tmp_path / "graphseg").mkdir()
+    os.chmod(tmp_path / "graphseg", 0o777)
+    with pytest.raises(NativeBuildError, match="mode 0700"):
+        _native.load()
+
+
+def test_failed_build_is_a_typed_error_and_detect_exits_4(tmp_path, monkeypatch, capsys):
+    message = "simulated compiler failure"
+    monkeypatch.setattr(_native, "CC", (
+        sys.executable, "-c", f"import sys; sys.stderr.write({message!r}); sys.exit(1)"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    with pytest.raises(NativeBuildError, match=message) as failure:
+        _native.load()
+    assert list((tmp_path / "graphseg").iterdir()) == []  # no partial library
+
+    # the import-time build stores its error for solve to raise
+    monkeypatch.setattr(solver, "_SOLVE", failure.value)
+    sig = tmp_path / "step.csv"
+    sig.write_text("sample_index,amplitude\n"
+                   + "".join(f"{i},{v}\n" for i, v in enumerate([0, 0, 5, 5, 0])))
+    graph = tmp_path / "g.json"
+    graph.write_text(gr.serialize(gr.initial_graph(1.0, 1.0, 1.0)))
+    rc = cli.main(["detect", "--signal", str(sig), "--graph", str(graph),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 4
+    assert message in capsys.readouterr().err
