@@ -70,10 +70,17 @@ def _load_records(args):
         )
     if not signals:
         raise ValueError("at least one --signal/--annotations pair is required")
-    return [
-        load_record(s, a, sample_rate=args.sample_rate)
-        for s, a in zip(signals, annotations)
-    ]
+    records = []
+    paths = {}
+    for s, a in zip(signals, annotations):
+        r = load_record(s, a, sample_rate=args.sample_rate)
+        if r.record_id in paths:
+            raise ValueError(
+                f"record id {r.record_id!r} of {s} repeats that of {paths[r.record_id]}"
+            )
+        paths[r.record_id] = s
+        records.append(r)
+    return records
 
 
 def _learn_config(args):
@@ -140,11 +147,19 @@ def _cmd_learn(args):
     return EXIT_OK
 
 
+def _report_paths(out_dir):
+    return [os.path.join(out_dir, "report.json"), os.path.join(out_dir, "report.txt")]
+
+
+def _write_report(out, report):
+    """Write report.json and report.txt, and print the table to stderr."""
+    _write(out[0], json.dumps(report.to_json_dict(), indent=2) + "\n")
+    _write(out[1], report.to_table())
+    print(report.to_table(), end="", file=sys.stderr)
+
+
 def _cmd_eval(args):
-    out = [
-        os.path.join(args.out_dir, "report.json"),
-        os.path.join(args.out_dir, "report.txt"),
-    ]
+    out = _report_paths(args.out_dir)
     _write_manifest(args.out_dir, "eval", args, out)
     records = _load_records(args)
     g = _load_graph(args.graph)
@@ -154,27 +169,19 @@ def _cmd_eval(args):
         windows = windows_whole_record(r, args.cycles_per_window)
         _err, rep = evaluate_graph(g, windows, cfg)
         rows.extend(rep.records)
-    report = DetectionReport(records=rows)
-    _write(out[0], json.dumps(report.to_json_dict(), indent=2) + "\n")
-    _write(out[1], report.to_table())
-    print(report.to_table(), end="", file=sys.stderr)
+    _write_report(out, DetectionReport(records=rows))
     return EXIT_OK
 
 
 def _cmd_cv(args):
-    out = [
-        os.path.join(args.out_dir, "report.json"),
-        os.path.join(args.out_dir, "report.txt"),
-    ]
+    out = _report_paths(args.out_dir)
     _write_manifest(args.out_dir, "cv", args, out)
     records = _load_records(args)
     cfg = _learn_config(args)
     initial = _load_graph(args.initial_graph) if args.initial_graph else None
     report = cross_validate(records, k=args.k, cfg=cfg, initial_graph=initial,
                             n_jobs=args.jobs)
-    _write(out[0], json.dumps(report.to_json_dict(), indent=2) + "\n")
-    _write(out[1], report.to_table())
-    print(report.to_table(), end="", file=sys.stderr)
+    _write_report(out, report)
     return EXIT_OK
 
 

@@ -322,6 +322,8 @@ def make_fold_plan(records, k: int, seed: int) -> FoldPlan:
     plan = FoldPlan(k=k, seed=seed)
     rng = np.random.default_rng(seed)
     for rec in records:
+        if rec.record_id in plan.assignment:
+            raise ValueError(f"record id {rec.record_id!r} appears more than once")
         m = rec.n_cycles
         if m < k:
             raise ValueError(f"record {rec.record_id} has {m} cycles, needs >= k={k}")

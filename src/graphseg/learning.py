@@ -2,10 +2,11 @@
 
 Each iteration enumerates a fixed family of ten edit candidates per edge
 (three single-node insertions, one two-node insertion, two node deletions,
-and multiplicative penalty/gap adjustments), scores every candidate by the
-total number of detection errors on the training windows, and accepts the
-strictly best one.  The loop stops when nothing improves, at the iteration
-cap, or when the validation error has risen twice in a row.
+and penalty/gap edits that multiply or divide by EDIT_FACTOR), scores every
+candidate by the total number of detection errors on the training windows,
+and accepts the strictly best one.  The loop stops when nothing improves,
+at the iteration cap, or when the validation error has risen twice in a
+row.
 """
 
 from __future__ import annotations
@@ -37,14 +38,15 @@ EDIT_KINDS = (
 )
 
 
+# Penalty and gap edits multiply or divide the edge's value by this.
+EDIT_FACTOR = 2.0
+
+
 @dataclass
 class LearnConfig:
     max_iterations: int = 20
     tolerance_ms: float = 100.0
     validation_fraction: float = 0.25
-    penalty_factor: float = 2.0
-    gap_factor: float = 2.0
-    min_gap: float = 0.0      # gap-edit step floor; 0 means derive from the data
     seed: int = 0
 
     def __post_init__(self):
@@ -52,10 +54,6 @@ class LearnConfig:
             raise ValueError("max_iterations must be >= 0")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must be in (0, 1)")
-        if self.penalty_factor <= 1.0 or self.gap_factor <= 1.0:
-            raise ValueError("penalty_factor and gap_factor must be > 1")
-        if self.min_gap < 0:
-            raise ValueError("min_gap must be >= 0")
 
 
 @dataclass
@@ -88,28 +86,10 @@ class LearnTrace:
         return len(self.steps)
 
     def _rows(self):
-        rows = [
-            {
-                "iteration": 0,
-                "kind": None,
-                "anchor_edge": None,
-                "train_error": self.initial_train_error,
-                "validation_error": self.initial_validation_error,
-                "graph": json.loads(gr.serialize(self.initial_graph)),
-            }
-        ]
-        for s in self.steps:
-            rows.append(
-                {
-                    "iteration": s.iteration,
-                    "kind": s.kind,
-                    "anchor_edge": s.anchor_edge,
-                    "train_error": s.train_error,
-                    "validation_error": s.validation_error,
-                    "graph": json.loads(gr.serialize(s.graph)),
-                }
-            )
-        return rows
+        first = LearnStep(0, None, None, self.initial_train_error,
+                          self.initial_validation_error, self.initial_graph)
+        return [dict(vars(s), graph=json.loads(gr.serialize(s.graph)))
+                for s in [first, *self.steps]]
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r) for r in self._rows()) + "\n"
@@ -141,10 +121,6 @@ def _fresh_states(g, count):
     return out
 
 
-def _flip(direction):
-    return gr.DOWN if direction == gr.UP else gr.UP
-
-
 def _replace_edge(g, i, new_edges, new_states=()):
     edges = list(g.edges[:i]) + list(new_edges) + list(g.edges[i + 1:])
     return gr.ConstraintGraph(
@@ -155,8 +131,10 @@ def _replace_edge(g, i, new_edges, new_states=()):
     )
 
 
-def _delete_state(g, victim, drop_edges, new_edge, insert_at):
-    """Remove a state and two edges, splice in a replacement edge, reindex."""
+def _delete_state(g, i, j, merged):
+    """Remove the target state of edge i: edge i becomes the merged edge,
+    the state's out-edge j goes, and the states after it are renumbered."""
+    victim = g.edges[i].target
 
     def remap(v):
         return v - 1 if v > victim else v
@@ -164,122 +142,74 @@ def _delete_state(g, victim, drop_edges, new_edge, insert_at):
     states = tuple(
         gr.StateId(remap(s.id), s.name) for s in g.states if s.id != victim
     )
-    edges = []
-    for i, e in enumerate(g.edges):
-        if i == insert_at:
-            edges.append(
-                gr.Edge(remap(new_edge.source), remap(new_edge.target),
-                        new_edge.direction, new_edge.gap, new_edge.penalty)
-            )
-        if i in drop_edges:
-            continue
-        edges.append(gr.Edge(remap(e.source), remap(e.target), e.direction, e.gap, e.penalty))
+    spliced = list(g.edges)
+    spliced[i] = merged
+    edges = tuple(
+        gr.Edge(remap(e.source), remap(e.target), e.direction, e.gap, e.penalty)
+        for k, e in enumerate(spliced) if k != j
+    )
     return gr.ConstraintGraph(
         states=states,
-        edges=tuple(edges),
+        edges=edges,
         baseline_state=remap(g.baseline_state),
         rpeak_state=remap(g.rpeak_state),
     )
 
 
-def enumerate_candidates(g: gr.ConstraintGraph, cfg: LearnConfig) -> list:
+def enumerate_candidates(g: gr.ConstraintGraph, min_gap: float = 0.0) -> list:
     """All applicable edit candidates, ten kinds per edge.
 
-    Inapplicable deletions (protected target, wrong degrees, would create a
-    self-loop or duplicate edge) and any edit whose result fails validation
-    are omitted; omissions are logged at debug level.
+    A doubled gap below min_gap becomes min_gap, and a halved gap below
+    min_gap / 2 becomes 0.  Inapplicable deletions (protected target, wrong
+    degrees, would create a self-loop) and any edit whose result fails
+    validation are omitted; omissions are logged at debug level.
     """
     out = []
     protected = {g.baseline_state, g.rpeak_state}
-    step = cfg.min_gap
+    w1, w2 = _fresh_states(g, 2)
     for i, e in enumerate(g.edges):
-        half_gap = e.gap / 2.0
-        flip = _flip(e.direction)
+        half = e.gap / 2.0
+        flip = gr.DOWN if e.direction == gr.UP else gr.UP
 
-        (w,) = _fresh_states(g, 1)
-        builders = [
-            (
-                "split_same_dir",
-                lambda: _replace_edge(
-                    g, i,
-                    [gr.Edge(e.source, w.id, e.direction, half_gap, e.penalty / 2.0),
-                     gr.Edge(w.id, e.target, e.direction, half_gap, e.penalty / 2.0)],
-                    [w],
-                ),
-            ),
-            (
-                "detour_before",
-                lambda: _replace_edge(
-                    g, i,
-                    [gr.Edge(e.source, w.id, flip, half_gap, e.penalty),
-                     gr.Edge(w.id, e.target, e.direction, e.gap, e.penalty)],
-                    [w],
-                ),
-            ),
-            (
-                "detour_after",
-                lambda: _replace_edge(
-                    g, i,
-                    [gr.Edge(e.source, w.id, e.direction, e.gap, e.penalty),
-                     gr.Edge(w.id, e.target, flip, half_gap, e.penalty)],
-                    [w],
-                ),
-            ),
-        ]
-        for kind, build in builders:
-            _append_candidate(out, kind, i, build())
-
-        w1, w2 = _fresh_states(g, 2)
-        two_bump = _replace_edge(
-            g, i,
-            [gr.Edge(e.source, w1.id, e.direction, e.gap, e.penalty),
-             gr.Edge(w1.id, w2.id, flip, half_gap, e.penalty),
-             gr.Edge(w2.id, e.target, e.direction, half_gap, e.penalty)],
-            [w1, w2],
+        inserts = (
+            ("split_same_dir",
+             [replace(e, target=w1.id, gap=half, penalty=e.penalty / 2.0),
+              replace(e, source=w1.id, gap=half, penalty=e.penalty / 2.0)], [w1]),
+            ("detour_before",
+             [replace(e, target=w1.id, direction=flip, gap=half),
+              replace(e, source=w1.id)], [w1]),
+            ("detour_after",
+             [replace(e, target=w1.id),
+              replace(e, source=w1.id, direction=flip, gap=half)], [w1]),
+            ("insert_two_bump",
+             [replace(e, target=w1.id),
+              replace(e, source=w1.id, target=w2.id, direction=flip, gap=half),
+              replace(e, source=w2.id, gap=half)], [w1, w2]),
         )
-        _append_candidate(out, "insert_two_bump", i, two_bump)
+        for kind, edges, states in inserts:
+            _append_candidate(out, kind, i, _replace_edge(g, i, edges, states))
 
-        victim = e.target
-        vin = g.in_edges(victim)
-        vout = g.out_edges(victim)
-        if victim in protected or len(vin) != 1 or len(vout) != 1:
+        vin = g.in_edges(e.target)
+        vout = g.out_edges(e.target)
+        if e.target in protected or len(vin) != 1 or len(vout) != 1:
             log.debug("edge %d: delete kinds inapplicable (protected or degree != 1)", i)
+        elif vout[0][1].target == e.source:
+            log.debug("edge %d: delete kinds would create a self-loop", i)
         else:
-            si, succ = vout[0]
-            if succ.target == e.source:
-                log.debug("edge %d: delete kinds would create a self-loop", i)
-            else:
-                keep_in = _delete_state(
-                    g, victim, {i, si},
-                    gr.Edge(e.source, succ.target, e.direction, e.gap, e.penalty),
-                    insert_at=i,
-                )
-                _append_candidate(out, "delete_merge_keep_in", i, keep_in)
-                keep_out = _delete_state(
-                    g, victim, {i, si},
-                    gr.Edge(e.source, succ.target, succ.direction, succ.gap, succ.penalty),
-                    insert_at=i,
-                )
-                _append_candidate(out, "delete_merge_keep_out", i, keep_out)
+            j, succ = vout[0]
+            for kind, kept in (("delete_merge_keep_in", e), ("delete_merge_keep_out", succ)):
+                merged = replace(kept, source=e.source, target=succ.target)
+                _append_candidate(out, kind, i, _delete_state(g, i, j, merged))
 
-        _append_candidate(
-            out, "penalty_up", i,
-            _replace_edge(g, i, [replace(e, penalty=e.penalty * cfg.penalty_factor)]),
+        down_gap = e.gap / EDIT_FACTOR
+        tunings = (
+            ("penalty_up", replace(e, penalty=e.penalty * EDIT_FACTOR)),
+            ("penalty_down", replace(e, penalty=e.penalty / EDIT_FACTOR)),
+            ("gap_up", replace(e, gap=max(e.gap * EDIT_FACTOR, min_gap))),
+            ("gap_down", replace(e, gap=0.0 if down_gap < min_gap / 2.0 else down_gap)),
         )
-        _append_candidate(
-            out, "penalty_down", i,
-            _replace_edge(g, i, [replace(e, penalty=e.penalty / cfg.penalty_factor)]),
-        )
-        new_gap = max(e.gap * cfg.gap_factor, step)
-        _append_candidate(
-            out, "gap_up", i, _replace_edge(g, i, [replace(e, gap=new_gap)])
-        )
-        down_gap = e.gap / cfg.gap_factor
-        if down_gap < step / 2.0:
-            down_gap = 0.0
-        _append_candidate(
-            out, "gap_down", i, _replace_edge(g, i, [replace(e, gap=down_gap)])
-        )
+        for kind, edited in tunings:
+            _append_candidate(out, kind, i, _replace_edge(g, i, [edited]))
     return out
 
 
@@ -335,10 +265,8 @@ def default_initial_graph(windows) -> gr.ConstraintGraph:
     estimate on first differences); both gaps are 30% of the p99-p1
     amplitude spread.  Medians are taken across windows.
     """
-    if isinstance(windows, (list, tuple)) and not windows:
+    if not windows:
         raise ValueError("windows must be non-empty")
-    if not isinstance(windows, (list, tuple)):
-        windows = [windows]
     lams = []
     gaps = []
     for w in windows:
@@ -353,14 +281,14 @@ def default_initial_graph(windows) -> gr.ConstraintGraph:
     return gr.initial_graph(gap, gap, lam)
 
 
-def _resolved_min_gap(cfg: LearnConfig, windows) -> LearnConfig:
-    if cfg.min_gap > 0:
-        return cfg
+def _gap_step(windows) -> float:
+    """The gap edits' step: 5% of the p5-p95 amplitude spread, median over
+    windows."""
     spreads = []
     for w in windows:
         p5, p95 = np.percentile(w.signal.samples, [5, 95])
         spreads.append(0.05 * float(p95 - p5))
-    return replace(cfg, min_gap=float(np.median(spreads)))
+    return float(np.median(spreads))
 
 
 def _candidate_key(err, cand, idx):
@@ -385,7 +313,7 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
     violations = gr.validate(initial)
     if violations:
         raise gr.GraphValidationError(violations)
-    cfg = _resolved_min_gap(cfg, windows)
+    step = _gap_step(windows)
 
     rng = np.random.default_rng(cfg.seed)
     n = len(windows)
@@ -398,58 +326,35 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
     current = initial
     train_err, _ = evaluate_graph(current, train_w, cfg)
     val_err = evaluate_graph(current, val_w, cfg)[0] if val_w else None
-
-    steps = []
-
-    def trace():
-        return LearnTrace(
-            initial_train_error=init_train,
-            initial_validation_error=init_val,
-            initial_graph=initial,
-            steps=steps,
-        )
-
-    init_train = train_err
-    init_val = val_err
+    trace = LearnTrace(train_err, val_err, initial, steps=[])
     best_val = val_err
     best_val_graph = current
-    prev_val = val_err
     rising = 0
 
     for it in range(1, cfg.max_iterations + 1):
         if train_err == 0:
             break  # nothing can be strictly better
         best = None
-        for idx, cand in enumerate(enumerate_candidates(current, cfg)):
+        for idx, cand in enumerate(enumerate_candidates(current, min_gap=step)):
             err, _ = evaluate_graph(cand.resulting_graph, train_w, cfg)
             key = _candidate_key(err, cand, idx)
             if best is None or key < best[0]:
                 best = (key, cand)
         if best is None or best[0][0] >= train_err:
             break
-        current = best[1].resulting_graph
-        train_err = best[0][0]
+        key, cand = best
+        train_err = key[0]
+        prev_val = val_err
+        current = cand.resulting_graph
         val_err = evaluate_graph(current, val_w, cfg)[0] if val_w else None
-        steps.append(
-            LearnStep(
-                iteration=it,
-                kind=best[1].kind,
-                anchor_edge=best[1].anchor_edge,
-                train_error=train_err,
-                validation_error=val_err,
-                graph=current,
-            )
-        )
+        trace.steps.append(LearnStep(it, cand.kind, cand.anchor_edge,
+                                     train_err, val_err, current))
         if val_w:
             if val_err < best_val:
                 best_val = val_err
                 best_val_graph = current
-            if val_err > prev_val:
-                rising += 1
-            else:
-                rising = 0
-            prev_val = val_err
+            rising = rising + 1 if val_err > prev_val else 0
             if rising >= 2:
-                return best_val_graph, trace()
-    return current, trace()
-
+                current = best_val_graph
+                break
+    return current, trace

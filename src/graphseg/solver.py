@@ -108,7 +108,10 @@ def _resolve_start(graph_, start_state):
     if isinstance(start_state, gr.StateId):
         start_state = start_state.id
     if isinstance(start_state, str):
-        return graph_.state_named(start_state).id
+        try:
+            return graph_.state_named(start_state).id
+        except KeyError:
+            pass
     if isinstance(start_state, int) and 0 <= start_state < len(graph_.states):
         return start_state
     raise ValueError(f"start_state {start_state!r} is not a state of the graph")

@@ -206,6 +206,67 @@ def test_mismatched_record_flags_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+def same_basename_files(tmp_path):
+    """Two different records saved as a/rec.csv and b/rec.csv."""
+    args = []
+    for sub, seed in (("a", 3), ("b", 4)):
+        (tmp_path / sub).mkdir()
+        _rec, sp, ap = synth_files(tmp_path / sub, "rec", n_cycles=8, seed=seed)
+        args += ["--signal", str(sp), "--annotations", str(ap)]
+    return args
+
+
+@pytest.mark.parametrize("command", [["learn"], ["learn", "--pooled"], ["cv"]],
+                         ids=" ".join)
+def test_repeated_record_id_exits_2(tmp_path, capsys, command):
+    # record ids come from the file basename, so a/rec.csv and b/rec.csv
+    # collide; the error names both files
+    records = same_basename_files(tmp_path)
+    rc = cli.main(command + records + ["--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert records[1] in err and records[5] in err
+
+
+def test_detect_unknown_start_state_exits_2(tmp_path, step_files, capsys):
+    sig, graph = step_files
+    rc = cli.main(["detect", "--signal", str(sig), "--graph", str(graph),
+                   "--out-dir", str(tmp_path / "o"), "--start-state", "Q"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "input error" in err
+    assert "Traceback" not in err
+
+
+def test_learn_pooled_writes_the_listed_outputs(tmp_path, capsys):
+    records = []
+    for name, seed in (("p1", 7), ("p2", 8)):
+        _rec, sp, ap = synth_files(tmp_path, name, n_cycles=8, heart_rate_bpm=88,
+                                   r_amplitude=10.0, noise_sigma=0.2,
+                                   baseline_wander_amp=3.0, pre_r_dip=10.5,
+                                   seed=seed)
+        records += ["--signal", str(sp), "--annotations", str(ap)]
+    g0 = tmp_path / "g0.json"
+    g0.write_text(gr.serialize(gr.initial_graph(6.5, 3.0, 50.0)))
+    outputs = {}
+    for run in ("o1", "o2"):
+        out = tmp_path / run
+        rc = cli.main(["learn", "--pooled", "--seed", "5", "--initial-graph", str(g0),
+                       "--out-dir", str(out)] + records)
+        assert rc == 0
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert listed == [str(out / f"pooled_{suffix}") for suffix in
+                          ("graph.json", "progress.csv", "trace.jsonl")]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "pooled_graph.json", "pooled_progress.csv",
+            "pooled_trace.jsonl",
+        ]
+        outputs[run] = {p.name: p.read_bytes() for p in out.iterdir()
+                        if p.name != "manifest.json"}
+    assert outputs["o1"] == outputs["o2"]
+
+
 def test_manifest_written_before_computation(tmp_path, step_files, capsys):
     _, graph = step_files
     bad_sig = tmp_path / "bad.csv"

@@ -1,5 +1,7 @@
 """Matching, metrics, splits, and cross-validation plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,13 @@ def test_fold_plan_validation():
         make_fold_plan([record_with_cycles(10)], k=1, seed=0)
     with pytest.raises(ValueError):
         make_fold_plan([record_with_cycles(4)], k=5, seed=0)
+
+
+def test_fold_plan_rejects_repeated_record_id():
+    a = record_with_cycles(10, seed=1)
+    b = dataclasses.replace(record_with_cycles(10, seed=2), record_id=a.record_id)
+    with pytest.raises(ValueError, match="more than once"):
+        make_fold_plan([a, b], k=5, seed=0)
 
 
 def test_cross_validate_frozen_graph_matches_direct_evaluation():

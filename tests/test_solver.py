@@ -60,7 +60,7 @@ def test_solve_rejects_invalid_graph():
 
 def test_solve_rejects_unknown_start_state():
     g = gr.initial_graph(1, 1, 1)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="'Q' is not a state"):
         solve(sig(STEP), g, start_state="Q")
     with pytest.raises(ValueError):
         solve(sig(STEP), g, start_state=7)
