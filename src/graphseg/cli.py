@@ -17,7 +17,7 @@ import traceback
 
 from . import __version__
 from . import graph as gr
-from .data import DataFormatError, load_record, load_signal_csv
+from .data import DataFormatError, load_record, load_signal_csv, record_id_of
 from .evaluate import DetectionReport, cross_validate, windows_whole_record
 from .learning import LearnConfig, default_initial_graph, evaluate_graph, learn
 from .solver import InfeasibleModelError, NativeBuildError, extract_rpeaks, solve
@@ -116,21 +116,18 @@ def _cmd_detect(args):
 
 
 def _cmd_learn(args):
+    names = ["pooled"] if args.pooled else [record_id_of(s) for s in args.signal]
+    outputs = [os.path.join(args.out_dir, f"{name}_{suffix}") for name in names
+               for suffix in ("graph.json", "trace.jsonl", "progress.csv")]
+    _write_manifest(args.out_dir, "learn", args, outputs)
     records = _load_records(args)
     cfg = _learn_config(args)
     initial = _load_graph(args.initial_graph) if args.initial_graph else None
-    record_windows = {
-        r.record_id: windows_whole_record(r, args.cycles_per_window) for r in records
-    }
+    record_windows = [windows_whole_record(r, args.cycles_per_window) for r in records]
     if args.pooled:
-        jobs = [("pooled", [w for ws in record_windows.values() for w in ws])]
+        jobs = [("pooled", [w for ws in record_windows for w in ws])]
     else:
-        jobs = [(r.record_id, record_windows[r.record_id]) for r in records]
-    outputs = []
-    for name, _ in jobs:
-        for suffix in ("graph.json", "trace.jsonl", "progress.csv"):
-            outputs.append(os.path.join(args.out_dir, f"{name}_{suffix}"))
-    _write_manifest(args.out_dir, "learn", args, outputs)
+        jobs = list(zip(names, record_windows))
     for name, windows in jobs:
         g0 = initial if initial is not None else default_initial_graph(windows)
         best, trace = learn(g0, windows, cfg)

@@ -3,13 +3,16 @@
 The on-disk format is deliberately minimal: a two-column CSV
 ``sample_index,amplitude`` (header required) plus an annotation file with
 one 0-based R-peak sample index per line.  Both are UTF-8 with LF line
-endings and full-precision decimal amplitudes.
+endings and full-precision decimal amplitudes.  numpy parses a sample
+file in one pass; a line-by-line parse runs only when numpy refuses the
+file or a check fails, and its error names the bad line.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,16 +48,51 @@ class LabeledRecord:
         return len(self.rpeak_annotations)
 
 
+_HEADER = "sample_index,amplitude"
+_ROW = np.dtype([("i", np.int64), ("a", np.float64)])
+
+
+def _check_header(path, fh):
+    header = fh.readline()
+    if header.strip() != _HEADER:
+        raise DataFormatError(
+            f"{path}:1: expected header {_HEADER!r}, got {header.strip()!r}"
+        )
+
+
 def load_signal_csv(path, sample_rate=360.0) -> Signal:
-    """Read the two-column sample CSV into a Signal."""
+    """Read the two-column sample CSV into a Signal.
+
+    numpy parses the body in one pass.  When it refuses the body or a check
+    fails, the line loop reads the file again: it names the bad line, and
+    it accepts the rare spellings that Python's int and float take and numpy
+    does not (whitespace-only lines, ``1_5``, Unicode digits, indices above
+    int64).
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        _check_header(path, fh)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty body warns
+                rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=_ROW,
+                                  ndmin=1)
+        except (ValueError, Warning):
+            rows = None
+    if rows is not None and len(rows) >= 2:
+        idx = rows["i"]
+        # a run that wraps past the int64 maximum ends below its start
+        if (np.all(np.diff(idx) == 1) and idx[-1] > idx[0]
+                and np.all(np.isfinite(rows["a"]))):
+            return Signal(np.ascontiguousarray(rows["a"]), sample_rate)
+    return Signal(_load_signal_lines(path), sample_rate)
+
+
+def _load_signal_lines(path):
+    """The sample CSV's amplitudes, parsed line by line."""
     values = []
     expected = None
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        if header.strip() != "sample_index,amplitude":
-            raise DataFormatError(
-                f"{path}:1: expected header 'sample_index,amplitude', got {header.strip()!r}"
-            )
+        _check_header(path, fh)
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -79,7 +117,7 @@ def load_signal_csv(path, sample_rate=360.0) -> Signal:
             values.append(amp)
     if len(values) < 2:
         raise DataFormatError(f"{path}: needs at least 2 samples, got {len(values)}")
-    return Signal(np.array(values), sample_rate)
+    return np.array(values)
 
 
 def _load_annotations(path, n):
@@ -105,6 +143,11 @@ def _load_annotations(path, n):
     return np.array(ann, dtype=np.int64)
 
 
+def record_id_of(signal_path):
+    """A record's id: its sample file's basename without the extension."""
+    return os.path.splitext(os.path.basename(signal_path))[0]
+
+
 def load_record(signal_path, annotation_path, sample_rate=360.0, lead="MLII",
                 record_id=None) -> LabeledRecord:
     """Read a record from its sample CSV and annotation file.
@@ -115,7 +158,7 @@ def load_record(signal_path, annotation_path, sample_rate=360.0, lead="MLII",
     signal = load_signal_csv(signal_path, sample_rate)
     ann = _load_annotations(annotation_path, len(signal))
     if record_id is None:
-        record_id = os.path.splitext(os.path.basename(signal_path))[0]
+        record_id = record_id_of(signal_path)
     return LabeledRecord(record_id, signal, ann, lead=lead)
 
 

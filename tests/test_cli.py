@@ -267,15 +267,25 @@ def test_learn_pooled_writes_the_listed_outputs(tmp_path, capsys):
     assert outputs["o1"] == outputs["o2"]
 
 
-def test_manifest_written_before_computation(tmp_path, step_files, capsys):
+@pytest.mark.parametrize("command", ["detect", "learn", "eval", "cv"])
+def test_manifest_written_before_computation(tmp_path, step_files, capsys, command):
     _, graph = step_files
     bad_sig = tmp_path / "bad.csv"
     bad_sig.write_text("sample_index,amplitude\n0,oops\n")
+    ann = tmp_path / "bad.ann"
+    ann.write_text("0\n")
     out = tmp_path / "o"
-    rc = cli.main(["detect", "--signal", str(bad_sig), "--graph", str(graph),
-                   "--out-dir", str(out)])
+    args = [command, "--signal", str(bad_sig), "--out-dir", str(out)]
+    if command != "detect":
+        args += ["--annotations", str(ann)]
+    if command in ("detect", "eval"):
+        args += ["--graph", str(graph)]
+    rc = cli.main(args)
     assert rc == 2
-    assert (out / "manifest.json").exists()  # snapshot precedes the failure
+    assert "bad.csv:2" in capsys.readouterr().err
+    # the snapshot precedes the failure
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
 
 
 def fail_writes_partway(monkeypatch, marker):

@@ -1,14 +1,22 @@
 """Record ingestion and the synthetic generator."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from graphseg.data import (
     DataFormatError,
     LabeledRecord,
     SynthConfig,
+    _load_signal_lines,
     generate_synthetic,
     load_record,
+    load_signal_csv,
     save_record,
 )
 from graphseg.solver import Signal
@@ -84,6 +92,81 @@ def test_save_load_roundtrip(tmp_path):
     assert back.record_id == rec.record_id
     assert np.array_equal(back.rpeak_annotations, rec.rpeak_annotations)
     assert np.array_equal(back.signal.samples, rec.signal.samples)
+
+
+HEADER = "sample_index,amplitude\n"
+INT64_MAX = 2**63 - 1
+
+# sample-file bodies that numpy and the line loop may parse differently
+EDGE_BODIES = {
+    "plain": "0,1.5\n1,-2\n2,3e-3\n",
+    "blank lines": "\n0,1\n\n1,2\n\n",
+    "whitespace-only line": "0,1\n   \n1,2\n",
+    "crlf": "0,1\r\n1,2\r\n",
+    "spaces around fields": " 0 , 1 \n1 ,2 \n",
+    "tabs around fields": "\t0\t,\t1\t\n1,\t2\n",
+    "plus zero index": "+0,1\n1,2\n",
+    "underscore index": "1_5,1\n16,2\n",
+    "underscore amplitude": "0,1_0\n1,2\n",
+    "unicode digits": "\u0661,1\n\u0662,2\n",
+    "index above int64": f"{INT64_MAX + 1},1\n{INT64_MAX + 2},2\n",
+    "index wraps past int64": f"{INT64_MAX},1\n{-INT64_MAX - 1},2\n",
+    "non-zero first index": "41,1\n42,2\n43,3\n",
+    "index gap": "0,1\n2,2\n",
+    "nan": "0,1\n1,nan\n",
+    "inf": "0,inf\n1,2\n",
+    "overflow to inf": "0,1\n1,1e400\n",
+    "one field": "0,1\n1\n",
+    "three fields": "0,1\n1,2,3\n",
+    "empty amplitude": "0,\n1,2\n",
+    "empty index": ",1\n1,2\n",
+    "quoted field": '"0",1\n1,2\n',
+    "comment line": "# note\n0,1\n1,2\n",
+    "float index": "0.0,1\n1,2\n",
+    "hex index": "0x0,1\n0x1,2\n",
+    "negative zero and subnormal": "0,-0.0\n1,5e-324\n",
+    "no final newline": "0,1\n1,2",
+    "single sample": "0,1\n",
+    "empty body": "",
+}
+
+
+def _parse(parse, path):
+    try:
+        return parse(path)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("body", EDGE_BODIES.values(), ids=EDGE_BODIES.keys())
+def test_vectorised_parse_matches_line_loop(tmp_path, body):
+    path = tmp_path / "sig.csv"
+    path.write_bytes((HEADER + body).encode())
+    got = _parse(lambda p: load_signal_csv(p).samples, str(path))
+    want = _parse(_load_signal_lines, str(path))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.225e-308, 1e308, -1e308,
+                     1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(2, 40), elements=FLOATS))
+def test_save_load_roundtrip_is_bit_exact(samples):
+    rec = LabeledRecord("r", Signal(samples, 360.0), np.array([], dtype=np.int64))
+    with tempfile.TemporaryDirectory() as d:
+        sp, ap = os.path.join(d, "r.csv"), os.path.join(d, "r.ann")
+        save_record(rec, sp, ap)
+        back = load_record(sp, ap)
+    assert back.signal.samples.view(np.int64).tolist() == samples.view(np.int64).tolist()
 
 
 def test_labeled_record_validation():

@@ -20,6 +20,13 @@ def test_source_compiles_without_warnings(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_flags_keep_python_rounding():
+    # bit-identity with tests/reference_solver.py rests on these flags
+    assert "-ffp-contract=off" in _native.CFLAGS
+    unsafe = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"}
+    assert not unsafe & set(_native.CFLAGS)
+
+
 def test_cold_cache_builds_into_a_private_directory(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     assert callable(_native.load())
