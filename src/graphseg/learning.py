@@ -2,11 +2,11 @@
 
 Each iteration enumerates a fixed family of ten edit candidates per edge
 (three single-node insertions, one two-node insertion, two node deletions,
-and penalty/gap edits that multiply or divide by EDIT_FACTOR), scores every
+and penalty/gap edits that multiply or divide by EDIT_FACTOR), scores each
 candidate by the total number of detection errors on the training windows,
-and accepts the strictly best one.  The loop stops when nothing improves,
-at the iteration cap, or when the validation error has risen twice in a
-row.
+stopping as soon as that total shows it cannot win, and accepts the strictly
+best one.  The loop stops when nothing improves, at the iteration cap, or
+when the validation error has risen twice in a row.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _append_candidate(out, kind, anchor, graph_):
 # ---------------------------------------------------------------------------
 
 
-def evaluate_graph(g: gr.ConstraintGraph, windows, cfg: LearnConfig):
+def evaluate_graph(g: gr.ConstraintGraph, windows, cfg: LearnConfig, bound=None):
     """(total FN+FP, report) for the graph over labeled windows.
 
     Windows are built to open in baseline context, so the solve is anchored
@@ -235,27 +235,35 @@ def evaluate_graph(g: gr.ConstraintGraph, windows, cfg: LearnConfig):
     explain counts all of its labels as false negatives instead of raising.
     When a window carries an eval_span, detections outside that core region
     are ignored.
+
+    With a bound, scoring stops after the first window that takes the
+    running FN+FP above it, and (running total, None) is returned; a total
+    at most the bound comes back as the exact (err, report).
     """
     if not windows:
         raise ValueError("windows must be non-empty")
     rows = []
+    total = 0
     for w in windows:
         labels = w.rpeak_annotations.tolist()
         try:
             seg = solve(w.signal, g, start_state=g.baseline_state)
             det = extract_rpeaks(seg, w.signal, g)
         except InfeasibleModelError:
-            rows.append(RecordCounts(w.record_id, tp=0, fp=0, fn=len(labels),
-                                     infeasible_windows=1))
-            continue
-        if w.eval_span is not None:
-            lo, hi = w.eval_span
-            det = [d for d in det if lo <= d < hi]
-        tol = int(round(cfg.tolerance_ms * w.signal.sample_rate / 1000.0))
-        mr = match(labels, det, tol)
-        rows.append(RecordCounts(w.record_id, tp=mr.tp, fp=mr.fp, fn=mr.fn))
-    report = DetectionReport(records=rows)
-    return report.fn + report.fp, report
+            row = RecordCounts(w.record_id, tp=0, fp=0, fn=len(labels),
+                               infeasible_windows=1)
+        else:
+            if w.eval_span is not None:
+                lo, hi = w.eval_span
+                det = [d for d in det if lo <= d < hi]
+            tol = int(round(cfg.tolerance_ms * w.signal.sample_rate / 1000.0))
+            mr = match(labels, det, tol)
+            row = RecordCounts(w.record_id, tp=mr.tp, fp=mr.fp, fn=mr.fn)
+        rows.append(row)
+        total += row.fn + row.fp
+        if bound is not None and total > bound:
+            return total, None
+    return total, DetectionReport(records=rows)
 
 
 def default_initial_graph(windows) -> gr.ConstraintGraph:
@@ -291,9 +299,21 @@ def _gap_step(windows) -> float:
     return float(np.median(spreads))
 
 
-def _candidate_key(err, cand, idx):
-    g = cand.resulting_graph
-    return (err, len(g.states), len(g.edges), sum(e.penalty for e in g.edges), idx)
+class _CountedWindows(list):
+    """Windows that count how many were taken for scoring (one solve each)."""
+
+    taken = 0
+
+    def __iter__(self):
+        for w in super().__iter__():
+            self.taken += 1
+            yield w
+
+
+def _tie_tail(g):
+    """What breaks a tie on training error: fewer states, then fewer edges,
+    then a smaller penalty sum."""
+    return (len(g.states), len(g.edges), sum(e.penalty for e in g.edges))
 
 
 def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
@@ -305,6 +325,15 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
     at max_iterations, or after the validation error rises on two
     consecutive accepted iterations, in which case the best-validation
     snapshot is returned.
+
+    A candidate is scored only until it cannot be accepted.  Its bound is
+    the best complete score so far when its tie tail beats the best's, one
+    less otherwise (a later candidate loses a full tie), and one less than
+    the current training error before any candidate has scored; a bound
+    below 0 skips the candidate without a solve.  The training windows are
+    scored shortest first, so a losing candidate is usually stopped after
+    its cheapest solves.  Only sums over the windows are used, so the
+    accepted edits are exactly those of scoring every window.
     """
     if cfg is None:
         cfg = LearnConfig()
@@ -320,7 +349,8 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
     n_val = int(round(cfg.validation_fraction * n))
     n_val = min(n_val, n - 1)
     val_ids = set(rng.choice(n, size=n_val, replace=False).tolist()) if n_val > 0 else set()
-    train_w = [w for i, w in enumerate(windows) if i not in val_ids]
+    train_w = _CountedWindows(sorted(
+        (w for i, w in enumerate(windows) if i not in val_ids), key=lambda w: len(w.signal)))
     val_w = [w for i, w in enumerate(windows) if i in val_ids]
 
     current = initial
@@ -335,13 +365,31 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
         if train_err == 0:
             break  # nothing can be strictly better
         best = None
-        for idx, cand in enumerate(enumerate_candidates(current, min_gap=step)):
-            err, _ = evaluate_graph(cand.resulting_graph, train_w, cfg)
-            key = _candidate_key(err, cand, idx)
+        cands = enumerate_candidates(current, min_gap=step)
+        scored = stopped = 0
+        solves_before = train_w.taken
+        for idx, cand in enumerate(cands):
+            tail = _tie_tail(cand.resulting_graph)
+            if best is None:
+                bound = train_err - 1
+            else:
+                best_err, best_tail, _ = best[0]
+                bound = best_err if tail < best_tail else best_err - 1
+            if bound < 0:
+                continue
+            err, _ = evaluate_graph(cand.resulting_graph, train_w, cfg, bound=bound)
+            if err > bound:
+                stopped += 1
+                continue
+            scored += 1
+            key = (err, tail, idx)
             if best is None or key < best[0]:
                 best = (key, cand)
-        if best is None or best[0][0] >= train_err:
-            break
+        log.debug("iteration %d: %d candidates, %d scored, %d stopped early, "
+                  "%d skipped, %d solves", it, len(cands), scored, stopped,
+                  len(cands) - scored - stopped, train_w.taken - solves_before)
+        if best is None:
+            break  # no candidate scored below train_err
         key, cand = best
         train_err = key[0]
         prev_val = val_err

@@ -14,6 +14,7 @@ unpacks the result.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,11 +96,30 @@ class Segmentation:
 
 def solve_domain(signal: Signal):
     """Mean-value search interval: the data range padded by 1% per side."""
-    lo = float(np.min(signal.samples))
-    hi = float(np.max(signal.samples))
+    return _padded(float(np.min(signal.samples)), float(np.max(signal.samples)))
+
+
+def _padded(lo, hi):
     span = hi - lo
     eps = 0.01 * span if span > 0 else max(1.0, 0.01 * abs(hi))
     return lo - eps, hi + eps
+
+
+# Below this largest amplitude, solve works on the input times 2^-k, where
+# 2^(k-1) <= max|y| < 2^k: the solver's one absolute tolerance (on the
+# discriminant of a piece crossing, which scales as amplitude squared) would
+# otherwise drop real crossings.  Scaling by a power of two is exact, so the
+# answer is, bit for bit, the mapped answer for the image.
+_SMALL_AMPLITUDE = 2.0 ** -20
+
+
+def _image_exponent(lo, hi):
+    """k such that solve works on samples and gaps times 2^-k and penalties
+    times 2^-2k, given the data range [lo, hi]; 0 leaves the input as is."""
+    top = max(abs(lo), abs(hi))
+    if top == 0.0 or top >= _SMALL_AMPLITUDE:
+        return 0
+    return math.frexp(top)[1]
 
 
 def _resolve_start(graph_, start_state):
@@ -131,7 +151,18 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
         raise _SOLVE.with_traceback(None)
     y = np.ascontiguousarray(signal.samples)
     n = len(y)
-    dlo, dhi = solve_domain(signal)
+    lo, hi = float(np.min(y)), float(np.max(y))
+    k = _image_exponent(lo, hi)
+    gaps = np.array([e.gap for e in graph_.edges], dtype=np.float64)
+    penalties = np.array([e.penalty for e in graph_.edges], dtype=np.float64)
+    if k:
+        y, lo, hi = np.ldexp(y, -k), math.ldexp(lo, -k), math.ldexp(hi, -k)
+        # a gap or penalty past the float range of the image becomes inf, so
+        # its edge is never taken; against image samples below 1 in size,
+        # such an edge could never pay for itself anyway
+        with np.errstate(over="ignore"):
+            gaps, penalties = np.ldexp(gaps, -k), np.ldexp(penalties, -2 * k)
+    dlo, dhi = _padded(lo, hi)
     nstates = len(graph_.states)
     start = _resolve_start(graph_, start_state)
     edges = graph_.edges
@@ -148,8 +179,7 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
         np.array([e.source for e in edges], dtype=np.int32),
         np.array([e.target for e in edges], dtype=np.int32),
         np.array([e.direction == gr.UP for e in edges], dtype=np.int8),
-        np.array([e.gap for e in edges], dtype=np.float64),
-        np.array([e.penalty for e in edges], dtype=np.float64),
+        gaps, penalties,
         dlo, dhi,
         bounds, edges_taken, states, means, info, ctypes.byref(total_cost),
     )
@@ -172,9 +202,9 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
     return Segmentation(
         boundaries=bounds[first : n - 1].tolist(),
         edges_taken=edges_taken[first : n - 1].tolist(),
-        means=means[first:].tolist(),
+        means=np.ldexp(means[first:], k).tolist(),
         states=states[first:].tolist(),
-        total_cost=total_cost.value,
+        total_cost=math.ldexp(total_cost.value, 2 * k),
         stats=stats,
     )
 

@@ -7,10 +7,14 @@ the two bit for bit, so keep any change to one mirrored in the other.
 
 import math
 from array import array
+from dataclasses import replace
+
+import numpy as np
 
 from graphseg import graph as gr
 from graphseg.pwq import _add_point_loss_k, _global_min_k, _min_k, _prefix_min_k, _reflect_k
-from graphseg.solver import InfeasibleModelError, Segmentation, _resolve_start, solve_domain
+from graphseg.solver import (InfeasibleModelError, Segmentation, Signal, _resolve_start,
+                             _image_exponent, solve_domain)
 
 
 # decision kinds stored per piece of the pre-loss candidate function
@@ -25,6 +29,22 @@ def solve(signal, graph_, start_state="free"):
     violations = gr.validate(graph_)
     if violations:
         raise gr.GraphValidationError(violations)
+    k = _image_exponent(float(np.min(signal.samples)), float(np.max(signal.samples)))
+    if k == 0:
+        return _solve(signal, graph_, start_state)
+    # a tiny-amplitude input is solved as its power-of-two image
+    image = Signal(np.ldexp(signal.samples, -k), signal.sample_rate)
+    with np.errstate(over="ignore"):  # past the float range: inf, as in solve
+        edges = tuple(replace(e, gap=float(np.ldexp(e.gap, -k)),
+                              penalty=float(np.ldexp(e.penalty, -2 * k)))
+                      for e in graph_.edges)
+    seg = _solve(image, replace(graph_, edges=edges), start_state)
+    seg.means = [math.ldexp(m, k) for m in seg.means]
+    seg.total_cost = math.ldexp(seg.total_cost, 2 * k)
+    return seg
+
+
+def _solve(signal, graph_, start_state):
     y = signal.samples
     n = len(y)
     dlo, dhi = solve_domain(signal)

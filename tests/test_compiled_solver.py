@@ -7,6 +7,8 @@ total cost and piece statistics, and an infeasible model must fail with
 the same error at the same sample.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,49 @@ def test_runs_of_exact_zeros():
             y[a:a + int(rng.integers(1, 12))] = 0.0
         g = random_graph(rng, y)
         assert_matches_reference(y, g, any_start(rng, g))
+
+
+def mapped_outcome(y, g, start, a):
+    """outcome of solving the input scaled by a, mapped back to scale 1."""
+    try:
+        seg = solve(Signal(y * a, 360.0), scaled(g, a, a * a), start_state=start)
+    except InfeasibleModelError as exc:
+        return ("infeasible", exc.state, exc.t)
+    return tuple(repr(v) for v in (seg.boundaries, seg.states, seg.edges_taken,
+                                   [m / a for m in seg.means],
+                                   seg.total_cost / (a * a), seg.stats))
+
+
+def test_tiny_amplitudes_solve_a_power_of_two_image():
+    # below 2^-20 the solver works on an exact power-of-two image, so every
+    # such scale of one input maps back to the same answer bit for bit; in
+    # band the Python loop runs on the input itself and must agree
+    rng = np.random.default_rng(29)
+    for _ in range(6):
+        y = random_signal(rng)
+        g = random_graph(rng, y)
+        start = any_start(rng, g)
+        images = set()
+        for j in range(-60, 61):
+            a = 2.0 ** j
+            if np.max(np.abs(y * a)) < 2.0 ** -20:
+                images.add(mapped_outcome(y, g, start, a))
+            else:
+                ga = scaled(g, a, a * a)
+                assert outcome(solve, y * a, ga, start) == \
+                    outcome(reference_solver._solve, y * a, ga, start)
+        assert len(images) == 1
+
+
+def test_tiny_amplitudes_with_penalties_past_the_image_range():
+    # penalty 1 against amplitudes near 1e-300 overflows in the image: the
+    # edge is never taken, quietly, in both solvers
+    rng = np.random.default_rng(31)
+    for amp in [1e-300, 1e-200]:
+        y = random_signal(rng) * amp
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_matches_reference(y, gr.initial_graph(0.1 * amp, 0.2 * amp, 1.0), "B")
 
 
 def test_flat_signals():

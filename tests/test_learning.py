@@ -1,13 +1,18 @@
 """Edit enumeration and the greedy structure search."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
+
+import reference_learner
 
 from graphseg import graph as gr
 from graphseg import learning
 from graphseg import solver
 from graphseg.data import SynthConfig, generate_synthetic
-from graphseg.evaluate import windows_whole_record
+from graphseg.evaluate import split_cycles, windows_whole_record
 from graphseg.learning import (
     EDIT_KINDS,
     LearnConfig,
@@ -179,6 +184,55 @@ def test_evaluate_graph_requires_windows():
         evaluate_graph(INITIAL, [], CFG)
 
 
+def count_solves(monkeypatch):
+    """Route learning.solve through a counter; returns the one-item count."""
+    calls = [0]
+    real = learning.solve
+
+    def counted(*a, **k):
+        calls[0] += 1
+        return real(*a, **k)
+
+    monkeypatch.setattr(learning, "solve", counted)
+    return calls
+
+
+def test_evaluate_graph_bound_at_or_above_error_is_exact(monkeypatch):
+    windows = windows_whole_record(dip_record(), 2)
+    err, rep = evaluate_graph(INITIAL, windows, CFG)
+    assert err > 0
+    calls = count_solves(monkeypatch)
+    for bound in (err, err + 1, 10 ** 6):
+        calls[0] = 0
+        assert evaluate_graph(INITIAL, windows, CFG, bound=bound) == (err, rep)
+        assert calls[0] == len(windows)
+
+
+def test_evaluate_graph_stops_after_the_window_that_crosses_the_bound(monkeypatch):
+    windows = windows_whole_record(dip_record(), 2)
+    err, rep = evaluate_graph(INITIAL, windows, CFG)
+    running = np.cumsum([r.fn + r.fp for r in rep.records])
+    calls = count_solves(monkeypatch)
+    for bound in range(-1, err):
+        calls[0] = 0
+        crossed = int(np.argmax(running > bound))
+        total, report = evaluate_graph(INITIAL, windows, CFG, bound=bound)
+        assert report is None
+        assert total == running[crossed] > bound
+        assert calls[0] == crossed + 1
+
+
+def test_evaluate_graph_bound_counts_infeasible_labels(monkeypatch):
+    windows = windows_whole_record(clean_record(), 5)
+
+    def boom(*a, **k):
+        raise solver.InfeasibleModelError("B", 3)
+
+    monkeypatch.setattr(learning, "solve", boom)
+    labels = len(windows[0].rpeak_annotations)
+    assert evaluate_graph(INITIAL, windows, CFG, bound=labels - 1) == (labels, None)
+
+
 # ---------------------------------------------------------------------------
 # learn
 # ---------------------------------------------------------------------------
@@ -271,7 +325,7 @@ def test_learn_early_stops_on_rising_validation(monkeypatch):
     # train eval and one accepted-graph val eval
     scripted = iter([10, 2, 9, 3, 8, 4, 7, 5])
     monkeypatch.setattr(learning, "evaluate_graph",
-                        lambda g, ws, cfg: (next(scripted), None))
+                        lambda g, ws, cfg, bound=None: (next(scripted), None))
     best, trace = learning.learn(g0, windows, LearnConfig(seed=1))
     assert best == g0                     # iteration 0 had the best validation
     assert len(trace.steps) == 2          # stopped after two rising val errors
@@ -284,3 +338,115 @@ def test_learn_config_validation():
         LearnConfig(validation_fraction=0.0)
     with pytest.raises(ValueError):
         LearnConfig(max_iterations=-1)
+
+
+# ---------------------------------------------------------------------------
+# learn against the full-scoring oracle
+# ---------------------------------------------------------------------------
+
+
+def outputs(result):
+    best, trace = result
+    return gr.serialize(best), trace.to_jsonl(), trace.to_progress_csv()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("record", [dip_record, clean_record])
+def test_learn_matches_full_scoring_oracle(record, seed):
+    rec = record(seed=seed)
+    for windows in (windows_whole_record(rec, 2), split_cycles(rec, seed)[0]):
+        for g0 in (INITIAL, default_initial_graph(windows)):
+            cfg = LearnConfig(seed=seed)
+            assert outputs(learn(g0, windows, cfg)) == \
+                outputs(reference_learner.learn(g0, windows, cfg))
+
+
+def test_learn_matches_oracle_with_an_unexplained_window(monkeypatch):
+    # the solver cannot explain one window under any graph with extra states,
+    # so those candidates pay its label count
+    rec = dip_record(seed=4)
+    windows = windows_whole_record(rec, 2)
+    bad = windows[1].signal
+    real = learning.solve
+
+    def solve(signal, g, **k):
+        if signal is bad and len(g.states) > 2:
+            raise solver.InfeasibleModelError("all", len(signal) - 1)
+        return real(signal, g, **k)
+
+    monkeypatch.setattr(learning, "solve", solve)
+    for seed in (1, 2, 3):
+        cfg = LearnConfig(seed=seed)
+        got = learn(INITIAL, windows, cfg)
+        assert outputs(got) == outputs(reference_learner.learn(INITIAL, windows, cfg))
+
+
+def test_learn_tie_on_error_goes_to_the_smaller_tie_tail(monkeypatch):
+    # scripted errors: every insertion and every penalty edit scores 7, gap
+    # edits 9.  The first 3-state insertion scores first; the penalty_down
+    # edits tie with it on a smaller tail, so one of them must be scored up
+    # to the best error itself, and the earliest one wins.
+    def score(g):
+        if g == INITIAL:
+            return 10
+        if len(g.states) > 2 or sum(e.penalty for e in g.edges) != 100.0:
+            return 7
+        return 9
+
+    seen = []
+
+    def fake(g, windows, cfg, bound=None):
+        err = score(g)
+        seen.append((err, bound))
+        return (err, None) if bound is not None and err > bound else (err, "report")
+
+    monkeypatch.setattr(learning, "evaluate_graph", fake)
+    monkeypatch.setattr(reference_learner, "evaluate_graph", fake)
+    windows = windows_whole_record(clean_record(), 2)
+    cfg = LearnConfig(max_iterations=3, seed=1)
+    got = learn(INITIAL, windows, cfg)
+    # (error, bound) per candidate of iteration 1, after the two initial
+    # scores: inserts then penalty, gap edits, per edge.  A smaller tie tail
+    # may reach the best error (7, 7); any other tie is stopped (7, 6).
+    assert seen[2:18] == [(7, 9), (7, 6), (7, 6), (7, 6), (7, 7), (7, 7), (9, 6), (9, 6),
+                          (7, 6), (7, 6), (7, 6), (7, 6), (7, 6), (7, 6), (9, 6), (9, 6)]
+    assert outputs(got) == outputs(reference_learner.learn(INITIAL, windows, cfg))
+    step, = got[1].steps
+    assert (step.kind, step.anchor_edge, step.train_error) == ("penalty_down", 0, 7)
+
+
+def test_learn_runs_fewer_solves_than_the_oracle(monkeypatch):
+    windows = windows_whole_record(dip_record(n_cycles=12), 2)
+    cfg = LearnConfig(seed=3)
+    calls = count_solves(monkeypatch)
+    got = learn(INITIAL, windows, cfg)
+    ours, calls[0] = calls[0], 0
+    want = reference_learner.learn(INITIAL, windows, cfg)
+    assert outputs(got) == outputs(want)
+    assert len(got[1]) >= 1
+    # here the bound cuts 72 solves to 35; skipping alone would leave 68
+    assert ours < 0.6 * calls[0]
+
+
+def test_learn_debug_log_leaves_outputs_unchanged(monkeypatch, caplog):
+    windows = windows_whole_record(dip_record(), 2)
+    cfg = LearnConfig(seed=3)
+    with caplog.at_level(logging.WARNING, logger="graphseg.learning"):
+        quiet = outputs(learn(INITIAL, windows, cfg))
+    assert not caplog.records
+    calls = count_solves(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="graphseg.learning"):
+        best, trace = learn(INITIAL, windows, cfg)
+    assert outputs((best, trace)) == quiet
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
+    assert len(lines) >= len(trace)
+    counts = [re.fullmatch(r"iteration \d+: (\d+) candidates, (\d+) scored, (\d+) stopped "
+                           r"early, (\d+) skipped, (\d+) solves", line).groups()
+              for line in lines]
+    for enumerated, scored, stopped, skipped, _ in counts:
+        assert int(enumerated) == int(scored) + int(stopped) + int(skipped)
+    n_val = min(round(cfg.validation_fraction * len(windows)), len(windows) - 1)
+    # the initial scores solve every window once, each accepted edit the
+    # validation windows
+    assert calls[0] == (len(windows) + len(trace) * n_val
+                        + sum(int(c[4]) for c in counts))

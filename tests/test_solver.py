@@ -132,21 +132,26 @@ def test_shift_equivariance():
             assert m2 - 13.25 == pytest.approx(m1, rel=1e-6, abs=1e-6)
 
 
+def scaled_graph(g, a):
+    """g with gaps times a and penalties times a^2."""
+    return gr.ConstraintGraph(
+        states=g.states,
+        edges=tuple(
+            gr.Edge(e.source, e.target, e.direction, e.gap * a, e.penalty * a * a)
+            for e in g.edges
+        ),
+        baseline_state=g.baseline_state,
+        rpeak_state=g.rpeak_state,
+    )
+
+
 def test_scale_equivariance():
     rng = np.random.default_rng(100)
     for _ in range(20):
         y = random_signal(rng, n=40)
         g = random_graph(rng, y, n_states=2)
         a = 2.5
-        g2 = gr.ConstraintGraph(
-            states=g.states,
-            edges=tuple(
-                gr.Edge(e.source, e.target, e.direction, e.gap * a, e.penalty * a * a)
-                for e in g.edges
-            ),
-            baseline_state=g.baseline_state,
-            rpeak_state=g.rpeak_state,
-        )
+        g2 = scaled_graph(g, a)
         base = solve(sig(y), g)
         scaled = solve(sig(a * y), g2)
         assert scaled.boundaries == base.boundaries
@@ -370,3 +375,17 @@ def test_piece_counts_grow_at_most_logarithmically():
         means.append(seg.stats["mean_pieces"])
     # 10x more samples: allow at most log-factor growth over the small run
     assert means[1] <= 2.0 * means[0] + 4.0
+
+
+def test_cost_is_scale_free_on_the_equivariance_generator():
+    # criterion 3's instances with amplitudes and gaps times a, penalties
+    # times a^2: the cost over a^2 stays at the a = 1 optimum
+    rng = np.random.default_rng(77_000)
+    for _ in range(100):
+        y = random_signal(rng, n=int(rng.integers(20, 61)))
+        g = random_graph(rng, y, n_states=int(rng.integers(2, 4)))
+        rng.uniform(-20, 20), rng.uniform(0.5, 3.0)   # criterion 3's shift and scale
+        base = solve(sig(y), g).total_cost
+        for a in [b ** j for b in (2.0, 10.0) for j in range(-12, 13)]:
+            cost = solve(sig(a * y), scaled_graph(g, a)).total_cost / (a * a)
+            assert cost == pytest.approx(base, rel=1e-9), a
