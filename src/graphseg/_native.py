@@ -1,4 +1,6 @@
-"""Build and load the compiled solver in ``_solve.c``.
+"""Build and load the compiled library in ``_solve.c``: the solver's forward
+pass and backtrack (``graphseg_solve``) and the sample-file scanner
+(``graphseg_parse_samples``).
 
 The C source is compiled once with the system ``gcc`` into a shared library
 cached in ``$XDG_CACHE_HOME/graphseg`` (``~/.cache/graphseg`` when unset),
@@ -10,8 +12,9 @@ place, so processes building at the same time never load a partial file.
 
 ``-ffp-contract=off`` keeps the compiler from fusing a multiply and an add
 into one instruction that rounds once: every floating-point operation then
-rounds as Python's does, and the compiled solver matches the Python loop
-bit for bit.  ``-O2`` makes ``solve`` 25-40% faster than ``-Os`` on the
+rounds as Python's does, the compiled solver matches the Python loop bit
+for bit and the scanner's decimal-to-double multiply or divide rounds
+once.  ``-O2`` makes ``solve`` 25-40% faster than ``-Os`` on the
 benchmark's detect records.  It costs more only on a first run with an
 empty cache: gcc 12 peaks at about 42 MiB and takes about 0.6 s, against
 38 MiB and 0.4 s at ``-Os`` (2-vCPU VM).
@@ -35,8 +38,7 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_solve.c")
 
 
 class NativeBuildError(RuntimeError):
-    """The compiled solver could not be built or loaded."""
-
+    """The compiled library could not be built or loaded."""
 
 def cache_dir():
     """The per-user cache directory of compiled libraries."""
@@ -89,8 +91,8 @@ def _array(dtype):
 
 
 def load():
-    """The ``graphseg_solve`` function of the cached library, built first
-    when the cache has none for this source."""
+    """The ``(graphseg_solve, graphseg_parse_samples)`` functions of the
+    cached library, built first when the cache has none for this source."""
     with open(SOURCE, "rb") as fh:
         path = library_path(fh.read())
     try:
@@ -103,14 +105,20 @@ def load():
         lib = ctypes.CDLL(path)
     except OSError as exc:
         raise NativeBuildError(f"cannot load {path}: {exc}") from exc
-    fn = lib.graphseg_solve
     f64, i64, i32, i8 = (_array(t) for t in (np.float64, np.int64, np.int32, np.int8))
-    fn.argtypes = [
+    solve = lib.graphseg_solve
+    solve.argtypes = [
         f64, ctypes.c_int64, ctypes.c_int32, ctypes.c_int32,  # y, n, states, start
         ctypes.c_int32, i32, i32, i8, f64, f64,  # edges: count, src, tgt, up, gap, penalty
         ctypes.c_double, ctypes.c_double,  # domain
         i64, i32, i32, f64, i64,  # out: bounds, edges, states, means, info
         ctypes.POINTER(ctypes.c_double),  # out: total cost
     ]
-    fn.restype = ctypes.c_int
-    return fn
+    solve.restype = ctypes.c_int
+    parse = lib.graphseg_parse_samples
+    parse.argtypes = [
+        ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,  # bytes, body start, length
+        f64, ctypes.c_int64,  # out: amplitudes, capacity
+    ]
+    parse.restype = ctypes.c_int64
+    return solve, parse

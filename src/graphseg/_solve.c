@@ -1,4 +1,5 @@
-/* Forward pass and backtrack of graphseg.solver.solve.
+/* Forward pass and backtrack of graphseg.solver.solve, and the sample-file
+ * scanner of graphseg.data.load_signal_csv (at the end of this file).
  *
  * This is the functional dynamic program of the Python loop kept as the
  * test oracle in tests/reference_solver.py, operation for operation: the
@@ -21,6 +22,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define DISC_TOL 1e-14
 
@@ -679,4 +681,155 @@ done:
     free(env.p);
     free(refl.p);
     return status;
+}
+
+/* The sample CSV's body: lines `-?D+,-?D+(\.D+)?([eE][-+]?D+)?`, each
+ * ending in "\n" or "\r\n" (the last line may end without one).  Any other
+ * line, an index that does not follow the previous one by 1, an index
+ * outside int64 or an amplitude that is not finite makes the scan fail, and
+ * the Python line loop then reads the file and names the bad line. */
+
+#define EXACT_MANTISSA (UINT64_C(1) << 53)
+#define EXACT_POW10 22
+#define MAX_SIG_DIGITS 19
+
+/* 10^0 .. 10^22: every one an exact double */
+static const double POW10[EXACT_POW10 + 1] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+static int is_digit(char c)
+{
+    return c >= '0' && c <= '9';
+}
+
+/* An index `-?D+` at *p, advancing *p past it; -1 when it is not one or
+ * lies outside int64. */
+static int scan_index(const char **p, const char *end, int64_t *out)
+{
+    const char *s = *p;
+    int neg = s < end && *s == '-';
+    uint64_t mag = 0, limit;
+
+    s += neg;
+    limit = neg ? (UINT64_C(1) << 63) : (uint64_t)INT64_MAX;
+    if (s == end || !is_digit(*s))
+        return -1;
+    for (; s < end && is_digit(*s); s++) {
+        uint64_t d = (uint64_t)(*s - '0');
+        if (mag > (limit - d) / 10)
+            return -1;
+        mag = mag * 10 + d;
+    }
+    *out = neg ? -(int64_t)(mag - 1) - 1 : (int64_t)mag;
+    *p = s;
+    return 0;
+}
+
+/* The double nearest to the decimal amplitude at *p, advancing *p past it;
+ * -1 when it does not match the grammar or is not finite.
+ *
+ * A mantissa w of at most 19 significant digits and w <= 2^53 is exact in
+ * a double, as is 10^e for |e| <= 22, so w * 10^e or w / 10^-e is one
+ * correctly rounded operation (Clinger, "How to read floating point
+ * numbers accurately", PLDI 1990).  Any other token goes to strtod, which
+ * also rounds correctly; both equal Python's float() bit for bit. */
+static int scan_amplitude(const char **p, const char *end, double *out)
+{
+    const char *tok = *p, *s = *p;
+    int neg = s < end && *s == '-';
+    int digits = 0, exact = 1, frac = 0;
+    uint64_t w = 0;
+    int64_t e10 = 0;
+    double v;
+
+    s += neg;
+    for (;;) {
+        const char *first = s;
+        for (; s < end && is_digit(*s); s++) {
+            if (w == 0 && *s == '0') {
+                e10 -= frac; /* a leading zero only places the point */
+                continue;
+            }
+            if (++digits > MAX_SIG_DIGITS) {
+                exact = 0;
+                continue;
+            }
+            w = w * 10 + (uint64_t)(*s - '0');
+            e10 -= frac;
+        }
+        if (s == first)
+            return -1;
+        if (frac || s == end || *s != '.')
+            break;
+        frac = 1;
+        s++;
+    }
+    if (s < end && (*s == 'e' || *s == 'E')) {
+        int eneg;
+        int64_t e = 0;
+        s++;
+        eneg = s < end && *s == '-';
+        if (s < end && (*s == '-' || *s == '+'))
+            s++;
+        if (s == end || !is_digit(*s))
+            return -1;
+        for (; s < end && is_digit(*s); s++) {
+            if (e < 100000)
+                e = e * 10 + (*s - '0');
+            else
+                exact = 0; /* e saturated: let strtod read it */
+        }
+        e10 += eneg ? -e : e;
+    }
+
+    if (exact && w <= EXACT_MANTISSA && e10 >= -EXACT_POW10 && e10 <= EXACT_POW10) {
+        v = (double)w;
+        v = e10 >= 0 ? v * POW10[e10] : v / POW10[-e10];
+        if (neg)
+            v = -v;
+    } else {
+        char small[64], *buf = small, *stop;
+        size_t len = (size_t)(s - tok);
+        if (len >= sizeof small && !(buf = malloc(len + 1)))
+            return -1;
+        memcpy(buf, tok, len);
+        buf[len] = '\0';
+        v = strtod(buf, &stop);
+        /* a locale whose decimal point is not '.' stops strtod early */
+        if (stop != buf + len)
+            v = NAN;
+        if (buf != small)
+            free(buf);
+    }
+    if (!isfinite(v))
+        return -1;
+    *out = v;
+    *p = s;
+    return 0;
+}
+
+/* Scan the sample lines of buf[start, len) into out (cap entries).  Returns
+ * the number of samples, or -1 when a line fails the scan or out is full. */
+int64_t graphseg_parse_samples(const char *buf, int64_t start, int64_t len,
+                               double *out, int64_t cap)
+{
+    const char *p = buf + start, *end = buf + len;
+    int64_t count = 0, idx, prev = 0;
+
+    while (p < end) {
+        if (count == cap || scan_index(&p, end, &idx))
+            return -1;
+        if (count && (prev == INT64_MAX || idx != prev + 1))
+            return -1;
+        if (p == end || *p++ != ',' || scan_amplitude(&p, end, &out[count]))
+            return -1;
+        if (p < end && *p == '\r' && ++p == end)
+            return -1; /* a '\r' that ends the body */
+        if (p < end && *p++ != '\n')
+            return -1;
+        prev = idx;
+        count++;
+    }
+    return count;
 }

@@ -2,8 +2,9 @@
 
 Data goes to files under --out-dir; progress goes to standard error.  Every
 command first writes a manifest.json snapshot sufficient to re-run it
-bit-identically.  Exit codes: 0 success, 2 input error, 3 model
-infeasibility, 4 internal error.
+bit-identically.  Exit codes: 0 success, 2 input error (an input file
+that is missing, unreadable or malformed, or bad arguments), 3 model
+infeasibility, 4 internal error (a failed output write among them).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import traceback
 
 from . import __version__
 from . import graph as gr
-from .data import DataFormatError, load_record, load_signal_csv, record_id_of
+from .data import DataFormatError, load_record, load_signal_csv, read_text, record_id_of
 from .evaluate import DetectionReport, cross_validate, windows_whole_record
 from .learning import LearnConfig, default_initial_graph, evaluate_graph, learn
 from .solver import InfeasibleModelError, NativeBuildError, extract_rpeaks, solve
@@ -42,8 +43,7 @@ def _write_manifest(out_dir, command, args, outputs):
 
 
 def _load_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return gr.parse(fh.read())
+    return gr.parse(read_text(path))
 
 
 def _write(path, text):
@@ -250,14 +250,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (gr.GraphParseError, gr.GraphValidationError, DataFormatError,
-            FileNotFoundError, ValueError) as exc:
+            ValueError) as exc:
         print(f"graphseg: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleModelError as exc:
         print(f"graphseg: infeasible model: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except NativeBuildError as exc:
-        print(f"graphseg: cannot build the compiled solver: {exc}", file=sys.stderr)
+        print(f"graphseg: cannot build the compiled library: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception:
         print("graphseg: internal error", file=sys.stderr)

@@ -3,25 +3,29 @@
 The on-disk format is deliberately minimal: a two-column CSV
 ``sample_index,amplitude`` (header required) plus an annotation file with
 one 0-based R-peak sample index per line.  Both are UTF-8 with LF line
-endings and full-precision decimal amplitudes.  numpy parses a sample
-file in one pass; a line-by-line parse runs only when numpy refuses the
-file or a check fails, and its error names the bad line.
+endings and full-precision decimal amplitudes.  The compiled library scans
+a sample file's bytes in one pass; a line-by-line parse runs only when the
+scan refuses the file, and its error names the bad line.  A file that
+cannot be read, or holds a byte that is not UTF-8, is a DataFormatError
+too, naming the file (and the line).
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import solver
 from .solver import Signal
 
 
 class DataFormatError(ValueError):
-    """A record file is malformed; the message carries file and line."""
+    """An input file cannot be read or is malformed; the message names the
+    file and, for a malformed one, the line."""
 
 
 @dataclass
@@ -49,7 +53,37 @@ class LabeledRecord:
 
 
 _HEADER = "sample_index,amplitude"
-_ROW = np.dtype([("i", np.int64), ("a", np.float64)])
+# header lines after which the compiled scanner reads the body
+_SCAN_HEADERS = (b"sample_index,amplitude\n", b"sample_index,amplitude\r\n")
+
+
+def _read_bytes(path):
+    """An input file's bytes; a path that cannot be read (missing, a
+    directory, not permitted) is a DataFormatError that names it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read: {exc.strerror or exc}") from None
+
+
+def _decode(path, data):
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        # lines end where Python's text files end them: "\n", "\r\n" or "\r"
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise DataFormatError(
+            f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
+
+
+def read_text(path):
+    """An input file's text, decoded as UTF-8; a file that cannot be read
+    or holds a byte that is not UTF-8 is a DataFormatError that names it
+    (and the line)."""
+    return _decode(path, _read_bytes(path))
 
 
 def _check_header(path, fh):
@@ -63,27 +97,30 @@ def _check_header(path, fh):
 def load_signal_csv(path, sample_rate=360.0) -> Signal:
     """Read the two-column sample CSV into a Signal.
 
-    numpy parses the body in one pass.  When it refuses the body or a check
-    fails, the line loop reads the file again: it names the bad line, and
-    it accepts the rare spellings that Python's int and float take and numpy
-    does not (whitespace-only lines, ``1_5``, Unicode digits, indices above
-    int64).
+    The compiled scanner reads the body's bytes in one pass when the header
+    line is exactly ``sample_index,amplitude``.  It takes only lines of an
+    integer, a comma and a plain decimal with an optional exponent, either
+    of them optionally negative (``-12,-0.5e-3``), ending in LF or CRLF,
+    with contiguous int64 indices and finite amplitudes, and it converts
+    each amplitude to the double Python's float() gives.  When it refuses
+    the file, the line loop reads the file again: it names the bad line,
+    and it accepts the spellings Python's int and float take that the scan
+    does not (blank lines, spaces, ``+1``, ``1_5``, Unicode digits, indices
+    above int64).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        _check_header(path, fh)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # an empty body warns
-                rows = np.loadtxt(fh, delimiter=",", comments=None, dtype=_ROW,
-                                  ndmin=1)
-        except (ValueError, Warning):
-            rows = None
-    if rows is not None and len(rows) >= 2:
-        idx = rows["i"]
-        # a run that wraps past the int64 maximum ends below its start
-        if (np.all(np.diff(idx) == 1) and idx[-1] > idx[0]
-                and np.all(np.isfinite(rows["a"]))):
-            return Signal(np.ascontiguousarray(rows["a"]), sample_rate)
+    parse = solver._PARSE_SAMPLES
+    if isinstance(parse, Exception):
+        raise parse.with_traceback(None)
+    data = _read_bytes(path)
+    for header in _SCAN_HEADERS:
+        if data.startswith(header):
+            # a line takes at least 4 bytes ("0,0\n"), the last one 3
+            out = np.empty((len(data) - len(header) + 1) // 4)
+            n = parse(data, len(header), len(data), out, len(out))
+            if n >= 2:
+                out.resize(n, refcheck=False)  # shrinks in place
+                return Signal(out, sample_rate)
+    _decode(path, data)  # name the line of a byte that is not UTF-8
     return Signal(_load_signal_lines(path), sample_rate)
 
 
@@ -122,7 +159,8 @@ def _load_signal_lines(path):
 
 def _load_annotations(path, n):
     ann = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline=None splits lines as a file opened in text mode does
+    with io.StringIO(read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

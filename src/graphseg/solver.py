@@ -23,14 +23,14 @@ from . import _native
 from . import graph as gr
 from ._native import NativeBuildError
 
-# The compiled solver is built, or found in the cache, at import: before any
+# The compiled library is built, or found in the cache, at import: before any
 # timed call, and before a process pool forks workers that inherit it.  A
-# failed build is raised by every call to solve, so that the command line
-# reports it with its exit code.
+# failed build is raised by every call to solve and to data.load_signal_csv,
+# so that the command line reports it with its exit code.
 try:
-    _SOLVE = _native.load()
+    _SOLVE, _PARSE_SAMPLES = _native.load()
 except NativeBuildError as exc:
-    _SOLVE = exc
+    _SOLVE = _PARSE_SAMPLES = exc
 
 # graphseg_solve status codes (see _solve.c)
 _INFEASIBLE_STEP, _INFEASIBLE_END, _NO_MEMORY, _NOT_FINITE = 1, 2, 3, 5

@@ -65,6 +65,29 @@ def test_detect_missing_signal_exits_2(tmp_path, step_files, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag", ["--signal", "--graph"])
+def test_detect_unreadable_input_exits_2(tmp_path, step_files, capsys, flag):
+    # a directory stands for any path that cannot be read: tests that run as
+    # root read through chmod 000
+    sig, graph = step_files
+    inputs = {"--signal": str(sig), "--graph": str(graph)}
+    inputs[flag] = str(tmp_path)
+    rc = cli.main(["detect", *(x for kv in inputs.items() for x in kv),
+                   "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"input error: {tmp_path}: cannot read" in err
+    assert "Traceback" not in err
+
+
+def test_eval_unreadable_annotations_exit_2(tmp_path, step_files, capsys):
+    sig, graph = step_files
+    rc = cli.main(["eval", "--signal", str(sig), "--annotations", str(tmp_path),
+                   "--graph", str(graph), "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"input error: {tmp_path}: cannot read" in capsys.readouterr().err
+
+
 def test_detect_infeasible_model_exits_3(tmp_path, step_files, monkeypatch, capsys):
     sig, graph = step_files
 

@@ -1,7 +1,11 @@
 """Record ingestion and the synthetic generator."""
 
+import math
 import os
+import re
+import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from graphseg import data
 from graphseg.data import (
     DataFormatError,
     LabeledRecord,
@@ -97,7 +102,7 @@ def test_save_load_roundtrip(tmp_path):
 HEADER = "sample_index,amplitude\n"
 INT64_MAX = 2**63 - 1
 
-# sample-file bodies that numpy and the line loop may parse differently
+# sample-file bodies that the compiled scan and the line loop may read differently
 EDGE_BODIES = {
     "plain": "0,1.5\n1,-2\n2,3e-3\n",
     "blank lines": "\n0,1\n\n1,2\n\n",
@@ -149,6 +154,124 @@ def test_vectorised_parse_matches_line_loop(tmp_path, body):
     else:
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def _refuse_line_loop(path):
+    raise AssertionError(f"{path} was not read by the compiled scan")
+
+
+def _scanned(path):
+    """load_signal_csv's samples, failing if the line loop had to read path."""
+    with mock.patch.object(data, "_load_signal_lines", _refuse_line_loop):
+        return load_signal_csv(path).samples
+
+
+def _bits(a):
+    return a.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("ending", ["lf", "crlf", "no final newline"])
+def test_saved_records_take_the_compiled_scan(tmp_path, ending):
+    rec = generate_synthetic(SynthConfig(n_cycles=5, noise_sigma=0.3,
+                                         baseline_wander_amp=1.0, seed=4))
+    sp = tmp_path / "r.csv"
+    save_record(rec, str(sp), str(tmp_path / "r.ann"))
+    text = sp.read_bytes()
+    if ending == "crlf":
+        text = text.replace(b"\n", b"\r\n")
+    elif ending == "no final newline":
+        text = text[:-1]
+    sp.write_bytes(text)
+    assert _bits(_scanned(str(sp))) == _bits(rec.signal.samples)
+
+
+# bodies in the scan's grammar that save_record does not write
+SCANNED_BODIES = {
+    "negative indices": "-2,1\n-1,2\n0,3\n",
+    "int64 maximum": f"{INT64_MAX - 1},1\n{INT64_MAX},2\n",
+    "int64 minimum": f"{-INT64_MAX - 1},1\n{-INT64_MAX},2\n",
+    "leading zeros": "007,0001.2500\n008,-00.0e-0\n009,0.000001\n",
+    "exponent spellings": "0,1e5\n1,1E+05\n2,-2.5e-3\n3,7E-0\n",
+    "long tokens": f"0,{'1' * 300}\n1,0.{'0' * 400}1\n2,1e{'0' * 30}1\n",
+    "mixed line endings": "0,1\r\n1,2\n2,3",
+}
+
+
+@pytest.mark.parametrize("body", SCANNED_BODIES.values(), ids=SCANNED_BODIES.keys())
+def test_scanned_bodies_match_line_loop(tmp_path, body):
+    path = tmp_path / "sig.csv"
+    path.write_bytes((HEADER + body).encode())
+    assert _bits(_scanned(str(path))) == _bits(_load_signal_lines(str(path)))
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# random bit patterns, and random mantissas at binary exponents within 2^+-75,
+# whose 17-digit spellings are the scan's near misses of the exact fast path
+FINITE_DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite),
+    st.builds(lambda sign, exp, frac: _double(sign << 63 | exp << 52 | frac),
+              st.integers(0, 1), st.integers(1023 - 75, 1023 + 75),
+              st.integers(0, 2**52 - 1)),
+)
+FORMATS = (repr, "%.17g".__mod__, "%.6e".__mod__, "%.3f".__mod__)
+# decimal spellings off the Clinger fast path too: more than 19 significant
+# digits, leading zeros, exponents past +-22; at most 25 integer digits and
+# exponents up to 280 keep every value finite
+DIGITS = st.text("0123456789", min_size=1, max_size=25)
+DECIMALS = st.builds(
+    lambda sign, zeros, whole, frac, exp: (
+        f"{sign}{'0' * zeros}{whole}{'.' + frac if frac else ''}{exp}"),
+    st.sampled_from(["", "-"]),
+    st.integers(0, 4),
+    DIGITS,
+    st.one_of(st.just(""), DIGITS),
+    st.one_of(st.just(""), st.builds("{}{:+d}".format, st.sampled_from("eE"),
+                                     st.integers(-350, 280))),
+)
+AMPLITUDE_TOKENS = st.one_of(
+    st.tuples(FINITE_DOUBLES, st.sampled_from(FORMATS)).map(lambda xf: xf[1](xf[0])),
+    DECIMALS,
+    st.sampled_from(["-0.0", "-0", "5e-324", "2.2250738585072014e-308",
+                     "9007199254740992", "9007199254740993", "1e22", "1e23",
+                     "1e-22", "1e-23", "1.7976931348623157e308"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(AMPLITUDE_TOKENS, min_size=2, max_size=200))
+def test_scanned_amplitudes_are_bit_identical_to_float(tokens):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "sig.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(HEADER + "".join(f"{i},{t}\n" for i, t in enumerate(tokens)))
+        want = _load_signal_lines(path)
+        got = _scanned(path)
+    assert _bits(got) == _bits(want) == _bits(np.array([float(t) for t in tokens]))
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_undecodable_byte_names_file_and_line(tmp_path, newline):
+    sp, ap = tmp_path / "sig.csv", tmp_path / "ann.txt"
+    good_sig = newline.join([b"sample_index,amplitude", b"0,1", b"1,2", b"2,3", b""])
+    sp.write_bytes(newline.join([b"sample_index,amplitude", b"0,1", b"1,\xff", b""]))
+    ap.write_bytes(b"0\n")
+    with pytest.raises(DataFormatError, match=r"sig\.csv:3: byte 0xff is not UTF-8"):
+        load_record(str(sp), str(ap))
+    sp.write_bytes(good_sig)
+    ap.write_bytes(newline.join([b"0", b"1", b"\xff2", b""]))
+    with pytest.raises(DataFormatError, match=r"ann\.txt:3: byte 0xff is not UTF-8"):
+        load_record(str(sp), str(ap))
+
+
+def test_unreadable_file_is_a_data_format_error(tmp_path):
+    sp = tmp_path / "sig.csv"
+    sp.write_text(HEADER + "0,1\n1,2\n")
+    for sig, ann in ((tmp_path, sp), (sp, tmp_path)):
+        with pytest.raises(DataFormatError, match=re.escape(f"{tmp_path}: cannot read")):
+            load_record(str(sig), str(ann))
 
 
 FLOATS = st.one_of(

@@ -1,4 +1,4 @@
-"""Building, caching and loading the compiled solver."""
+"""Building, caching and loading the compiled library."""
 
 import os
 import stat
@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from graphseg import _native, cli, solver
+from graphseg import _native, cli, data, solver
 from graphseg import graph as gr
 from graphseg.solver import NativeBuildError
 
@@ -29,7 +29,7 @@ def test_flags_keep_python_rounding():
 
 def test_cold_cache_builds_into_a_private_directory(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    assert callable(_native.load())
+    assert all(callable(fn) for fn in _native.load())
     cache = tmp_path / "graphseg"
     assert stat.S_IMODE(cache.stat().st_mode) == 0o700
     with open(_native.SOURCE, "rb") as fh:
@@ -55,14 +55,18 @@ def test_failed_build_is_a_typed_error_and_detect_exits_4(tmp_path, monkeypatch,
         _native.load()
     assert list((tmp_path / "graphseg").iterdir()) == []  # no partial library
 
-    # the import-time build stores its error for solve to raise
-    monkeypatch.setattr(solver, "_SOLVE", failure.value)
+    # the import-time build stores its error for solve and for the
+    # sample-file scanner to raise
     sig = tmp_path / "step.csv"
     sig.write_text("sample_index,amplitude\n"
                    + "".join(f"{i},{v}\n" for i, v in enumerate([0, 0, 5, 5, 0])))
     graph = tmp_path / "g.json"
     graph.write_text(gr.serialize(gr.initial_graph(1.0, 1.0, 1.0)))
-    rc = cli.main(["detect", "--signal", str(sig), "--graph", str(graph),
-                   "--out-dir", str(tmp_path / "out")])
-    assert rc == 4
-    assert message in capsys.readouterr().err
+    for name in ("_SOLVE", "_PARSE_SAMPLES"):
+        monkeypatch.setattr(solver, name, failure.value)
+        rc = cli.main(["detect", "--signal", str(sig), "--graph", str(graph),
+                       "--out-dir", str(tmp_path / "out")])
+        assert rc == 4
+        assert message in capsys.readouterr().err
+    with pytest.raises(NativeBuildError, match=message):
+        data.load_signal_csv(str(sig))
