@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -64,6 +65,8 @@ def match(labels, detections, tolerance_samples: int) -> MatchResult:
     and every detection is used at most once.  Unmatched labels count as
     false negatives, unmatched detections as false positives.
     """
+    if not (math.isfinite(tolerance_samples) and tolerance_samples >= 0):
+        raise ValueError(f"tolerance_samples must be finite and >= 0, got {tolerance_samples}")
     labels, detections = _sorted_lists(labels, detections)
     tol = int(tolerance_samples)
     det_arr = np.asarray(detections)
@@ -219,6 +222,50 @@ class DetectionReport:
 
 
 # ---------------------------------------------------------------------------
+# Order statistics.  np.median and np.percentile import numpy.ma on their
+# first call, which would cost every fresh cross-validation worker tens of
+# milliseconds in its first task.  These repeat numpy's own operations (the
+# same partition indices, then np.mean or numpy's linear interpolation), so
+# they return the same values bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _median(a):
+    """np.median of a non-empty 1-D array-like."""
+    a = np.asarray(a)
+    h = a.size // 2
+    kth = [h - 1, h] if a.size % 2 == 0 else [h]
+    inexact = np.issubdtype(a.dtype, np.inexact)
+    if inexact:
+        kth.append(-1)  # a NaN sorts last
+    part = np.partition(a, kth)
+    if inexact and np.isnan(part[-1]):
+        return part[-1]
+    return part[kth[0]:h + 1].mean()
+
+
+def _percentiles(a, qs):
+    """np.percentile(a, qs) of a non-empty 1-D array-like, as a list."""
+    a = np.asarray(a)
+    n = a.size
+    points = []
+    for q in qs:
+        virtual = (n - 1) * (q / 100)
+        lo = -1 if virtual >= n - 1 else math.floor(virtual)  # -1: the largest
+        points.append((virtual, lo, lo if lo == -1 else lo + 1))
+    part = np.partition(a, sorted({0, -1, *(i for _, lo, hi in points for i in (lo, hi))}))
+    if np.issubdtype(a.dtype, np.inexact) and np.isnan(part[-1]):
+        return [part[-1]] * len(points)
+    out = []
+    for virtual, lo, hi in points:
+        t = virtual - lo
+        below, above = part[lo], part[hi]
+        diff = above - below
+        out.append(above - diff * (1 - t) if t >= 0.5 else below + diff * t)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Cycle bookkeeping: a cycle runs midpoint-to-midpoint between consecutive
 # annotations; the first and last half-cycles attach to their neighbours.
 # ---------------------------------------------------------------------------
@@ -243,7 +290,7 @@ def windows_from_cycles(record: LabeledRecord, cycle_ids) -> list:
     bounds = cycle_bounds(record)
     ann = record.rpeak_annotations
     n = len(record.signal)
-    pad = int(np.median(np.diff(bounds)) // 2)
+    pad = int(_median(np.diff(bounds)) // 2)
     groups = []
     start = prev = ids[0]
     for i in ids[1:]:

@@ -4,13 +4,15 @@ Each iteration enumerates a fixed family of ten edit candidates per edge
 (three single-node insertions, one two-node insertion, two node deletions,
 and penalty/gap edits that multiply or divide by EDIT_FACTOR), scores each
 candidate by the total number of detection errors on the training windows,
-stopping as soon as that total shows it cannot win, and accepts the strictly
-best one.  The loop stops when nothing improves, at the iteration cap, or
-when the validation error has risen twice in a row.
+and accepts the strictly best one.  Candidates are scored best-first, one
+window at a time, so a candidate is only solved on a window while its
+running total could still win.  The loop stops when nothing improves, at
+the iteration cap, or when the validation error has risen twice in a row.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import math
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import graph as gr
-from .evaluate import DetectionReport, RecordCounts, match
+from .evaluate import DetectionReport, RecordCounts, _median, _percentiles, match
 from .solver import InfeasibleModelError, extract_rpeaks, solve
 
 log = logging.getLogger(__name__)
@@ -52,6 +54,8 @@ class LearnConfig:
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
+        if not (math.isfinite(self.tolerance_ms) and self.tolerance_ms >= 0.0):
+            raise ValueError(f"tolerance_ms must be finite and >= 0, got {self.tolerance_ms}")
         if not (0.0 < self.validation_fraction < 1.0):
             raise ValueError("validation_fraction must be in (0, 1)")
 
@@ -226,7 +230,7 @@ def _append_candidate(out, kind, anchor, graph_):
 # ---------------------------------------------------------------------------
 
 
-def evaluate_graph(g: gr.ConstraintGraph, windows, cfg: LearnConfig, bound=None):
+def evaluate_graph(g: gr.ConstraintGraph, windows, cfg: LearnConfig):
     """(total FN+FP, report) for the graph over labeled windows.
 
     Windows are built to open in baseline context, so the solve is anchored
@@ -235,10 +239,6 @@ def evaluate_graph(g: gr.ConstraintGraph, windows, cfg: LearnConfig, bound=None)
     explain counts all of its labels as false negatives instead of raising.
     When a window carries an eval_span, detections outside that core region
     are ignored.
-
-    With a bound, scoring stops after the first window that takes the
-    running FN+FP above it, and (running total, None) is returned; a total
-    at most the bound comes back as the exact (err, report).
     """
     if not windows:
         raise ValueError("windows must be non-empty")
@@ -261,8 +261,6 @@ def evaluate_graph(g: gr.ConstraintGraph, windows, cfg: LearnConfig, bound=None)
             row = RecordCounts(w.record_id, tp=mr.tp, fp=mr.fp, fn=mr.fn)
         rows.append(row)
         total += row.fn + row.fp
-        if bound is not None and total > bound:
-            return total, None
     return total, DetectionReport(records=rows)
 
 
@@ -280,12 +278,12 @@ def default_initial_graph(windows) -> gr.ConstraintGraph:
     for w in windows:
         x = w.signal.samples
         d = np.diff(x)
-        sigma = 1.4826 * float(np.median(np.abs(d - np.median(d)))) / math.sqrt(2.0)
+        sigma = 1.4826 * float(_median(np.abs(d - _median(d)))) / math.sqrt(2.0)
         lams.append(20.0 * sigma * sigma)
-        p1, p99 = np.percentile(x, [1, 99])
+        p1, p99 = _percentiles(x, (1, 99))
         gaps.append(0.3 * float(p99 - p1))
-    lam = float(np.median(lams))
-    gap = float(np.median(gaps))
+    lam = float(_median(lams))
+    gap = float(_median(gaps))
     return gr.initial_graph(gap, gap, lam)
 
 
@@ -294,20 +292,9 @@ def _gap_step(windows) -> float:
     windows."""
     spreads = []
     for w in windows:
-        p5, p95 = np.percentile(w.signal.samples, [5, 95])
+        p5, p95 = _percentiles(w.signal.samples, (5, 95))
         spreads.append(0.05 * float(p95 - p5))
-    return float(np.median(spreads))
-
-
-class _CountedWindows(list):
-    """Windows that count how many were taken for scoring (one solve each)."""
-
-    taken = 0
-
-    def __iter__(self):
-        for w in super().__iter__():
-            self.taken += 1
-            yield w
+    return float(_median(spreads))
 
 
 def _tie_tail(g):
@@ -326,14 +313,14 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
     consecutive accepted iterations, in which case the best-validation
     snapshot is returned.
 
-    A candidate is scored only until it cannot be accepted.  Its bound is
-    the best complete score so far when its tie tail beats the best's, one
-    less otherwise (a later candidate loses a full tie), and one less than
-    the current training error before any candidate has scored; a bound
-    below 0 skips the candidate without a solve.  The training windows are
-    scored shortest first, so a losing candidate is usually stopped after
-    its cheapest solves.  Only sums over the windows are used, so the
-    accepted edits are exactly those of scoring every window.
+    Candidates are scored best-first.  A heap holds one entry per candidate:
+    its running FN+FP over the training windows scored so far (shortest
+    window first), its tie tail and its index.  The smallest entry is scored
+    on its next window until it has scored them all, and then it wins:
+    running totals only grow, so no other candidate can end below it.  When
+    the smallest running total reaches the current training error, nothing
+    is accepted.  The accepted edits are exactly those of scoring every
+    candidate on every window.
     """
     if cfg is None:
         cfg = LearnConfig()
@@ -349,8 +336,8 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
     n_val = int(round(cfg.validation_fraction * n))
     n_val = min(n_val, n - 1)
     val_ids = set(rng.choice(n, size=n_val, replace=False).tolist()) if n_val > 0 else set()
-    train_w = _CountedWindows(sorted(
-        (w for i, w in enumerate(windows) if i not in val_ids), key=lambda w: len(w.signal)))
+    train_w = sorted((w for i, w in enumerate(windows) if i not in val_ids),
+                     key=lambda w: len(w.signal))
     val_w = [w for i, w in enumerate(windows) if i in val_ids]
 
     current = initial
@@ -364,34 +351,22 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
     for it in range(1, cfg.max_iterations + 1):
         if train_err == 0:
             break  # nothing can be strictly better
-        best = None
         cands = enumerate_candidates(current, min_gap=step)
-        scored = stopped = 0
-        solves_before = train_w.taken
-        for idx, cand in enumerate(cands):
-            tail = _tie_tail(cand.resulting_graph)
-            if best is None:
-                bound = train_err - 1
-            else:
-                best_err, best_tail, _ = best[0]
-                bound = best_err if tail < best_tail else best_err - 1
-            if bound < 0:
-                continue
-            err, _ = evaluate_graph(cand.resulting_graph, train_w, cfg, bound=bound)
-            if err > bound:
-                stopped += 1
-                continue
-            scored += 1
-            key = (err, tail, idx)
-            if best is None or key < best[0]:
-                best = (key, cand)
-        log.debug("iteration %d: %d candidates, %d scored, %d stopped early, "
-                  "%d skipped, %d solves", it, len(cands), scored, stopped,
-                  len(cands) - scored - stopped, train_w.taken - solves_before)
-        if best is None:
-            break  # no candidate scored below train_err
-        key, cand = best
-        train_err = key[0]
+        # (running FN+FP, tie tail, enumeration index, training windows scored)
+        heap = [(0, _tie_tail(c.resulting_graph), idx, 0) for idx, c in enumerate(cands)]
+        heapq.heapify(heap)
+        solves = 0
+        while heap and heap[0][0] < train_err and heap[0][3] < len(train_w):
+            err, tail, idx, k = heap[0]
+            window_err, _ = evaluate_graph(cands[idx].resulting_graph, [train_w[k]], cfg)
+            heapq.heapreplace(heap, (err + window_err, tail, idx, k + 1))
+            solves += 1
+        log.debug("iteration %d: %d candidates, %d finished, %d solves", it, len(cands),
+                  sum(entry[3] == len(train_w) for entry in heap), solves)
+        if not heap or heap[0][0] >= train_err:
+            break  # no candidate scores below train_err
+        train_err, _, idx, _ = heap[0]
+        cand = cands[idx]
         prev_val = val_err
         current = cand.resulting_graph
         val_err = evaluate_graph(current, val_w, cfg)[0] if val_w else None

@@ -224,10 +224,32 @@ class GridFunc:
         return self.grid[::OVERSAMPLE], self.values[::OVERSAMPLE]
 
 
+def evaluate_at(pwq_func, points):
+    """PiecewiseQuad values at many points, by the operations of its scalar
+    __call__: the last piece starting at or below m if m is within its end,
+    or the next piece if it starts within 1e-12 * (1 + |m|) above m and is
+    smaller there; +inf where neither covers m."""
+    m = np.asarray(points, dtype=float)
+    out = np.full(m.shape, np.inf)
+    if not pwq_func.pieces:
+        return out
+    lo, hi, a, b, c = np.array([p[:5] for p in pwq_func.pieces]).T
+    last = len(lo) - 1
+    eps = 1e-12 * (1.0 + np.abs(m))
+    i = np.searchsorted(lo, m, side="right") - 1
+    k = np.clip(i, 0, last)
+    j = np.clip(i + 1, 0, last)
+    with np.errstate(invalid="ignore", over="ignore"):  # rows that are not taken
+        own = (a[k] * m + b[k]) * m + c[k]
+        nxt = (a[j] * m + b[j]) * m + c[j]
+    out = np.where((i >= 0) & (m <= hi[k] + eps), own, out)
+    return np.where((i < last) & (lo[j] <= m + eps) & (nxt < out), nxt, out)
+
+
 def assert_matches_oracle(pwq_func, grid_func, tol=1e-9, where=""):
     """Compare a PiecewiseQuad against the fine-grid oracle on coarse points."""
     points, expect = grid_func.coarse()
-    got = np.array([pwq_func(m) for m in points])
+    got = evaluate_at(pwq_func, points)
     finite = np.isfinite(expect)
     assert np.array_equal(finite, np.isfinite(got)), (
         f"feasible-region mismatch {where}: "

@@ -1,9 +1,9 @@
 """The full-scoring greedy loop of ``graphseg.learning.learn``.
 
 Every candidate is scored on every training window, in the order the
-windows were given.  ``learn`` stops scoring a candidate once it cannot be
-accepted and scores the shortest windows first; the tests require the two
-to give byte-identical traces and graphs.
+windows were given.  ``learn`` scores the candidates best-first, one window
+at a time and the shortest windows first, and stops once the winner is
+known; the tests require the two to give byte-identical traces and graphs.
 """
 
 import numpy as np

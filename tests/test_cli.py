@@ -229,6 +229,22 @@ def test_mismatched_record_flags_exit_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("tolerance", ["-5", "inf", "nan"])
+@pytest.mark.parametrize("command", ["eval", "learn", "cv"])
+def test_bad_tolerance_exits_2(tmp_path, capsys, command, tolerance):
+    # -5 used to score a perfect detector at Sen 0 and DER 200, inf exited 4
+    _rec, sp, ap = synth_files(tmp_path, "r7", n_cycles=10, heart_rate_bpm=75,
+                               r_amplitude=10.0, noise_sigma=0.1, seed=8)
+    graph = tmp_path / "g.json"
+    graph.write_text(gr.serialize(gr.initial_graph(4.0, 2.0, 40.0)))
+    flag = "--graph" if command == "eval" else "--initial-graph"
+    rc = cli.main([command, "--signal", str(sp), "--annotations", str(ap), flag, str(graph),
+                   "--out-dir", str(tmp_path / "o"), "--tolerance-ms", tolerance])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"input error: tolerance_ms must be finite and >= 0, got {float(tolerance)}" in err
+
+
 def same_basename_files(tmp_path):
     """Two different records saved as a/rec.csv and b/rec.csv."""
     args = []

@@ -1,15 +1,24 @@
 """Matching, metrics, splits, and cross-validation plumbing."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import graphseg
 from graphseg import graph as gr
 from graphseg.data import SynthConfig, generate_synthetic
 from graphseg.evaluate import (
     DetectionReport,
     RecordCounts,
+    _median,
+    _percentiles,
     cross_validate,
     cycle_bounds,
     make_fold_plan,
@@ -50,6 +59,12 @@ def test_match_unsorted_raises():
         match([5, 3], [1], 10)
     with pytest.raises(ValueError):
         match([1], [5, 3], 10)
+
+
+@pytest.mark.parametrize("tolerance", [-1, float("inf"), float("nan")])
+def test_match_rejects_a_bad_tolerance(tolerance):
+    with pytest.raises(ValueError, match="tolerance_samples must be finite and >= 0"):
+        match([5], [5], tolerance)
 
 
 def test_match_symmetry_swaps_fp_fn():
@@ -104,6 +119,59 @@ def test_match_within_bands_matches_brute_force():
         assert mr.matched_pairs == pairs
         assert (mr.tp, mr.fp, mr.fn) == (len(pairs), len(dets) - len(pairs),
                                          len(labels) - len(pairs))
+
+
+# ---------------------------------------------------------------------------
+# order statistics
+# ---------------------------------------------------------------------------
+
+# ties, signed zeros, infinities and NaNs, besides any double
+ORDER_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(width=64))
+ORDER_INTS = st.one_of(st.integers(-3, 3), st.integers(-2 ** 40, 2 ** 40))
+PERCENT = st.one_of(st.integers(0, 100), st.floats(0.0, 100.0))
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(hnp.arrays(np.float64, st.integers(1, 41), elements=ORDER_FLOATS),
+                 hnp.arrays(np.int64, st.integers(1, 41), elements=ORDER_INTS)),
+       st.one_of(st.sampled_from([(1, 99), (5, 95)]),
+                 st.lists(PERCENT, min_size=1, max_size=3)))
+def test_order_statistics_equal_numpy_bit_for_bit(a, qs):
+    with np.errstate(all="ignore"):  # inf - inf when interpolating
+        assert bits(_median(a)) == bits(np.median(a))
+        assert bits(_median(a.tolist())) == bits(np.median(a))
+        assert bits(_percentiles(a, qs)) == bits(np.percentile(a, list(qs)))
+
+
+IMPORT_PROBE = """
+import sys
+from graphseg import evaluate, learning
+from graphseg.data import SynthConfig, generate_synthetic
+
+rec = generate_synthetic(SynthConfig(n_cycles=10, pre_r_dip=10.5, seed=3))
+plan = evaluate.make_fold_plan([rec], k=5, seed=0)
+task = (rec, 0, plan.cycles_outside_fold(rec.record_id, 0),
+        plan.cycles_in_fold(rec.record_id, 0), learning.LearnConfig(max_iterations=2), None)
+before = set(sys.modules)
+evaluate._run_cv_task(task)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_cv_task_imports_no_module():
+    # a fresh pool worker runs its first task on the modules its parent had
+    # imported; a lazy import there (numpy.ma, through np.median) costs that
+    # task tens of milliseconds
+    src = os.path.dirname(os.path.dirname(graphseg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -197,40 +197,14 @@ def count_solves(monkeypatch):
     return calls
 
 
-def test_evaluate_graph_bound_at_or_above_error_is_exact(monkeypatch):
+def test_evaluate_graph_sums_its_one_window_scores():
+    # learn scores a candidate one window at a time and adds the errors up
     windows = windows_whole_record(dip_record(), 2)
     err, rep = evaluate_graph(INITIAL, windows, CFG)
+    singles = [evaluate_graph(INITIAL, [w], CFG) for w in windows]
     assert err > 0
-    calls = count_solves(monkeypatch)
-    for bound in (err, err + 1, 10 ** 6):
-        calls[0] = 0
-        assert evaluate_graph(INITIAL, windows, CFG, bound=bound) == (err, rep)
-        assert calls[0] == len(windows)
-
-
-def test_evaluate_graph_stops_after_the_window_that_crosses_the_bound(monkeypatch):
-    windows = windows_whole_record(dip_record(), 2)
-    err, rep = evaluate_graph(INITIAL, windows, CFG)
-    running = np.cumsum([r.fn + r.fp for r in rep.records])
-    calls = count_solves(monkeypatch)
-    for bound in range(-1, err):
-        calls[0] = 0
-        crossed = int(np.argmax(running > bound))
-        total, report = evaluate_graph(INITIAL, windows, CFG, bound=bound)
-        assert report is None
-        assert total == running[crossed] > bound
-        assert calls[0] == crossed + 1
-
-
-def test_evaluate_graph_bound_counts_infeasible_labels(monkeypatch):
-    windows = windows_whole_record(clean_record(), 5)
-
-    def boom(*a, **k):
-        raise solver.InfeasibleModelError("B", 3)
-
-    monkeypatch.setattr(learning, "solve", boom)
-    labels = len(windows[0].rpeak_annotations)
-    assert evaluate_graph(INITIAL, windows, CFG, bound=labels - 1) == (labels, None)
+    assert err == sum(e for e, _ in singles)
+    assert rep.records == [r for _, one in singles for r in one.records]
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +288,41 @@ def test_default_initial_graph_heuristics():
 
 
 def test_learn_early_stops_on_rising_validation(monkeypatch):
-    # script the error sequence: training keeps improving while validation
-    # rises twice in a row; learn must return the best-validation snapshot
+    # script the errors: training keeps improving while validation rises
+    # twice in a row; learn must return the best-validation snapshot
     rec = clean_record()
-    windows = windows_whole_record(rec, 2)  # enough windows for a val split
+    windows = windows_whole_record(rec, 1)  # ten windows, two for validation
     g0 = INITIAL
-    candidate = enumerate_candidates(g0)[0]
-    monkeypatch.setattr(learning, "enumerate_candidates", lambda g, min_gap: [candidate])
-    # call order: init train, init val, then per iteration one candidate
-    # train eval and one accepted-graph val eval
-    scripted = iter([10, 2, 9, 3, 8, 4, 7, 5])
-    monkeypatch.setattr(learning, "evaluate_graph",
-                        lambda g, ws, cfg, bound=None: (next(scripted), None))
+    cands = enumerate_candidates(g0)[:3]
+    offered = iter(cands)  # one new candidate per iteration
+    monkeypatch.setattr(learning, "enumerate_candidates", lambda g, min_gap: [next(offered)])
+    train = {g0: 10}
+    val = {g0: 2}
+    for c, t, v in zip(cands, (9, 8, 7), (3, 4, 5)):
+        train[c.resulting_graph] = t
+        val[c.resulting_graph] = v
+    charged = set()
+
+    def fake(g, ws, cfg):
+        if len(ws) == 1:  # a candidate's training window: all errors on the first
+            first = g not in charged
+            charged.add(g)
+            return (train[g] if first else 0), None
+        return (val[g] if len(ws) == 2 else train[g]), None
+
+    monkeypatch.setattr(learning, "evaluate_graph", fake)
     best, trace = learning.learn(g0, windows, LearnConfig(seed=1))
     assert best == g0                     # iteration 0 had the best validation
     assert len(trace.steps) == 2          # stopped after two rising val errors
+    assert [s.train_error for s in trace.steps] == [9, 8]
     assert [s.validation_error for s in trace.steps] == [3, 4]
     assert trace.initial_validation_error == 2
+
+
+@pytest.mark.parametrize("tolerance_ms", [-5.0, float("inf"), float("nan")])
+def test_learn_config_rejects_a_bad_tolerance(tolerance_ms):
+    with pytest.raises(ValueError, match="tolerance_ms"):
+        LearnConfig(tolerance_ms=tolerance_ms)
 
 
 def test_learn_config_validation():
@@ -382,10 +374,14 @@ def test_learn_matches_oracle_with_an_unexplained_window(monkeypatch):
 
 
 def test_learn_tie_on_error_goes_to_the_smaller_tie_tail(monkeypatch):
-    # scripted errors: every insertion and every penalty edit scores 7, gap
-    # edits 9.  The first 3-state insertion scores first; the penalty_down
-    # edits tie with it on a smaller tail, so one of them must be scored up
-    # to the best error itself, and the earliest one wins.
+    # scripted errors, all on the shortest window, which learn scores first:
+    # every insertion and every penalty edit scores 7, gap edits 9.
+    # Best-first opens every candidate in (tie tail, index) order, then
+    # finishes the first penalty_down: the two penalty_down edits tie on
+    # error and on the smallest tail, and the earlier one wins.
+    windows = windows_whole_record(clean_record(), 2)
+    shortest = min(windows, key=lambda w: len(w.signal))
+
     def score(g):
         if g == INITIAL:
             return 10
@@ -395,24 +391,84 @@ def test_learn_tie_on_error_goes_to_the_smaller_tie_tail(monkeypatch):
 
     seen = []
 
-    def fake(g, windows, cfg, bound=None):
-        err = score(g)
-        seen.append((err, bound))
-        return (err, None) if bound is not None and err > bound else (err, "report")
+    def fake(g, ws, cfg):
+        seen.append(g)
+        return (score(g) if any(w is shortest for w in ws) else 0), None
 
     monkeypatch.setattr(learning, "evaluate_graph", fake)
     monkeypatch.setattr(reference_learner, "evaluate_graph", fake)
-    windows = windows_whole_record(clean_record(), 2)
-    cfg = LearnConfig(max_iterations=3, seed=1)
+    cfg = LearnConfig(max_iterations=3, validation_fraction=0.1, seed=1)  # no validation
     got = learn(INITIAL, windows, cfg)
-    # (error, bound) per candidate of iteration 1, after the two initial
-    # scores: inserts then penalty, gap edits, per edge.  A smaller tie tail
-    # may reach the best error (7, 7); any other tie is stopped (7, 6).
-    assert seen[2:18] == [(7, 9), (7, 6), (7, 6), (7, 6), (7, 7), (7, 7), (9, 6), (9, 6),
-                          (7, 6), (7, 6), (7, 6), (7, 6), (7, 6), (7, 6), (9, 6), (9, 6)]
+    cands = [c.resulting_graph
+             for c in enumerate_candidates(INITIAL, min_gap=learning._gap_step(windows))]
+    # seen[0] is the initial score; then iteration 1 opens the 16 candidates
+    # (tails: penalty_down, gap, penalty_up, split, detours, two-node insert)
+    # and scores the winner's four other windows
+    assert [cands.index(g) for g in seen[1:21]] == \
+        [5, 13, 6, 7, 14, 15, 4, 12, 0, 8, 1, 2, 9, 10, 3, 11, 5, 5, 5, 5]
+    # iteration 2 opens its 16 candidates; none can go below 7
+    assert len(seen) == 1 + 20 + 16
     assert outputs(got) == outputs(reference_learner.learn(INITIAL, windows, cfg))
     step, = got[1].steps
     assert (step.kind, step.anchor_edge, step.train_error) == ("penalty_down", 0, 7)
+
+
+def bound_rule_evaluations(table, tails, train_err):
+    """Window evaluations of the sequential loop that stopped scoring a
+    candidate once its running total passed a bound: train_err - 1 before
+    any candidate had finished, then the best full score so far if the
+    candidate's tail is smaller than the best's, else one less."""
+    best = None
+    count = 0
+    for row, tail in zip(table, tails):
+        if best is None:
+            bound = train_err - 1
+        else:
+            bound = best[0] if tail < best[1] else best[0] - 1
+        total = 0
+        for e in row:
+            if total > bound:
+                break
+            count += 1
+            total += e
+        if total <= bound and (best is None or (total, tail) < best):
+            best = (total, tail)
+    return count
+
+
+def test_best_first_picks_the_full_scoring_winner_with_no_more_solves(monkeypatch):
+    windows = windows_whole_record(clean_record(), 1)
+    order = sorted(windows, key=lambda w: len(w.signal))  # learn's scoring order
+    column = {id(w): k for k, w in enumerate(order)}
+    rng = np.random.default_rng(2024)
+    cfg = LearnConfig(max_iterations=1, validation_fraction=0.01, seed=0)  # no validation
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        table = rng.choice([0, 0, 0, 1, 1, 2, 3], size=(n, len(windows)))
+        penalties = rng.integers(1, 4, n)  # few values, so tails tie
+        cands = [learning.EditCandidate("penalty_up", i, gr.initial_graph(1.0 + i, 1.0, float(p)))
+                 for i, p in enumerate(penalties)]
+        row = {c.resulting_graph: table[i] for i, c in enumerate(cands)}
+        train_err = int(rng.integers(1, 2 * len(windows)))
+        evaluations = [0]
+
+        def fake(g, ws, cfg):
+            if g == INITIAL:
+                return train_err, None
+            evaluations[0] += len(ws)
+            return int(sum(row[g][column[id(w)]] for w in ws)), None
+
+        monkeypatch.setattr(learning, "evaluate_graph", fake)
+        monkeypatch.setattr(learning, "enumerate_candidates", lambda g, min_gap: cands)
+        _, trace = learn(INITIAL, windows, cfg)
+        tails = [learning._tie_tail(c.resulting_graph) for c in cands]
+        err, tail, idx = min((int(table[i].sum()), tails[i], i) for i in range(n))
+        if err < train_err:
+            step, = trace.steps
+            assert (step.anchor_edge, step.train_error) == (idx, err)
+        else:
+            assert not trace.steps
+        assert evaluations[0] <= bound_rule_evaluations(table, tails, train_err)
 
 
 def test_learn_runs_fewer_solves_than_the_oracle(monkeypatch):
@@ -424,8 +480,9 @@ def test_learn_runs_fewer_solves_than_the_oracle(monkeypatch):
     want = reference_learner.learn(INITIAL, windows, cfg)
     assert outputs(got) == outputs(want)
     assert len(got[1]) >= 1
-    # here the bound cuts 72 solves to 35; skipping alone would leave 68
-    assert ours < 0.6 * calls[0]
+    # best-first takes 26 solves here, the sequential loop with a bound per
+    # candidate took 35 and the full-scoring oracle takes 72
+    assert ours <= 35
 
 
 def test_learn_debug_log_leaves_outputs_unchanged(monkeypatch, caplog):
@@ -440,13 +497,14 @@ def test_learn_debug_log_leaves_outputs_unchanged(monkeypatch, caplog):
     assert outputs((best, trace)) == quiet
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("iteration")]
     assert len(lines) >= len(trace)
-    counts = [re.fullmatch(r"iteration \d+: (\d+) candidates, (\d+) scored, (\d+) stopped "
-                           r"early, (\d+) skipped, (\d+) solves", line).groups()
-              for line in lines]
-    for enumerated, scored, stopped, skipped, _ in counts:
-        assert int(enumerated) == int(scored) + int(stopped) + int(skipped)
+    counts = [[int(x) for x in re.fullmatch(
+        r"iteration \d+: (\d+) candidates, (\d+) finished, (\d+) solves", line).groups()]
+        for line in lines]
+    for enumerated, finished, _ in counts:
+        assert finished <= enumerated
+    # an accepted iteration has a finished candidate: the winner
+    assert all(finished >= 1 for _, finished, _ in counts[:len(trace)])
     n_val = min(round(cfg.validation_fraction * len(windows)), len(windows) - 1)
     # the initial scores solve every window once, each accepted edit the
     # validation windows
-    assert calls[0] == (len(windows) + len(trace) * n_val
-                        + sum(int(c[4]) for c in counts))
+    assert calls[0] == len(windows) + len(trace) * n_val + sum(c[2] for c in counts)

@@ -18,7 +18,7 @@ from graphseg.pwq import (
     pointwise_min,
     reflect,
 )
-from grid_oracle import assert_matches_oracle
+from grid_oracle import assert_matches_oracle, evaluate_at
 from helpers import random_composition
 
 DOM = (-5.0, 5.0)
@@ -344,3 +344,15 @@ def test_fuzzed_compositions_match_oracle():
 def test_quadpiece_value():
     p = QuadPiece(0.0, 1.0, 2.0, -1.0, 3.0)
     assert p.value(2.0) == 2.0 * 4 - 2.0 + 3.0
+
+
+def test_vectorised_evaluation_equals_call_bit_for_bit():
+    # criterion 4 checks its compositions through grid_oracle.evaluate_at;
+    # on its first 50 compositions, __call__ must give the same bits
+    rng = np.random.default_rng(424_242)
+    for i in range(50):
+        f, o, ops = random_composition(rng)
+        points, _ = o.coarse()
+        want = np.array([f(m) for m in points])
+        got = evaluate_at(f, points)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"composition {i}: {ops}"
