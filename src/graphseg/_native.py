@@ -1,5 +1,7 @@
 """Build and load the compiled library in ``_solve.c``: the solver's forward
-pass and backtrack (``graphseg_solve``) and the sample-file scanner
+pass and backtrack (``graphseg_solve``), the kernels of the public
+``graphseg.pwq`` operations (``graphseg_min``, ``graphseg_prefix_min``,
+``graphseg_global_min``) and the sample-file scanner
 (``graphseg_parse_samples``).
 
 The C source is compiled once with the system ``gcc`` into a shared library
@@ -29,6 +31,7 @@ import platform
 import subprocess
 import sys
 import tempfile
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +40,30 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_solve.c")
 
 
+# The C struct Piece, field for field: (lo, hi, a, b, c) for a*m^2 + b*m + c
+# on [lo, hi], then the tag (pt, br, kind).  _solve.c asserts the same
+# offsets and size.
+PIECE = np.dtype({
+    "names": ["lo", "hi", "a", "b", "c", "pt", "br", "kind"],
+    "formats": ["f8"] * 6 + ["i4", "i1"],
+    "offsets": [0, 8, 16, 24, 32, 40, 48, 52],
+    "itemsize": 56,
+})
+
+
 class NativeBuildError(RuntimeError):
     """The compiled library could not be built or loaded."""
+
+
+class Library(NamedTuple):
+    """The functions of the compiled library, with their argument types."""
+
+    solve: object
+    parse_samples: object
+    min: object
+    prefix_min: object
+    global_min: object
+
 
 def cache_dir():
     """The per-user cache directory of compiled libraries."""
@@ -91,8 +116,8 @@ def _array(dtype):
 
 
 def load():
-    """The ``(graphseg_solve, graphseg_parse_samples)`` functions of the
-    cached library, built first when the cache has none for this source."""
+    """The functions of the cached library, built first when the cache has
+    none for this source."""
     with open(SOURCE, "rb") as fh:
         path = library_path(fh.read())
     try:
@@ -105,7 +130,8 @@ def load():
         lib = ctypes.CDLL(path)
     except OSError as exc:
         raise NativeBuildError(f"cannot load {path}: {exc}") from exc
-    f64, i64, i32, i8 = (_array(t) for t in (np.float64, np.int64, np.int32, np.int8))
+    f64, i64, i32, i8, pieces = (
+        _array(t) for t in (np.float64, np.int64, np.int32, np.int8, PIECE))
     solve = lib.graphseg_solve
     solve.argtypes = [
         f64, ctypes.c_int64, ctypes.c_int32, ctypes.c_int32,  # y, n, states, start
@@ -121,4 +147,13 @@ def load():
         f64, ctypes.c_int64,  # out: amplitudes, capacity
     ]
     parse.restype = ctypes.c_int64
-    return solve, parse
+    pmin = lib.graphseg_min
+    pmin.argtypes = [pieces, ctypes.c_int64, pieces, ctypes.c_int64, pieces]
+    pmin.restype = ctypes.c_int64
+    prefix_min = lib.graphseg_prefix_min
+    prefix_min.argtypes = [pieces, ctypes.c_int64, ctypes.c_double, pieces]
+    prefix_min.restype = ctypes.c_int64
+    global_min = lib.graphseg_global_min
+    global_min.argtypes = [pieces, ctypes.c_int64, ctypes.POINTER(ctypes.c_double)]
+    global_min.restype = ctypes.c_double
+    return Library(solve, parse, pmin, prefix_min, global_min)

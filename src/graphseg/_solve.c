@@ -1,8 +1,10 @@
-/* Forward pass and backtrack of graphseg.solver.solve, and the sample-file
- * scanner of graphseg.data.load_signal_csv (at the end of this file).
+/* Forward pass and backtrack of graphseg.solver.solve, the kernels of the
+ * public graphseg.pwq operations, and the sample-file scanner of
+ * graphseg.data.load_signal_csv (at the end of this file).
  *
  * This is the functional dynamic program of the Python loop kept as the
- * test oracle in tests/reference_solver.py, operation for operation: the
+ * test oracle in tests/reference_solver.py (over the Python kernels of
+ * tests/reference_pwq.py), operation for operation: the
  * same piece lists, the same comparisons in the same order and the same
  * floating-point expressions, so that both give bit-identical results when
  * this file is compiled without floating-point contraction
@@ -17,9 +19,14 @@
  * points compare equal with ==, as Python compares the tuples.  The
  * running-minimum envelope tags its pieces K_PT (argmin pt) or K_THR (the
  * argmin is the evaluation point).
+ *
+ * graphseg.pwq calls min_k, prefix_min and graphseg_global_min through the
+ * entry points before graphseg_solve, on numpy arrays whose dtype spells
+ * out Piece; the static asserts below pin that layout.
  */
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -49,6 +56,10 @@ typedef struct {
     int32_t br;
     int8_t kind;
 } Piece;
+
+_Static_assert(sizeof(Piece) == 56, "graphseg.pwq's piece dtype is 56 bytes");
+_Static_assert(offsetof(Piece, br) == 48, "graphseg.pwq's br offset is 48");
+_Static_assert(offsetof(Piece, kind) == 52, "graphseg.pwq's kind offset is 52");
 
 typedef struct {
     Piece *p;
@@ -146,8 +157,8 @@ static Piece *push(List *out, double lo, double hi, double a, double b, double c
     return r;
 }
 
-/* _min_k's append-or-extend: an equal neighbour keeps its coefficients
- * and tag and only grows. */
+/* The append-or-extend of the Python min_k: an equal neighbour keeps its
+ * coefficients and tag and only grows. */
 static void emit(List *out, double lo, double hi, const Piece *w)
 {
     Piece *r;
@@ -173,8 +184,10 @@ static void emit(List *out, double lo, double hi, const Piece *w)
 /* Pointwise minimum of two non-empty lists; F wins ties.  out needs room
  * for 3 * MIN_STEPS(F->n + G->n) pieces.  Returns -1 if the sweep overruns
  * its step bound, which only a NaN breakpoint (costs beyond the float64
- * range) can cause; finite input never does. */
-static int min_k(const List *F, const List *G, List *out)
+ * range) can cause; finite input never does.  Always inlined: with its second
+ * caller, graphseg_min, gcc would stop inlining it into graphseg_solve. */
+static inline __attribute__((always_inline)) int
+min_k(const List *F, const List *G, List *out)
 {
     const Piece *f = F->p, *g = G->p;
     size_t nF = F->n, nG = G->n, i = 0, j = 0, steps = 0;
@@ -286,8 +299,8 @@ static double piece_argmin(double lo, double hi, double a, double b)
     return lo;
 }
 
-/* _emit_const: an extended neighbour takes a = b = +0.0, the new c and
- * the new tag. */
+/* The Python emit_const: an extended neighbour takes a = b = +0.0, the new
+ * c and the new tag. */
 static void emit_const(List *out, double lo, double hi, double val, double arg)
 {
     Piece *r;
@@ -318,7 +331,7 @@ static void push_thr(List *out, double lo, double hi, const Piece *s)
     r->pt = 0.0;
 }
 
-/* Running minimum of F (n > 0 pieces), extended up to dom_hi.  out needs
+/* Running minimum of F's n pieces, extended up to dom_hi.  out needs
  * room for 4 * n + 1 pieces. */
 static void prefix_min(const Piece *F, size_t n, double dom_hi, List *out)
 {
@@ -401,6 +414,52 @@ static void tag(Piece *p, int32_t br, int8_t kind, double pt)
     p->br = br;
     p->kind = kind;
     p->pt = pt;
+}
+
+/* The minimum of f's n pieces, and in *arg the first point that attains it
+ * (+inf and 0.0 when n is 0): ties break toward smaller m. */
+double graphseg_global_min(const Piece *f, int64_t n, double *arg)
+{
+    double val = INFINITY;
+    int64_t i;
+
+    *arg = 0.0;
+    for (i = 0; i < n; i++) {
+        const Piece *p = &f[i];
+        double pa = piece_argmin(p->lo, p->hi, p->a, p->b);
+        double pv = (p->a * pa + p->b) * pa + p->c;
+        if (pv < val) {
+            val = pv;
+            *arg = pa;
+        }
+    }
+    return val;
+}
+
+/* graphseg.pwq.pointwise_min: min_k of nf > 0 and ng > 0 pieces into out,
+ * which has room for 3 * MIN_STEPS(nf + ng) pieces.  Returns the piece
+ * count, or -1 when min_k overruns its step bound. */
+int64_t graphseg_min(const Piece *f, int64_t nf, const Piece *g, int64_t ng,
+                     Piece *out)
+{
+    List F = {(Piece *)f, (size_t)nf, (size_t)nf};
+    List G = {(Piece *)g, (size_t)ng, (size_t)ng};
+    List o = {out, 0, 0};
+
+    if (min_k(&F, &G, &o))
+        return -1;
+    return (int64_t)o.n;
+}
+
+/* graphseg.pwq.min_leq_envelope before the shift: prefix_min of f's n
+ * pieces into out, which has room for 4 * n + 1 pieces.  Returns the piece
+ * count (0 when n is 0). */
+int64_t graphseg_prefix_min(const Piece *f, int64_t n, double dom_hi, Piece *out)
+{
+    List o = {out, 0, 0};
+
+    prefix_min(f, (size_t)n, dom_hi, &o);
+    return (int64_t)o.n;
 }
 
 /* Solve one signal.  Edges are given by index; a state's in-edges are
@@ -587,21 +646,11 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     }
 
     for (v = 0; v < nstates; v++) {
-        const List *f = &funcs[v];
-        double arg = 0.0, val = INFINITY;
-        size_t i;
+        double arg, val;
 
-        if (!f->n)
+        if (!funcs[v].n)
             continue;
-        for (i = 0; i < f->n; i++) {
-            const Piece *p = &f->p[i];
-            double pa = piece_argmin(p->lo, p->hi, p->a, p->b);
-            double pv = (p->a * pa + p->b) * pa + p->c;
-            if (pv < val) {
-                val = pv;
-                arg = pa;
-            }
-        }
+        val = graphseg_global_min(funcs[v].p, (int64_t)funcs[v].n, &arg);
         if (val < best_val) {
             best_v = v;
             best_arg = arg;

@@ -1,41 +1,42 @@
-"""Algebra of piecewise-quadratic cost functions of one real variable.
+"""Algebra of the piecewise-quadratic value functions of the solver's
+dynamic program: data terms, pointwise minima, change envelopes, constants.
 
-The segmentation solver maintains, per hidden state, a function mapping a
-candidate segment mean m to the best cost achievable so far.  With squared
-error as the data-fitting loss every such function is piecewise quadratic
-with convex pieces, and the operations the solver needs (adding one data
-term, pointwise minimum, min-envelopes over shifted half-lines, adding a
-constant) keep it inside that family.
+A ``PiecewiseQuad`` holds one numpy array of the ``Piece`` struct of
+``_solve.c`` (dtype ``_native.PIECE``): ordered, disjoint [lo, hi] in a
+fixed domain, each with a convex a*m^2 + b*m + c; elsewhere it is +inf.
+``pointwise_min``, ``min_leq_envelope``'s running minimum and ``global_min``
+call the C kernels of ``solve``; the rest are numpy expressions.  No
+tolerance joins neighbours.  ``tests/reference_pwq.py`` keeps the kernels
+in Python as the test oracle, equal bit for bit.
 
-Representation
---------------
-A ``PiecewiseQuad`` is an ordered list of ``QuadPiece`` over disjoint
-intervals inside a fixed reference domain [lo, hi].  Points not covered by
-any piece are infeasible and evaluate to +inf; this is how the change
-envelopes represent clipped regions, so no infinity sentinels enter the
-coefficient arithmetic.  Adjacent pieces whose coefficients agree within
-``COEF_MERGE_TOL`` are merged (canonical form).  Unary operations preserve
-continuity at shared breakpoints within ``CONTINUITY_TOL``; pointwise
-minima of functions with different feasible regions may legitimately jump
-where a region begins, and evaluation at a shared breakpoint returns the
-smaller of the two piece values.
-
-Pieces carry an optional opaque ``tag`` that the solver uses to recover
-argmin information during backtracking.  The algebra never interprets tag
-values; it only refuses to merge pieces whose tags differ.
+A tag is ``None`` (C kind K_STAY), ``("pt", x)`` (K_PT: a constant stretch
+of a running minimum attained at x) or ``("thr",)`` (K_THR: the input's
+descending branch, attained at the evaluation point).  Any other tag, a
+non-finite sample, constant, gap or coefficient, and a result whose
+coefficients or minimum overflow are ``ValueError``s.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
-from bisect import bisect_right
 from typing import NamedTuple
 
-COEF_MERGE_TOL = 1e-12   # coefficient tolerance for merging adjacent pieces
-CONTINUITY_TOL = 1e-9    # relative tolerance for value agreement at breakpoints
-DISC_TOL = 1e-14         # discriminants below this are treated as tangency
+import numpy as np
 
-_INF = math.inf
+from . import _native
+from ._native import PIECE, NativeBuildError
+
+# loaded at import, as in graphseg.solver; a failed build is raised by each call
+try:
+    _lib = _native.load()
+    _MIN, _PREFIX_MIN, _GLOBAL_MIN = _lib.min, _lib.prefix_min, _lib.global_min
+except NativeBuildError as exc:
+    _MIN = _PREFIX_MIN = _GLOBAL_MIN = exc
+
+CONVEXITY_TOL = 1e-12  # a piece with a < -CONVEXITY_TOL is not convex
+K_STAY, K_PT, K_THR = 0, 4, 5  # the tag kinds of _solve.c
+_OVERFLOW = "the costs overflow float64"
 
 
 class DomainMismatchError(ValueError):
@@ -58,339 +59,65 @@ class QuadPiece(NamedTuple):
         return (self.a * m + self.b) * m + self.c
 
 
-# ---------------------------------------------------------------------------
-# Kernels operating on plain piece lists [(lo, hi, a, b, c, tag), ...].
-# The public PiecewiseQuad operations below are thin validated wrappers; the
-# solver's Python reference loop (tests/reference_solver.py) drives them
-# directly, and the compiled solver (_solve.c) repeats them in C.
-# ---------------------------------------------------------------------------
+def _kernel(fn):  # fn, or raise the build error stored in its place
+    if isinstance(fn, Exception):
+        raise fn.with_traceback(None)
+    return fn
 
 
-def _coef_close(x, y):
-    return abs(x - y) <= COEF_MERGE_TOL * (1.0 + abs(x) + abs(y))
+def _finite(x, name):
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
 
 
-def _merge_k(pieces):
-    """Canonical form: drop empty pieces, merge equal-coefficient neighbours."""
-    out = []
-    for p in pieces:
-        if p[1] <= p[0]:
-            continue
-        if out:
-            q = out[-1]
-            if p[0] == q[1] and p[5] == q[5]:
-                # exact equality is the overwhelmingly common case
-                if (p[2] == q[2] and p[3] == q[3] and p[4] == q[4]) or (
-                    _coef_close(p[2], q[2])
-                    and _coef_close(p[3], q[3])
-                    and _coef_close(p[4], q[4])
-                ):
-                    out[-1] = (q[0], p[1], q[2], q[3], q[4], q[5])
-                    continue
-        out.append(p)
-    return out
+def _encode(tag):  # the (kind, pt) of a tag
+    if tag is None or tag == ("thr",):
+        return (K_STAY if tag is None else K_THR), 0.0
+    if isinstance(tag, tuple) and len(tag) == 2 and tag[0] == "pt":
+        return K_PT, _finite(tag[1], "the x of a ('pt', x) tag")
+    raise ValueError(f"unknown piece tag {tag!r}: use None, ('pt', x) or ('thr',)")
 
 
-def _add_point_loss_k(pieces, y, strip_tags=False):
-    y = float(y)
-    c_add = y * y
-    b_add = -2.0 * y
-    if not strip_tags:
-        return [
-            (p[0], p[1], p[2] + 1.0, p[3] + b_add, p[4] + c_add, p[5]) for p in pieces
-        ]
-    # stripping tags opens exact-equality merges; fold them in here
-    out = []
-    append = out.append
-    for p in pieces:
-        a = p[2] + 1.0
-        b = p[3] + b_add
-        c = p[4] + c_add
-        if out:
-            q = out[-1]
-            if q[1] == p[0] and q[2] == a and q[3] == b and q[4] == c:
-                out[-1] = (q[0], p[1], a, b, c, None)
-                continue
-        append((p[0], p[1], a, b, c, None))
-    return out
-
-
-def _add_constant_k(pieces, k):
-    k = float(k)
-    return [(p[0], p[1], p[2], p[3], p[4] + k, p[5]) for p in pieces]
-
-
-def _min_k(F, G):
-    """Pointwise minimum of two piece lists; F wins ties."""
-    if not F:
-        return list(G)
-    if not G:
-        return list(F)
-    out = []
-
-    def emit(lo, hi, w):
-        # an equal neighbour keeps its coefficients and tag and only grows
-        if out:
-            q = out[-1]
-            if q[1] == lo and q[5] == w[5] and q[2] == w[2] and q[3] == w[3] and q[4] == w[4]:
-                out[-1] = (q[0], hi, q[2], q[3], q[4], q[5])
-                return
-        out.append((lo, hi, w[2], w[3], w[4], w[5]))
-
-    nF = len(F)
-    nG = len(G)
-    i = j = 0
-    x = F[0][0] if F[0][0] < G[0][0] else G[0][0]
-    sqrt = math.sqrt
-    while True:
-        while i < nF and F[i][1] <= x:
-            i += 1
-        while j < nG and G[j][1] <= x:
-            j += 1
-        if i >= nF and j >= nG:
-            break
-        pf = F[i] if i < nF else None
-        pg = G[j] if j < nG else None
-        # advance x to the next covered point, then find the interval end
-        if pf is None or pg is None:
-            w = pg if pf is None else pf
-            if w[0] > x:
-                x = w[0]
-            emit(x, w[1], w)
-            x = w[1]
-            continue
-        nx = pf[0] if pf[0] < pg[0] else pg[0]
-        if nx > x:
-            x = nx
-        f_cov = pf[0] <= x
-        g_cov = pg[0] <= x
-        x1 = pf[1] if f_cov else pf[0]
-        xg = pg[1] if g_cov else pg[0]
-        if xg < x1:
-            x1 = xg
-        if not f_cov:
-            if not g_cov:
-                x = x1
-                continue
-            w = pg
-        elif not g_cov:
-            w = pf
-        else:
-            da = pf[2] - pg[2]
-            db = pf[3] - pg[3]
-            dc = pf[4] - pg[4]
-            r1 = r2 = None
-            if da == 0.0:
-                if db != 0.0:
-                    r = -dc / db
-                    if x < r < x1:
-                        r1 = r
-            else:
-                disc = db * db - 4.0 * da * dc
-                if disc > DISC_TOL:
-                    sq = sqrt(disc)
-                    qq = -0.5 * (db + sq) if db >= 0.0 else -0.5 * (db - sq)
-                    ra = qq / da
-                    rb = dc / qq if qq != 0.0 else ra
-                    if rb < ra:
-                        ra, rb = rb, ra
-                    if x < ra < x1:
-                        r1 = ra
-                    if x < rb < x1 and rb != ra:
-                        if r1 is None:
-                            r1 = rb
-                        else:
-                            r2 = rb
-            lo = x
-            for cut in (r1, r2, x1):
-                if cut is None:
-                    continue
-                mm = 0.5 * (lo + cut)
-                d = (da * mm + db) * mm + dc
-                emit(lo, cut, pf if d <= 0.0 else pg)
-                lo = cut
-            x = x1
-            continue
-        emit(x, x1, w)
-        x = x1
-    return out
-
-
-def _piece_argmin(lo, hi, a, b):
-    """Location of the minimum of a*m^2 + b*m + c over [lo, hi], a >= 0."""
-    if a > 0.0:
-        v = -b / (2.0 * a)
-        if v < lo:
-            return lo
-        if v > hi:
-            return hi
-        return v
-    if b > 0.0:
-        return lo
-    if b < 0.0:
-        return hi
-    return lo
-
-
-def _emit_const(out, lo, hi, val, tag):
-    if hi <= lo:
-        return
-    if out:
-        q = out[-1]
-        if q[1] == lo and q[4] == val and q[2] == 0.0 and q[3] == 0.0 and q[5] == tag:
-            out[-1] = (q[0], hi, 0.0, 0.0, val, tag)
-            return
-    out.append((lo, hi, 0.0, 0.0, val, tag))
-
-
-def _prefix_min_k(F, dom_hi):
-    """Running minimum R(x) = min{f(m') : m' <= x}, extended up to dom_hi.
-
-    Constant stretches are tagged ("pt", argmin); stretches following the
-    input's descending branch are tagged ("thr",) meaning the argmin is the
-    evaluation point itself.
-    """
-    out = []
-    best = _INF
-    barg = 0.0
-    prev_hi = None
-    for (lo, hi, a, b, c, _t) in F:
-        if prev_hi is not None and lo > prev_hi:
-            _emit_const(out, prev_hi, lo, best, ("pt", barg))
-        p = _piece_argmin(lo, hi, a, b)
-        if p > lo:
-            qlo = (a * lo + b) * lo + c
-            qp = (a * p + b) * p + c
-            if best <= qp:
-                _emit_const(out, lo, p, best, ("pt", barg))
-            elif best >= qlo:
-                out.append((lo, p, a, b, c, ("thr",)))
-            else:
-                if a > 0.0:
-                    sq = math.sqrt(max(b * b - 4.0 * a * (c - best), 0.0))
-                    xc = (-b - sq) / (2.0 * a)
-                else:
-                    xc = (best - c) / b
-                if xc < lo:
-                    xc = lo
-                elif xc > p:
-                    xc = p
-                _emit_const(out, lo, xc, best, ("pt", barg))
-                if p > xc:
-                    out.append((xc, p, a, b, c, ("thr",)))
-        qp = (a * p + b) * p + c
-        if qp < best:
-            best = qp
-            barg = p
-        if hi > p:
-            _emit_const(out, p, hi, best, ("pt", barg))
-        prev_hi = hi
-    if prev_hi is not None and dom_hi > prev_hi:
-        _emit_const(out, prev_hi, dom_hi, best, ("pt", barg))
-    return out
-
-
-def _shift_right_k(R, gap, dom_hi):
-    """Substitute m - gap and clip above: D(m) = R(m - gap) on [.., dom_hi]."""
-    if gap == 0.0:
-        return list(R)
-    out = []
-    for (lo, hi, a, b, c, t) in R:
-        nlo = lo + gap
-        if nlo >= dom_hi:
-            break
-        nhi = hi + gap
-        if nhi > dom_hi:
-            nhi = dom_hi
-        out.append((nlo, nhi, a, b - 2.0 * a * gap, (a * gap - b) * gap + c, t))
-    return out
-
-
-def _reflect_k(pieces):
-    """Substitute -m: the pieces of m -> f(-m), in ascending order."""
-    return [(-hi, -lo, a, -b, c, t) for (lo, hi, a, b, c, t) in reversed(pieces)]
-
-
-def _global_min_k(pieces):
-    """(argmin, value) over all pieces; ties break toward smaller m."""
-    best_val = _INF
-    best_arg = None
-    for (lo, hi, a, b, c, _t) in pieces:
-        p = _piece_argmin(lo, hi, a, b)
-        v = (a * p + b) * p + c
-        if v < best_val:
-            best_val = v
-            best_arg = p
-    return best_arg, best_val
-
-
-def _eval_k(pieces, los, m):
-    """Evaluate at m; at a shared breakpoint return the smaller piece value.
-
-    Piece edges get a few ulps of slack so querying exactly at a boundary
-    computed through a different floating-point route still lands inside.
-    """
-    eps = 1e-12 * (1.0 + abs(m))
-    i = bisect_right(los, m) - 1
-    val = _INF
-    if i >= 0:
-        p = pieces[i]
-        if m <= p[1] + eps:
-            val = (p[2] * m + p[3]) * m + p[4]
-    j = i + 1
-    if j < len(pieces) and pieces[j][0] <= m + eps:
-        p = pieces[j]
-        v = (p[2] * m + p[3]) * m + p[4]
-        if v < val:
-            val = v
-    return val
-
-
-# ---------------------------------------------------------------------------
-# Public value type and operations.
-# ---------------------------------------------------------------------------
+def _result(arr, domain):  # an operation's result, whose pieces must be finite
+    if not all(np.isfinite(arr[k]).all() for k in ("a", "b", "c")):
+        raise ValueError(_OVERFLOW)
+    f = PiecewiseQuad.__new__(PiecewiseQuad)
+    f.domain, f._arr = domain, arr
+    return f
 
 
 class PiecewiseQuad:
-    """Piecewise-quadratic function over a fixed reference domain.
+    """Piecewise-quadratic function over a fixed reference domain, from
+    ordered, disjoint, finite and convex (a >= 0) ``(lo, hi, a, b, c[, tag])``
+    pieces inside ``domain``; no pieces is the everywhere-infeasible one."""
 
-    ``pieces`` must be ordered, pairwise disjoint ``QuadPiece`` intervals
-    inside ``domain``; every piece must be convex (a >= 0).  Points outside
-    the pieces are infeasible (+inf).  An empty piece list is the
-    everywhere-infeasible function.
-    """
+    __slots__ = ("domain", "_arr")
 
-    __slots__ = ("domain", "pieces", "_los")
-
-    def __init__(self, pieces, domain, _validate=True):
+    def __init__(self, pieces, domain):
         lo, hi = float(domain[0]), float(domain[1])
-        pieces = [p if isinstance(p, QuadPiece) else QuadPiece(*p) for p in pieces]
-        if _validate:
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise ValueError(f"invalid domain [{lo}, {hi}]")
-            prev_hi = None
-            for p in pieces:
-                if not (p.lo < p.hi):
-                    raise ValueError(f"empty piece interval [{p.lo}, {p.hi}]")
-                if p.lo < lo - 1e-9 or p.hi > hi + 1e-9:
-                    raise ValueError(f"piece [{p.lo}, {p.hi}] outside domain [{lo}, {hi}]")
-                if p.a < -COEF_MERGE_TOL:
-                    raise ValueError(f"non-convex piece: a = {p.a}")
-                if prev_hi is not None and p.lo < prev_hi:
-                    raise ValueError("pieces overlap or are out of order")
-                prev_hi = p.hi
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError(f"invalid domain [{lo}, {hi}]")
+        rows = []
+        for p in pieces:
+            plo, phi, a, b, c = (float(v) for v in p[:5])
+            kind, pt = _encode(p[5] if len(p) > 5 else None)
+            if not (all(map(math.isfinite, (plo, phi, a, b, c))) and plo < phi):
+                raise ValueError(f"non-finite or empty piece {tuple(p)}")
+            if plo < lo - 1e-9 or phi > hi + 1e-9:
+                raise ValueError(f"piece [{plo}, {phi}] outside domain [{lo}, {hi}]")
+            if a < -CONVEXITY_TOL:
+                raise ValueError(f"non-convex piece: a = {a}")
+            if rows and plo < rows[-1][1]:
+                raise ValueError("pieces overlap or are out of order")
+            rows.append((plo, phi, a, b, c, pt, 0, kind))
         self.domain = (lo, hi)
-        self.pieces = tuple(
-            p if isinstance(p, QuadPiece) else QuadPiece(*p) for p in _merge_k(pieces)
-        )
-        self._los = [p.lo for p in self.pieces]
-
-    # -- constructors ------------------------------------------------------
+        self._arr = np.array(rows, dtype=PIECE)
 
     @classmethod
     def constant(cls, value, domain):
-        lo, hi = float(domain[0]), float(domain[1])
-        return cls([(lo, hi, 0.0, 0.0, float(value), None)], (lo, hi))
+        return cls([(domain[0], domain[1], 0.0, 0.0, value)], domain)
 
     @classmethod
     def zero(cls, domain):
@@ -399,32 +126,53 @@ class PiecewiseQuad:
     @classmethod
     def point_loss(cls, y, domain):
         """The single data term (y - m)^2 over the whole domain."""
-        y = float(y)
-        lo, hi = float(domain[0]), float(domain[1])
-        return cls([(lo, hi, 1.0, -2.0 * y, y * y, None)], (lo, hi))
+        y = _finite(y, "y")
+        if not math.isfinite(y * y):
+            raise ValueError(_OVERFLOW)
+        return cls([(domain[0], domain[1], 1.0, -2.0 * y, y * y)], domain)
 
     @classmethod
     def infeasible(cls, domain):
         return cls([], domain)
 
-    # -- basic protocol ----------------------------------------------------
+    @property
+    def pieces(self):
+        """The pieces as a tuple of ``QuadPiece``."""
+        return tuple(QuadPiece(lo, hi, a, b, c, None if kind == K_STAY else
+                               ("pt", pt) if kind == K_PT else ("thr",))
+                     for lo, hi, a, b, c, pt, _br, kind in self._arr.tolist())
 
     @property
     def is_empty(self):
-        return not self.pieces
+        return not len(self._arr)
 
     @property
     def feasible_span(self):
         """(lo, hi) of the covered region, or None when empty."""
-        if not self.pieces:
-            return None
-        return (self.pieces[0].lo, self.pieces[-1].hi)
+        p = self._arr
+        return None if self.is_empty else (float(p["lo"][0]), float(p["hi"][-1]))
 
+    @np.errstate(invalid="ignore", over="ignore")  # in the rows not taken
     def __call__(self, m):
-        return _eval_k(self.pieces, self._los, float(m))
+        """f(m) for a float or an array m: from the last piece starting at or
+        below m if m is within its end, or from the next if that starts within
+        1e-12 * (1 + |m|) above m and is smaller there; else +inf."""
+        m = np.asarray(m, dtype=float)
+        out = np.full(m.shape, math.inf)
+        if not self.is_empty:
+            lo, hi, a, b, c = (self._arr[k] for k in ("lo", "hi", "a", "b", "c"))
+            last = len(lo) - 1
+            eps = 1e-12 * (1.0 + np.abs(m))
+            i = lo.searchsorted(m, "right") - 1
+            k, j = np.maximum(i, 0), np.minimum(i + 1, last)
+            own = (a[k] * m + b[k]) * m + c[k]
+            nxt = (a[j] * m + b[j]) * m + c[j]
+            out = np.where((i >= 0) & (m <= hi[k] + eps), own, out)
+            out = np.where((i < last) & (lo[j] <= m + eps) & (nxt < out), nxt, out)
+        return float(out) if out.ndim == 0 else out
 
     def __len__(self):
-        return len(self.pieces)
+        return len(self._arr)
 
     def __eq__(self, other):
         if not isinstance(other, PiecewiseQuad):
@@ -432,57 +180,65 @@ class PiecewiseQuad:
         return self.domain == other.domain and self.pieces == other.pieces
 
     def __repr__(self):
-        return f"PiecewiseQuad({len(self.pieces)} pieces on {self.domain})"
+        return f"PiecewiseQuad({len(self)} pieces on {self.domain})"
 
 
+@np.errstate(over="ignore")  # an overflow is the ValueError of _result
 def add_point_loss(f: PiecewiseQuad, y: float) -> PiecewiseQuad:
-    """Add the data term (y - m)^2 to every piece of f."""
-    return PiecewiseQuad(_add_point_loss_k(f.pieces, y), f.domain, _validate=False)
+    """Add the data term (y - m)^2 to every piece of f; tags are kept."""
+    y = _finite(y, "y")
+    p = f._arr.copy()
+    p["a"] += 1.0
+    p["b"] += -2.0 * y
+    p["c"] += y * y
+    return _result(p, f.domain)
 
 
+@np.errstate(over="ignore")
 def add_constant(f: PiecewiseQuad, k: float) -> PiecewiseQuad:
     """Add a constant penalty k to f."""
-    return PiecewiseQuad(_add_constant_k(f.pieces, k), f.domain, _validate=False)
+    p = f._arr.copy()
+    p["c"] += _finite(k, "k")
+    return _result(p, f.domain)
 
 
 def pointwise_min(f: PiecewiseQuad, g: PiecewiseQuad) -> PiecewiseQuad:
-    """min(f, g) pointwise; f and g must share the reference domain."""
+    """min(f, g) pointwise on their common domain; f wins ties."""
     if f.domain != g.domain:
         raise DomainMismatchError(f"domains differ: {f.domain} vs {g.domain}")
-    return PiecewiseQuad(_min_k(f.pieces, g.pieces), f.domain, _validate=False)
+    if f.is_empty or g.is_empty:
+        return g if f.is_empty else f
+    out = np.zeros(3 * (2 * (len(f) + len(g)) + 2), dtype=PIECE)
+    n = _kernel(_MIN)(f._arr, len(f), g._arr, len(g), out)
+    if n < 0:  # the sweep overran its step bound
+        raise ValueError(_OVERFLOW)
+    return _result(out[:n], f.domain)
 
 
-def _check_gap(f, gap):
-    gap = float(gap)
-    if gap < 0.0:
-        raise ValueError(f"gap must be non-negative, got {gap}")
-    if gap >= f.domain[1] - f.domain[0]:
-        raise ValueError(
-            f"gap {gap} >= domain width {f.domain[1] - f.domain[0]}: empty feasible set"
-        )
-    return gap
-
-
+@np.errstate(over="ignore")
 def min_leq_envelope(f: PiecewiseQuad, gap: float) -> PiecewiseQuad:
-    """Up-change operator D(m) = min{f(m') : m' <= m - gap}.
-
-    The region m - gap < feasible start of f is infeasible and the output
-    is clipped accordingly; for m - gap beyond f's last piece the running
-    minimum extends as a constant.
-    """
-    gap = _check_gap(f, gap)
-    if f.is_empty:
-        return PiecewiseQuad([], f.domain, _validate=False)
-    r = _prefix_min_k(f.pieces, f.domain[1])
-    return PiecewiseQuad(
-        _shift_right_k(r, gap, f.domain[1]), f.domain, _validate=False
-    )
+    """Up-change operator D(m) = min{f(m') : m' <= m - gap}: infeasible where
+    m - gap is below f's feasible start, constant past its last piece."""
+    gap, (lo, top) = float(gap), f.domain
+    if not 0.0 <= gap < top - lo:
+        raise ValueError(f"gap must be in [0, {top - lo}), the domain width; got {gap}")
+    r = np.zeros(4 * len(f) + 1, dtype=PIECE)
+    r = r[: _kernel(_PREFIX_MIN)(f._arr, len(f), top, r)]
+    if gap != 0.0:
+        # substitute m - gap and clip above top, as _solve.c's shift does;
+        # lo + gap == hi + gap by rounding leaves a piece of no width
+        r = r[r["lo"] + gap < top]
+        r["c"] = (r["a"] * gap - r["b"]) * gap + r["c"]
+        r["b"] -= 2.0 * r["a"] * gap
+        r["lo"] += gap
+        r["hi"] = np.where(r["hi"] + gap > top, top, r["hi"] + gap)
+        r = r[r["lo"] < r["hi"]]
+    return _result(r, f.domain)
 
 
 def min_geq_envelope(f: PiecewiseQuad, gap: float) -> PiecewiseQuad:
-    """Down-change operator D(m) = min{f(m') : m' >= m + gap}: the up-change
-    operator on the reflected axis m -> -m, so its ("pt", x) tags hold the
-    reflected argmin x = -m'."""
+    """Down-change operator D(m) = min{f(m') : m' >= m + gap}: the up-change one
+    on the axis m -> -m, so a ("pt", x) tag holds the reflected argmin -m'."""
     return reflect(min_leq_envelope(reflect(f), gap))
 
 
@@ -490,10 +246,15 @@ def global_min(f: PiecewiseQuad):
     """(argmin, value) over the feasible region; ties toward smaller m."""
     if f.is_empty:
         raise EmptyFunctionError("global_min of an everywhere-infeasible function")
-    return _global_min_k(f.pieces)
+    arg = ctypes.c_double()
+    val = _kernel(_GLOBAL_MIN)(f._arr, len(f), ctypes.byref(arg))
+    if not math.isfinite(val):
+        raise ValueError(_OVERFLOW)
+    return arg.value, val
 
 
 def reflect(f: PiecewiseQuad) -> PiecewiseQuad:
     """The function m -> f(-m) on the mirrored domain."""
-    lo, hi = f.domain
-    return PiecewiseQuad(_reflect_k(f.pieces), (-hi, -lo), _validate=False)
+    p = f._arr[::-1].copy()
+    p["lo"], p["hi"], p["b"] = -p["hi"], -p["lo"], -p["b"]
+    return _result(p, (-f.domain[1], -f.domain[0]))

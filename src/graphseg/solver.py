@@ -28,7 +28,8 @@ from ._native import NativeBuildError
 # failed build is raised by every call to solve and to data.load_signal_csv,
 # so that the command line reports it with its exit code.
 try:
-    _SOLVE, _PARSE_SAMPLES = _native.load()
+    _lib = _native.load()
+    _SOLVE, _PARSE_SAMPLES = _lib.solve, _lib.parse_samples
 except NativeBuildError as exc:
     _SOLVE = _PARSE_SAMPLES = exc
 

@@ -169,6 +169,15 @@ def resolution_bound(n, domain, n_grid=801):
 
 N_COARSE = 10001
 OVERSAMPLE = 120
+N_FINE = (N_COARSE - 1) * OVERSAMPLE + 1
+
+
+def fine_step(domain):
+    """The fine grid's spacing on domain."""
+    return (float(domain[1]) - float(domain[0])) / (N_FINE - 1)
+
+
+_GRIDS = {}  # (lo, hi) -> the read-only fine grid of that domain
 
 
 class GridFunc:
@@ -176,9 +185,13 @@ class GridFunc:
 
     def __init__(self, domain, values=None):
         self.lo, self.hi = float(domain[0]), float(domain[1])
-        self.n = (N_COARSE - 1) * OVERSAMPLE + 1
-        self.step = (self.hi - self.lo) / (self.n - 1)
-        self.grid = self.lo + np.arange(self.n) * self.step
+        self.n = N_FINE
+        self.step = fine_step(domain)
+        self.grid = _GRIDS.get((self.lo, self.hi))
+        if self.grid is None:
+            self.grid = self.lo + np.arange(self.n) * self.step
+            self.grid.flags.writeable = False
+            _GRIDS[self.lo, self.hi] = self.grid
         self.values = np.zeros(self.n) if values is None else values
 
     def _copy(self, values):
@@ -193,7 +206,10 @@ class GridFunc:
         return cells * self.step
 
     def add_point_loss(self, y):
-        return self._copy(self.values + (y - self.grid) ** 2)
+        d = y - self.grid
+        np.square(d, out=d)
+        d += self.values
+        return self._copy(d)
 
     def add_constant(self, k):
         return self._copy(self.values + k)
@@ -224,32 +240,10 @@ class GridFunc:
         return self.grid[::OVERSAMPLE], self.values[::OVERSAMPLE]
 
 
-def evaluate_at(pwq_func, points):
-    """PiecewiseQuad values at many points, by the operations of its scalar
-    __call__: the last piece starting at or below m if m is within its end,
-    or the next piece if it starts within 1e-12 * (1 + |m|) above m and is
-    smaller there; +inf where neither covers m."""
-    m = np.asarray(points, dtype=float)
-    out = np.full(m.shape, np.inf)
-    if not pwq_func.pieces:
-        return out
-    lo, hi, a, b, c = np.array([p[:5] for p in pwq_func.pieces]).T
-    last = len(lo) - 1
-    eps = 1e-12 * (1.0 + np.abs(m))
-    i = np.searchsorted(lo, m, side="right") - 1
-    k = np.clip(i, 0, last)
-    j = np.clip(i + 1, 0, last)
-    with np.errstate(invalid="ignore", over="ignore"):  # rows that are not taken
-        own = (a[k] * m + b[k]) * m + c[k]
-        nxt = (a[j] * m + b[j]) * m + c[j]
-    out = np.where((i >= 0) & (m <= hi[k] + eps), own, out)
-    return np.where((i < last) & (lo[j] <= m + eps) & (nxt < out), nxt, out)
-
-
 def assert_matches_oracle(pwq_func, grid_func, tol=1e-9, where=""):
     """Compare a PiecewiseQuad against the fine-grid oracle on coarse points."""
     points, expect = grid_func.coarse()
-    got = evaluate_at(pwq_func, points)
+    got = pwq_func(points)
     finite = np.isfinite(expect)
     assert np.array_equal(finite, np.isfinite(got)), (
         f"feasible-region mismatch {where}: "

@@ -5,57 +5,79 @@ import numpy as np
 from graphseg import graph as gr
 from graphseg import pwq
 from graphseg.solver import Signal, solve_domain
-from grid_oracle import GridFunc
+from grid_oracle import GridFunc, fine_step
 
 
-def random_composition(rng, domain=(-6.0, 6.0), n_ops=None, max_losses=8):
-    """Apply a random operation sequence to both representations in lockstep.
+def apply_op(f, op):
+    """f after one ``(name, *args)`` step of a random_trace."""
+    name, *args = op
+    if name == "loss":
+        return pwq.add_point_loss(f, args[0])
+    if name == "const":
+        return pwq.add_constant(f, args[0])
+    if name == "min":
+        y, k = args
+        return pwq.pointwise_min(
+            f, pwq.add_constant(pwq.PiecewiseQuad.point_loss(y, f.domain), k))
+    if name == "leq":
+        return pwq.min_leq_envelope(f, args[0])
+    return pwq.min_geq_envelope(f, args[0])
 
-    Returns (PiecewiseQuad, GridFunc, trace of op names).  Envelope gaps are
-    whole numbers of fine-grid cells so the oracle's index shifts are exact.
+
+def random_trace(rng, domain=(-6.0, 6.0), n_ops=None, max_losses=8):
+    """A random operation sequence, applied to a PiecewiseQuad.
+
+    Returns (PiecewiseQuad, trace).  The trace starts with ``("start", y0)``
+    for ``point_loss(y0)``; each later entry is a step for ``apply_op``.  An
+    envelope step ``(name, gap, cells)`` has a gap of a whole number of
+    fine-grid cells, so the grid oracle's index shifts are exact.  The
+    sequence stops early once the function is empty.
     """
     y0 = float(rng.uniform(-4, 4))
     f = pwq.PiecewiseQuad.point_loss(y0, domain)
-    o = GridFunc(domain).add_point_loss(y0)
     if n_ops is None:
         n_ops = int(rng.integers(2, 8))
     losses = 1
-    ops = [f"loss({y0:.3f})"]
+    ops = [("start", y0)]
     for _ in range(n_ops):
-        op = rng.choice(["loss", "min", "leq", "geq", "const"])
-        if op == "loss" and losses >= max_losses:
-            op = "const"
-        if op == "loss":
-            y = float(rng.uniform(-4, 4))
-            f = pwq.add_point_loss(f, y)
-            o = o.add_point_loss(y)
+        name = str(rng.choice(["loss", "min", "leq", "geq", "const"]))
+        if name == "loss" and losses >= max_losses:
+            name = "const"
+        if name == "loss":
+            op = ("loss", float(rng.uniform(-4, 4)))
             losses += 1
-            ops.append(f"loss({y:.3f})")
-        elif op == "const":
-            k = float(rng.uniform(-3, 3))
-            f = pwq.add_constant(f, k)
-            o = o.add_constant(k)
-            ops.append(f"const({k:.3f})")
-        elif op == "min":
-            y = float(rng.uniform(-4, 4))
-            k = float(rng.uniform(0, 4))
-            g = pwq.add_constant(pwq.PiecewiseQuad.point_loss(y, domain), k)
-            og = GridFunc(domain).add_point_loss(y).add_constant(k)
-            f = pwq.pointwise_min(f, g)
-            o = o.pointwise_min(og)
-            ops.append(f"min(loss({y:.3f})+{k:.3f})")
+        elif name == "const":
+            op = ("const", float(rng.uniform(-3, 3)))
+        elif name == "min":
+            op = ("min", float(rng.uniform(-4, 4)), float(rng.uniform(0, 4)))
         else:
             cells = int(rng.integers(0, 200_001))
-            gap = o.gap_of(cells)
-            if op == "leq":
-                f = pwq.min_leq_envelope(f, gap)
-                o = o.min_leq_envelope(cells)
-            else:
-                f = pwq.min_geq_envelope(f, gap)
-                o = o.min_geq_envelope(cells)
-            ops.append(f"{op}({gap:.4f})")
+            op = (name, cells * fine_step(domain), cells)
+        f = apply_op(f, op)
+        ops.append(op)
         if f.is_empty:
             break
+    return f, ops
+
+
+def random_composition(rng, domain=(-6.0, 6.0), n_ops=None, max_losses=8):
+    """A random_trace and the same operations on the fine-grid oracle.
+
+    Returns (PiecewiseQuad, GridFunc, trace).
+    """
+    f, ops = random_trace(rng, domain, n_ops, max_losses)
+    o = GridFunc(domain).add_point_loss(ops[0][1])
+    for name, *args in ops[1:]:
+        if name == "loss":
+            o = o.add_point_loss(args[0])
+        elif name == "const":
+            o = o.add_constant(args[0])
+        elif name == "min":
+            o = o.pointwise_min(GridFunc(domain).add_point_loss(args[0]).add_constant(args[1]))
+        elif name == "leq":
+            o = o.min_leq_envelope(args[1])
+        else:
+            o = o.min_geq_envelope(args[1])
     return f, o, ops
 
 

@@ -1,8 +1,9 @@
 """The Python forward loop and backtrack of ``graphseg.solver.solve``.
 
-This is the pure-Python functional dynamic program that the compiled solver
-(``src/graphseg/_solve.c``) repeats operation for operation.  Tests compare
-the two bit for bit, so keep any change to one mirrored in the other.
+This is the pure-Python functional dynamic program, over the kernels of
+``reference_pwq.py``, that the compiled solver (``src/graphseg/_solve.c``)
+repeats operation for operation.  Tests compare the two bit for bit, so
+keep any change to one mirrored in the other.
 """
 
 import math
@@ -12,9 +13,9 @@ from dataclasses import replace
 import numpy as np
 
 from graphseg import graph as gr
-from graphseg.pwq import _add_point_loss_k, _global_min_k, _min_k, _prefix_min_k, _reflect_k
 from graphseg.solver import (InfeasibleModelError, Segmentation, Signal, _resolve_start,
                              _image_exponent, solve_domain)
+from reference_pwq import _add_point_loss_k, _global_min_k, _min_k, _prefix_min_k, _reflect_k
 
 
 # decision kinds stored per piece of the pre-loss candidate function

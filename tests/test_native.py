@@ -1,13 +1,14 @@
 """Building, caching and loading the compiled library."""
 
 import os
+import re
 import stat
 import subprocess
 import sys
 
 import pytest
 
-from graphseg import _native, cli, data, solver
+from graphseg import _native, cli, data, pwq, solver
 from graphseg import graph as gr
 from graphseg.solver import NativeBuildError
 
@@ -25,6 +26,20 @@ def test_flags_keep_python_rounding():
     assert "-ffp-contract=off" in _native.CFLAGS
     unsafe = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"}
     assert not unsafe & set(_native.CFLAGS)
+
+
+def test_piece_dtype_matches_the_asserted_struct_layout():
+    # pwq passes its arrays to C as Piece; the source's _Static_asserts and
+    # the dtype must give the same size and offsets
+    with open(_native.SOURCE) as fh:
+        source = fh.read()
+    size = re.findall(r"_Static_assert\(sizeof\(Piece\) == (\d+)", source)
+    offsets = dict(re.findall(r"_Static_assert\(offsetof\(Piece, (\w+)\) == (\d+)", source))
+    assert size == ["56"] and offsets == {"br": "48", "kind": "52"}
+    assert _native.PIECE.itemsize == 56
+    fields = {name: off for name, (_, off) in _native.PIECE.fields.items()}
+    assert fields == {"lo": 0, "hi": 8, "a": 16, "b": 24, "c": 32, "pt": 40,
+                      "br": 48, "kind": 52}
 
 
 def test_cold_cache_builds_into_a_private_directory(tmp_path, monkeypatch):
@@ -70,3 +85,12 @@ def test_failed_build_is_a_typed_error_and_detect_exits_4(tmp_path, monkeypatch,
         assert message in capsys.readouterr().err
     with pytest.raises(NativeBuildError, match=message):
         data.load_signal_csv(str(sig))
+
+    # and so does every pwq operation that calls the compiled kernels
+    f = pwq.PiecewiseQuad.point_loss(1.0, (-5.0, 5.0))
+    for name, op in (("_MIN", lambda: pwq.pointwise_min(f, f)),
+                     ("_PREFIX_MIN", lambda: pwq.min_leq_envelope(f, 1.0)),
+                     ("_GLOBAL_MIN", lambda: pwq.global_min(f))):
+        monkeypatch.setattr(pwq, name, failure.value)
+        with pytest.raises(NativeBuildError, match=message):
+            op()

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import reference_pwq as ref
+from graphseg import pwq
 from graphseg.pwq import (
     DomainMismatchError,
     EmptyFunctionError,
@@ -18,8 +20,8 @@ from graphseg.pwq import (
     pointwise_min,
     reflect,
 )
-from grid_oracle import assert_matches_oracle, evaluate_at
-from helpers import random_composition
+from grid_oracle import GridFunc, assert_matches_oracle
+from helpers import apply_op, random_composition, random_trace
 
 DOM = (-5.0, 5.0)
 
@@ -30,7 +32,7 @@ def quad(a, b, c, domain=DOM):
 
 def grid_eval(f, n=2001):
     xs = np.linspace(f.domain[0], f.domain[1], n)
-    return xs, np.array([f(x) for x in xs])
+    return xs, f(xs)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +124,8 @@ def test_pointwise_min_commutative_associative():
 def test_pointwise_min_piece_count_bound():
     rng = np.random.default_rng(21)
     for _ in range(30):
-        f, _, _ = random_composition(rng, n_ops=4)
-        g, _, _ = random_composition(rng, n_ops=4)
+        f, _ = random_trace(rng, n_ops=4)
+        g, _ = random_trace(rng, n_ops=4)
         if f.is_empty or g.is_empty:
             continue
         h = pointwise_min(f, g)
@@ -167,7 +169,7 @@ def test_min_geq_envelope_gap0():
 def test_envelope_reflection_identity():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        f, _, _ = random_composition(rng, n_ops=3)
+        f, _ = random_trace(rng, n_ops=3)
         if f.is_empty:
             continue
         gap = float(rng.uniform(0, 1.5))
@@ -185,7 +187,7 @@ def test_envelope_reflection_identity():
 def test_envelope_running_min_is_nonincreasing():
     rng = np.random.default_rng(31)
     for _ in range(15):
-        f, _, _ = random_composition(rng, n_ops=4)
+        f, _ = random_trace(rng, n_ops=4)
         if f.is_empty:
             continue
         gap = float(rng.uniform(0, 1.0))
@@ -245,9 +247,12 @@ def test_global_min_boundary():
 
 
 def test_global_min_ties_toward_smaller_m():
+    # two equal constant pieces: the constructor keeps them apart, so the
+    # tie is between argmins -5 and 0
     f = PiecewiseQuad(
-        [(-5.0, 0.0, 0.0, 0.0, 2.0, None), (0.0, 5.0, 0.0, 0.0, 2.0, "x")], DOM
+        [(-5.0, 0.0, 0.0, 0.0, 2.0, None), (0.0, 5.0, 0.0, 0.0, 2.0, None)], DOM
     )
+    assert len(f) == 2
     arg, val = global_min(f)
     assert arg == -5.0
     assert val == 2.0
@@ -261,13 +266,13 @@ def test_global_min_empty_errors():
 def test_global_min_matches_grid_scan():
     rng = np.random.default_rng(17)
     for _ in range(20):
-        f, _, _ = random_composition(rng, n_ops=5)
+        f, _ = random_trace(rng, n_ops=5)
         if f.is_empty:
             continue
         arg, val = global_min(f)
         lo, hi = f.feasible_span
         xs = np.linspace(lo, hi, 10001)
-        vals = np.array([f(x) for x in xs])
+        vals = f(xs)
         k = int(np.argmin(vals))
         assert val <= vals[k] + 1e-9
         assert abs(val - vals[k]) < 1e-6
@@ -294,15 +299,33 @@ def test_construction_rejects_bad_interval():
         PiecewiseQuad([], (3.0, 3.0))
 
 
-def test_canonical_merge_of_equal_neighbours():
-    f = PiecewiseQuad(
+def test_neighbours_are_joined_only_when_exactly_equal():
+    # there is no tolerant merge: the constructor keeps the pieces it is
+    # given, and pointwise_min (the C min_k) joins a neighbour only when its
+    # coefficients and tag are exactly equal, as solve does
+    near = PiecewiseQuad(
         [(-5.0, 0.0, 1.0, 0.0, 0.0, None), (0.0, 5.0, 1.0, 0.0, 5e-13, None)], DOM
     )
-    assert len(f.pieces) == 1
-    g = PiecewiseQuad(
-        [(-5.0, 0.0, 1.0, 0.0, 0.0, None), (0.0, 5.0, 1.0, 0.0, 1e-6, None)], DOM
+    same = PiecewiseQuad(
+        [(-5.0, 0.0, 1.0, 0.0, 0.0, None), (0.0, 5.0, 1.0, 0.0, 0.0, None)], DOM
     )
-    assert len(g.pieces) == 2
+    assert len(near) == len(same) == 2
+    assert len(pointwise_min(near, near)) == 2
+    assert pointwise_min(same, same) == quad(1.0, 0.0, 0.0)
+    tagged = PiecewiseQuad(
+        [(-5.0, 0.0, 0.0, 0.0, 1.0, ("pt", 0.5)), (0.0, 5.0, 0.0, 0.0, 1.0, ("thr",))], DOM
+    )
+    assert len(pointwise_min(tagged, tagged)) == 2
+
+
+def test_construction_rejects_unknown_tags():
+    for tag in ("x", ("pt",), ("pt", 1.0, 2.0), ("thr", 1.0), ("pt", math.nan)):
+        with pytest.raises(ValueError):
+            PiecewiseQuad([(-5.0, 5.0, 1.0, 0.0, 0.0, tag)], DOM)
+    f = PiecewiseQuad([(-5.0, 0.0, 1.0, 0.0, 0.0, ("pt", -0.0)),
+                       (0.0, 5.0, 1.0, 0.0, 0.0, ("thr",)), ], DOM)
+    assert [p.tag for p in f.pieces] == [("pt", -0.0), ("thr",)]
+    assert math.copysign(1.0, f.pieces[0].tag[1]) == -1.0
 
 
 def test_unary_ops_preserve_breakpoint_continuity():
@@ -346,13 +369,147 @@ def test_quadpiece_value():
     assert p.value(2.0) == 2.0 * 4 - 2.0 + 3.0
 
 
-def test_vectorised_evaluation_equals_call_bit_for_bit():
-    # criterion 4 checks its compositions through grid_oracle.evaluate_at;
-    # on its first 50 compositions, __call__ must give the same bits
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def test_call_equals_reference_eval_bit_for_bit():
+    # __call__ on an array of points, on criterion 4's first 50
+    # compositions, against the scalar reference evaluator; a scalar
+    # argument gives the same bits
     rng = np.random.default_rng(424_242)
+    points, _ = GridFunc((-6.0, 6.0)).coarse()
     for i in range(50):
-        f, o, ops = random_composition(rng)
-        points, _ = o.coarse()
-        want = np.array([f(m) for m in points])
-        got = evaluate_at(f, points)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), f"composition {i}: {ops}"
+        f, ops = random_trace(rng)
+        pieces = f.pieces
+        los = [p.lo for p in pieces]
+        want = np.array([ref._eval_k(pieces, los, m) for m in points])
+        got = f(points)
+        assert np.array_equal(_bits(got), _bits(want)), f"composition {i}: {ops}"
+        for m in points[::1000]:
+            assert _bits(f(m)) == _bits(ref._eval_k(pieces, los, float(m)))
+            assert type(f(m)) is float
+
+
+def _reference_step(pieces, op, domain):
+    """The reference kernels' result of one random_trace step."""
+    name, *args = op
+    dom_lo, dom_hi = domain
+    if name == "start":
+        return [(dom_lo, dom_hi, 1.0, -2.0 * args[0], args[0] * args[0], None)]
+    if name == "loss":
+        return ref._add_point_loss_k(pieces, args[0])
+    if name == "const":
+        return ref._add_constant_k(pieces, args[0])
+    if name == "min":
+        y, k = args
+        g = ref._add_constant_k([(dom_lo, dom_hi, 1.0, -2.0 * y, y * y, None)], k)
+        return ref._min_k(pieces, g)
+
+    def leq(ps, top):
+        if not ps:
+            return []
+        shifted = ref._shift_right_k(ref._prefix_min_k(ps, top), args[0], top)
+        return [p for p in shifted if p[0] < p[1]]
+
+    if name == "leq":
+        return leq(pieces, dom_hi)
+    return ref._reflect_k(leq(ref._reflect_k(pieces), -dom_lo))
+
+
+def _piece_bits(pieces):
+    """The bits of every (lo, hi, a, b, c), and the tags with the bits of a
+    ("pt", x) tag's x."""
+    tags = [t if t is None or t[0] == "thr" else ("pt", int(_bits(t[1])))
+            for t in (p[5] for p in pieces)]
+    return _bits([p[:5] for p in pieces]).reshape(-1, 5).tolist(), tags
+
+
+def _assert_equal_bits(f, want, where):
+    assert _piece_bits(f.pieces) == _piece_bits(want), where
+
+
+def test_operations_equal_reference_kernels_bit_for_bit():
+    # every public operation, step by step over 300 random compositions, on
+    # the same input bits as the reference kernels; the reference shift is
+    # followed by the same drop of pieces with lo >= hi
+    rng = np.random.default_rng(9)
+    dom = (-6.0, 6.0)
+    steps = 0
+    for i in range(300):
+        _, ops = random_trace(rng, domain=dom)
+        f = PiecewiseQuad.point_loss(ops[0][1], dom)
+        want = _reference_step(None, ops[0], dom)
+        for k, op in enumerate(ops):
+            if k:
+                f = apply_op(f, op)
+                want = _reference_step(want, op, dom)
+            where = f"composition {i}, step {k}: {ops[: k + 1]}"
+            _assert_equal_bits(f, want, where)
+            if want:
+                got_min, want_min = global_min(f), ref._global_min_k(want)
+                assert _bits(got_min).tolist() == _bits(want_min).tolist(), where
+            steps += 1
+        r = reflect(f)
+        _assert_equal_bits(r, ref._reflect_k(want), f"reflect after composition {i}")
+    assert steps > 1000
+
+
+# ---------------------------------------------------------------------------
+# Non-finite input and overflow are typed errors
+# ---------------------------------------------------------------------------
+
+
+def test_non_finite_gap_is_rejected():
+    f = PiecewiseQuad.point_loss(1.0, DOM)
+    for gap in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="gap"):
+            min_leq_envelope(f, gap)
+        with pytest.raises(ValueError, match="gap"):
+            min_geq_envelope(f, gap)
+
+
+def test_non_finite_sample_is_rejected():
+    for y in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            add_point_loss(PiecewiseQuad.zero(DOM), y)
+        with pytest.raises(ValueError, match="finite"):
+            PiecewiseQuad.point_loss(y, DOM)
+
+
+def test_non_finite_constant_is_rejected():
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            add_constant(PiecewiseQuad.zero(DOM), k)
+        with pytest.raises(ValueError, match="non-finite"):
+            PiecewiseQuad.constant(k, DOM)
+
+
+def test_non_finite_coefficient_is_rejected():
+    for piece in ((-5.0, 5.0, math.nan, 0.0, 0.0), (-5.0, 5.0, 1.0, math.inf, 0.0),
+                  (-5.0, 5.0, 1.0, 0.0, -math.inf), (-5.0, math.nan, 1.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="non-finite"):
+            PiecewiseQuad([piece], DOM)
+
+
+def test_overflowing_results_are_typed_errors():
+    big = (-1e200, 1e200)
+    with pytest.raises(ValueError, match="overflow float64"):
+        PiecewiseQuad.point_loss(1e200, big)
+    with pytest.raises(ValueError, match="overflow float64"):
+        add_point_loss(PiecewiseQuad.zero(big), 1e200)
+    with pytest.raises(ValueError, match="overflow float64"):
+        add_constant(PiecewiseQuad.constant(1e308, DOM), 1e308)
+    with pytest.raises(ValueError, match="overflow float64"):
+        min_leq_envelope(PiecewiseQuad.point_loss(0.0, big), 1e199)
+    descending = PiecewiseQuad([(1.0, 10.0, 0.0, -1e308, 0.0, None)], (1.0, 10.0))
+    with pytest.raises(ValueError, match="overflow float64"):
+        global_min(descending)
+
+
+def test_step_bound_failure_is_a_typed_error(monkeypatch):
+    # finite pieces never overrun min_k's step bound; the status is mapped
+    monkeypatch.setattr(pwq, "_MIN", lambda *args: -1)
+    f = PiecewiseQuad.point_loss(1.0, DOM)
+    with pytest.raises(ValueError, match="overflow float64"):
+        pointwise_min(f, PiecewiseQuad.point_loss(2.0, DOM))
