@@ -23,8 +23,18 @@
  * graphseg.pwq calls min_k, prefix_min and graphseg_global_min through the
  * entry points before graphseg_solve, on numpy arrays whose dtype spells
  * out Piece; the static asserts below pin that layout.
+ *
+ * Each state update of graphseg_solve is one pass over its pieces: every
+ * state function carries the stay tag, so min_k reads it in place; a down
+ * edge's prefix_min reads its source reflected in place; and one loop over
+ * the result records its decision runs and adds the point loss.  The
+ * decision record of a state is 12 bytes per run (its upper breakpoint hi
+ * and code = 4 * (br + 1) + kind) plus 8 bytes per K_POINT run (its pt, in
+ * a second stream), and off holds the (runs, points) counts after each step
+ * as two uint32: 12 * runs + 8 * points + 8 * states * n bytes per solve.
  */
 
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -66,34 +76,35 @@ typedef struct {
     size_t n, cap;
 } List;
 
-/* The decision records of one state: runs of equal tags of the pre-loss
- * function, each with its upper breakpoint hi, its argmin point pt and
- * code = 4 * (br + 1) + kind.  They live in fixed-size blocks, each holding
- * DEC_BLOCK values of hi, then of pt, then of code, so that growing the
- * store never copies it and never holds it twice. */
+/* The decision records of one state, in two streams of fixed-size blocks,
+ * so that growing them never copies them and never holds them twice: the
+ * runs of equal tags of the pre-loss function, each block holding DEC_BLOCK
+ * values of hi, then of code; and the argmin points of the K_POINT runs, in
+ * run order. */
 #define DEC_SHIFT 14
 #define DEC_BLOCK ((size_t)1 << DEC_SHIFT)
-#define DEC_BLOCK_BYTES (DEC_BLOCK * (2 * sizeof(double) + sizeof(int32_t)))
+#define RUN_BLOCK_BYTES (DEC_BLOCK * (sizeof(double) + sizeof(int32_t)))
+#define PT_BLOCK_BYTES (DEC_BLOCK * sizeof(double))
 
 typedef struct {
     char **blocks;
     size_t nblocks, cap, n;
+} Stream;
+
+typedef struct {
+    Stream runs, pts;
 } Decisions;
 
-static double *dec_hi(const Decisions *d, size_t i)
+/* the i-th double of a stream: a run's hi, or a point */
+static double *dec_f64(const Stream *s, size_t i)
 {
-    return (double *)d->blocks[i >> DEC_SHIFT] + (i & (DEC_BLOCK - 1));
+    return (double *)s->blocks[i >> DEC_SHIFT] + (i & (DEC_BLOCK - 1));
 }
 
-static double *dec_pt(const Decisions *d, size_t i)
+/* the i-th run's code */
+static int32_t *dec_code(const Stream *s, size_t i)
 {
-    return (double *)(d->blocks[i >> DEC_SHIFT] + DEC_BLOCK * sizeof(double))
-           + (i & (DEC_BLOCK - 1));
-}
-
-static int32_t *dec_code(const Decisions *d, size_t i)
-{
-    return (int32_t *)(d->blocks[i >> DEC_SHIFT] + DEC_BLOCK * 2 * sizeof(double))
+    return (int32_t *)(s->blocks[i >> DEC_SHIFT] + DEC_BLOCK * sizeof(double))
            + (i & (DEC_BLOCK - 1));
 }
 
@@ -120,18 +131,25 @@ static int reserve(List *l, size_t need)
     return grow((void **)&l->p, &l->cap, need, sizeof(Piece));
 }
 
-static int dec_reserve(Decisions *d, size_t need)
+static int stream_reserve(Stream *s, size_t need, size_t block_bytes)
 {
-    while (d->nblocks * DEC_BLOCK < need) {
+    while (s->nblocks * DEC_BLOCK < need) {
         char *b;
-        if (grow((void **)&d->blocks, &d->cap, d->nblocks + 1, sizeof(char *)))
+        if (grow((void **)&s->blocks, &s->cap, s->nblocks + 1, sizeof(char *)))
             return -1;
-        b = malloc(DEC_BLOCK_BYTES);
+        b = malloc(block_bytes);
         if (!b)
             return -1;
-        d->blocks[d->nblocks++] = b;
+        s->blocks[s->nblocks++] = b;
     }
     return 0;
+}
+
+static void stream_free(Stream *s)
+{
+    for (size_t b = 0; b < s->nblocks; b++)
+        free(s->blocks[b]);
+    free(s->blocks);
 }
 
 static void swap_lists(List *x, List *y)
@@ -324,24 +342,29 @@ static void emit_const(List *out, double lo, double hi, double val, double arg)
     r->pt = arg;
 }
 
-static void push_thr(List *out, double lo, double hi, const Piece *s)
+static void push_thr(List *out, double lo, double hi, double a, double b, double c)
 {
-    Piece *r = push(out, lo, hi, s->a, s->b, s->c);
+    Piece *r = push(out, lo, hi, a, b, c);
     r->kind = K_THR;
     r->pt = 0.0;
 }
 
 /* Running minimum of F's n pieces, extended up to dom_hi.  out needs
- * room for 4 * n + 1 pieces. */
-static void prefix_min(const Piece *F, size_t n, double dom_hi, List *out)
+ * room for 4 * n + 1 pieces.  With reflect set it is the running minimum of
+ * m -> F(-m), read from F in place: F's pieces in reverse order, with lo
+ * and hi swapped and negated and b negated.  Always inlined, so that each
+ * caller passes a constant flag and gets the branches folded. */
+static inline __attribute__((always_inline)) void
+prefix_min(const Piece *F, size_t n, double dom_hi, List *out, int reflect)
 {
     double best = INFINITY, barg = 0.0, prev_hi = 0.0, qp;
     size_t k;
 
     out->n = 0;
     for (k = 0; k < n; k++) {
-        const Piece *s = &F[k];
-        double lo = s->lo, hi = s->hi, a = s->a, b = s->b, c = s->c;
+        const Piece *s = &F[reflect ? n - 1 - k : k];
+        double lo = reflect ? -s->hi : s->lo, hi = reflect ? -s->lo : s->hi;
+        double a = s->a, b = reflect ? -s->b : s->b, c = s->c;
         double p;
 
         if (k > 0 && lo > prev_hi)
@@ -353,7 +376,7 @@ static void prefix_min(const Piece *F, size_t n, double dom_hi, List *out)
             if (best <= qp) {
                 emit_const(out, lo, p, best, barg);
             } else if (best >= qlo) {
-                push_thr(out, lo, p, s);
+                push_thr(out, lo, p, a, b, c);
             } else {
                 double xc;
                 if (a > 0.0) {
@@ -369,7 +392,7 @@ static void prefix_min(const Piece *F, size_t n, double dom_hi, List *out)
                     xc = p;
                 emit_const(out, lo, xc, best, barg);
                 if (p > xc)
-                    push_thr(out, xc, p, s);
+                    push_thr(out, xc, p, a, b, c);
             }
         }
         qp = (a * p + b) * p + c;
@@ -383,30 +406,6 @@ static void prefix_min(const Piece *F, size_t n, double dom_hi, List *out)
     }
     if (n > 0 && dom_hi > prev_hi)
         emit_const(out, prev_hi, dom_hi, best, barg);
-}
-
-/* Add (y - m)^2 and drop the tags, merging neighbours that become equal. */
-static void add_point_loss(const List *cand, double y, List *out)
-{
-    double c_add = y * y, b_add = -2.0 * y;
-    size_t k;
-
-    out->n = 0;
-    for (k = 0; k < cand->n; k++) {
-        const Piece *p = &cand->p[k];
-        double a = p->a + 1.0, b = p->b + b_add, c = p->c + c_add;
-        if (out->n) {
-            Piece *q = &out->p[out->n - 1];
-            if (q->hi == p->lo && q->a == a && q->b == b && q->c == c) {
-                q->hi = p->hi;
-                q->a = a;
-                q->b = b;
-                q->c = c;
-                continue;
-            }
-        }
-        push(out, p->lo, p->hi, a, b, c);
-    }
 }
 
 static void tag(Piece *p, int32_t br, int8_t kind, double pt)
@@ -458,7 +457,7 @@ int64_t graphseg_prefix_min(const Piece *f, int64_t n, double dom_hi, Piece *out
 {
     List o = {out, 0, 0};
 
-    prefix_min(f, (size_t)n, dom_hi, &o);
+    prefix_min(f, (size_t)n, dom_hi, &o, 0);
     return (int64_t)o.n;
 }
 
@@ -466,8 +465,9 @@ int64_t graphseg_prefix_min(const Piece *f, int64_t n, double dom_hi, Piece *out
  * taken in edge-index order.  start < 0 lets the first segment be in any
  * state.  The output arrays hold n entries; on SOLVE_OK the segments'
  * states and means are entries [info[0], n), the boundaries and edges
- * taken entries [info[0], n - 1), and info[2], info[3] hold the sum and
- * the maximum of the pre-loss piece counts over (state, step). */
+ * taken entries [info[0], n - 1), info[2], info[3] hold the sum and the
+ * maximum of the pre-loss piece counts over (state, step), and info[4],
+ * info[5] the decision runs and the K_POINT runs stored. */
 int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                    int32_t nedges, const int32_t *e_src, const int32_t *e_tgt,
                    const int8_t *e_up, const double *e_gap, const double *e_pen,
@@ -480,10 +480,11 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     List *funcs = calloc((size_t)nstates, sizeof(List));
     List *next = calloc((size_t)nstates, sizeof(List));
     Decisions *dec = calloc((size_t)nstates, sizeof(Decisions));
-    int64_t *off = malloc((size_t)nstates * (size_t)n * sizeof(int64_t));
+    /* (runs, points) stored for state v after step t: off[2 * (v * n + t)] */
+    uint32_t *off = malloc((size_t)nstates * (size_t)n * 2 * sizeof(uint32_t));
     int32_t *in_start = calloc((size_t)nstates + 1, sizeof(int32_t));
     int32_t *in_edge = malloc(((size_t)nedges + 1) * sizeof(int32_t));
-    List cand = {0}, branch = {0}, tmp = {0}, env = {0}, refl = {0};
+    List scratch[2] = {{0}}, branch = {0}, env = {0};
     int64_t piece_total = 0, piece_max = 0, t, first;
     int32_t v, k, best_v = -1;
     double best_arg = 0.0, best_val = INFINITY, m, y0 = y[0];
@@ -499,35 +500,31 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                 in_edge[in_start[v + 1]++] = k;
     }
 
+    /* every state function carries the stay tag */
     for (v = 0; v < nstates; v++) {
-        off[(size_t)v * n] = 0;
+        off[2 * (size_t)v * n] = 0;
+        off[2 * (size_t)v * n + 1] = 0;
         if (start < 0 || v == start) {
             if (reserve(&funcs[v], 1))
                 goto done;
-            push(&funcs[v], dlo, dhi, 1.0, -2.0 * y0, y0 * y0);
+            tag(push(&funcs[v], dlo, dhi, 1.0, -2.0 * y0, y0 * y0), -1, K_STAY, 0.0);
         }
     }
 
     for (t = 1; t < n; t++) {
-        double yt = y[t];
+        double yt = y[t], c_add = yt * yt, b_add = -2.0 * yt;
         int any = 0;
 
         for (v = 0; v < nstates; v++) {
-            const List *cur = &funcs[v];
+            const List *cand = &funcs[v];
+            List *out = &next[v];
             Decisions *dv = &dec[v];
-            size_t i;
-            int8_t last_kind = -1;
-            int32_t last_br = 0;
-            double last_pt = 0.0;
+            uint32_t *o = &off[2 * ((size_t)v * n + t)];
+            size_t i, nr, np;
+            int w = 0;
 
-            if (reserve(&cand, cur->n))
-                goto done;
-            for (i = 0; i < cur->n; i++) {
-                cand.p[i] = cur->p[i];
-                tag(&cand.p[i], -1, K_STAY, 0.0);
-            }
-            cand.n = cur->n;
-
+            /* cand is the stay candidate in place, then each min_k result,
+             * written to the scratch list that cand does not point to */
             for (k = in_start[v]; k < in_start[v + 1]; k++) {
                 int32_t eidx = in_edge[k];
                 const List *src = &funcs[e_src[eidx]];
@@ -545,23 +542,12 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                     top = dhi;
                     sgn = 1.0;
                     thr_kind = K_THR_UP;
-                    prefix_min(src->p, src->n, top, &env);
+                    prefix_min(src->p, src->n, top, &env, 0);
                 } else {
-                    if (reserve(&refl, src->n))
-                        goto done;
-                    for (i = 0; i < src->n; i++) {
-                        const Piece *s = &src->p[src->n - 1 - i];
-                        Piece *r = &refl.p[i];
-                        r->lo = -s->hi;
-                        r->hi = -s->lo;
-                        r->a = s->a;
-                        r->b = -s->b;
-                        r->c = s->c;
-                    }
                     top = -dlo;
                     sgn = -1.0;
                     thr_kind = K_THR_DOWN;
-                    prefix_min(refl.p, src->n, top, &env);
+                    prefix_min(src->p, src->n, top, &env, 1);
                 }
                 /* shift by gap with clipping at top, add the penalty, tag,
                  * and map a down piece back to the original axis (0.0 - x
@@ -589,52 +575,73 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                     else
                         tag(r, eidx, K_POINT, sgn * e->pt);
                 }
-                if (!cand.n) {
-                    swap_lists(&cand, &branch);
-                } else if (branch.n) {
-                    if (reserve(&tmp, 3 * MIN_STEPS(cand.n + branch.n)))
+                if (!branch.n)
+                    continue;
+                if (!cand->n) {
+                    swap_lists(&scratch[w], &branch);
+                } else {
+                    if (reserve(&scratch[w], 3 * MIN_STEPS(cand->n + branch.n)))
                         goto done;
-                    if (min_k(&cand, &branch, &tmp)) {
+                    if (min_k(cand, &branch, &scratch[w])) {
                         status = SOLVE_NOT_FINITE;
                         goto done;
                     }
-                    swap_lists(&cand, &tmp);
                 }
+                cand = &scratch[w];
+                w ^= 1;
             }
 
-            if (!cand.n) {
-                next[v].n = 0;
-                off[(size_t)v * n + t] = (int64_t)dv->n;
-                continue;
-            }
-            any = 1;
+            nr = dv->runs.n;
+            np = dv->pts.n;
+            out->n = 0;
+            if (cand->n) {
+                const Piece *last = NULL;
+                double *last_hi = NULL;
+                Piece *q = NULL;
 
-            /* compress the per-piece decisions into runs */
-            if (dec_reserve(dv, dv->n + cand.n))
-                goto done;
-            for (i = 0; i < cand.n; i++) {
-                const Piece *p = &cand.p[i];
-                if (i > 0 && p->br == last_br && p->kind == last_kind
-                    && p->pt == last_pt) {
-                    *dec_hi(dv, dv->n - 1) = p->hi;
-                } else {
-                    *dec_hi(dv, dv->n) = p->hi;
-                    *dec_pt(dv, dv->n) = p->pt;
-                    *dec_code(dv, dv->n) = 4 * (p->br + 1) + p->kind;
-                    dv->n++;
-                    last_br = p->br;
-                    last_kind = p->kind;
-                    last_pt = p->pt;
+                any = 1;
+                if (nr + cand->n > UINT32_MAX
+                    || stream_reserve(&dv->runs, nr + cand->n, RUN_BLOCK_BYTES)
+                    || stream_reserve(&dv->pts, np + cand->n, PT_BLOCK_BYTES)
+                    || reserve(out, cand->n))
+                    goto done;
+                /* one pass over the result: compress its tags into runs, and
+                 * add (y - m)^2 with the stay tag, merging neighbours that
+                 * become equal; a merge takes the new a, b and c, as the
+                 * Python add_point_loss does, since == ignores a zero's sign */
+                for (i = 0; i < cand->n; i++) {
+                    const Piece *p = &cand->p[i];
+                    double a = p->a + 1.0, b = p->b + b_add, c = p->c + c_add;
+
+                    if (last && p->br == last->br && p->kind == last->kind
+                        && p->pt == last->pt) {
+                        *last_hi = p->hi;
+                    } else {
+                        last = p;
+                        last_hi = dec_f64(&dv->runs, nr);
+                        *last_hi = p->hi;
+                        *dec_code(&dv->runs, nr++) = 4 * (p->br + 1) + p->kind;
+                        if (p->kind == K_POINT)
+                            *dec_f64(&dv->pts, np++) = p->pt;
+                    }
+                    if (q && q->hi == p->lo && q->a == a && q->b == b && q->c == c) {
+                        q->hi = p->hi;
+                        q->a = a;
+                        q->b = b;
+                        q->c = c;
+                        continue;
+                    }
+                    q = push(out, p->lo, p->hi, a, b, c);
+                    tag(q, -1, K_STAY, 0.0);
                 }
+                dv->runs.n = nr;
+                dv->pts.n = np;
+                piece_total += (int64_t)cand->n;
+                if ((int64_t)cand->n > piece_max)
+                    piece_max = (int64_t)cand->n;
             }
-            off[(size_t)v * n + t] = (int64_t)dv->n;
-
-            piece_total += (int64_t)cand.n;
-            if ((int64_t)cand.n > piece_max)
-                piece_max = (int64_t)cand.n;
-            if (reserve(&next[v], cand.n))
-                goto done;
-            add_point_loss(&cand, yt, &next[v]);
+            o[0] = (uint32_t)nr;
+            o[1] = (uint32_t)np;
         }
         for (v = 0; v < nstates; v++)
             swap_lists(&funcs[v], &next[v]);
@@ -671,8 +678,8 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     states_out[first] = v;
     means_out[first] = m;
     for (t = n - 1; t > 0; t--) {
-        const int64_t *o = &off[(size_t)v * n];
-        int64_t lo_i = o[t - 1], hi_i = o[t], i = lo_i;
+        const uint32_t *o = &off[2 * ((size_t)v * n + t - 1)];
+        size_t lo_i = o[0], pt_i = o[1], hi_i = o[2], i = lo_i;
         const Decisions *dv = &dec[v];
         int32_t br, kind;
 
@@ -680,10 +687,12 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
             status = SOLVE_BAD_RECORD;
             goto done;
         }
-        while (i < hi_i - 1 && *dec_hi(dv, (size_t)i) < m)
+        while (i < hi_i - 1 && *dec_f64(&dv->runs, i) < m) {
+            pt_i += *dec_code(&dv->runs, i) % 4 == K_POINT;
             i++;
-        br = *dec_code(dv, (size_t)i) / 4 - 1;
-        kind = *dec_code(dv, (size_t)i) % 4;
+        }
+        br = *dec_code(&dv->runs, i) / 4 - 1;
+        kind = *dec_code(&dv->runs, i) % 4;
         if (br >= 0) {
             first--;
             bounds[first] = t;
@@ -693,7 +702,7 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
             else if (kind == K_THR_DOWN)
                 m = m + e_gap[br];
             else
-                m = *dec_pt(dv, (size_t)i);
+                m = *dec_f64(&dv->pts, pt_i);
             if (m < dlo)
                 m = dlo;
             else if (m > dhi)
@@ -706,6 +715,11 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     info[0] = first;
     info[2] = piece_total;
     info[3] = piece_max;
+    info[4] = info[5] = 0;
+    for (v = 0; v < nstates; v++) {
+        info[4] += (int64_t)dec[v].runs.n;
+        info[5] += (int64_t)dec[v].pts.n;
+    }
     *total_cost = best_val;
     status = SOLVE_OK;
 
@@ -714,9 +728,8 @@ done:
         for (v = 0; v < nstates; v++) {
             free(funcs[v].p);
             free(next[v].p);
-            for (size_t b = 0; b < dec[v].nblocks; b++)
-                free(dec[v].blocks[b]);
-            free(dec[v].blocks);
+            stream_free(&dec[v].runs);
+            stream_free(&dec[v].pts);
         }
     free(funcs);
     free(next);
@@ -724,11 +737,10 @@ done:
     free(off);
     free(in_start);
     free(in_edge);
-    free(cand.p);
+    free(scratch[0].p);
+    free(scratch[1].p);
     free(branch.p);
-    free(tmp.p);
     free(env.p);
-    free(refl.p);
     return status;
 }
 
@@ -746,6 +758,61 @@ done:
 static const double POW10[EXACT_POW10 + 1] = {
     1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
     1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22};
+
+/* w * 10^e10 for a mantissa w of at most 19 significant digits and
+ * |e10| <= 27, through the x87 extended format: w < 2^64 and 10^27 are
+ * exact in its 64-bit mantissa, so the multiply or divide rounds once, to
+ * 64 bits.  Rounding that to a double gives the correctly rounded value
+ * unless the 64-bit result lies exactly halfway between two doubles (its
+ * low 11 mantissa bits are 0x400), where the exact value may lie on either
+ * side; that case, like an exponent out of range, returns -1 for strtod.
+ * The halfway test reads the mantissa from the first 8 bytes of the long
+ * double, the x87 layout, so the path is compiled only for x86.  It also
+ * needs the x87 unit to round to 64 bits, which a process can lower with
+ * its precision control; extended_rounding checks that before a scan. */
+#if LDBL_MANT_DIG == 64 && (defined(__x86_64__) || defined(__i386__))
+#define EXTENDED_POW10 27
+
+static const long double POW10_EXTENDED[EXTENDED_POW10 + 1] = {
+    1e0L, 1e1L, 1e2L, 1e3L, 1e4L, 1e5L, 1e6L, 1e7L, 1e8L, 1e9L, 1e10L, 1e11L,
+    1e12L, 1e13L, 1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L, 1e20L, 1e21L,
+    1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
+
+static int extended_rounding(void)
+{
+    volatile long double one = 1.0L, eps = LDBL_EPSILON;
+
+    return one + eps != one;
+}
+
+static int scan_extended(uint64_t w, int64_t e10, double *out)
+{
+    long double r = (long double)w;
+    uint64_t mant;
+
+    if (e10 < -EXTENDED_POW10 || e10 > EXTENDED_POW10)
+        return -1;
+    r = e10 >= 0 ? r * POW10_EXTENDED[e10] : r / POW10_EXTENDED[-e10];
+    memcpy(&mant, &r, sizeof mant);
+    if ((mant & 0x7FF) == 0x400)
+        return -1;
+    *out = (double)r;
+    return 0;
+}
+#else
+static int extended_rounding(void)
+{
+    return 0;
+}
+
+static int scan_extended(uint64_t w, int64_t e10, double *out)
+{
+    (void)w;
+    (void)e10;
+    (void)out;
+    return -1;
+}
+#endif
 
 static int is_digit(char c)
 {
@@ -781,9 +848,11 @@ static int scan_index(const char **p, const char *end, int64_t *out)
  * A mantissa w of at most 19 significant digits and w <= 2^53 is exact in
  * a double, as is 10^e for |e| <= 22, so w * 10^e or w / 10^-e is one
  * correctly rounded operation (Clinger, "How to read floating point
- * numbers accurately", PLDI 1990).  Any other token goes to strtod, which
- * also rounds correctly; both equal Python's float() bit for bit. */
-static int scan_amplitude(const char **p, const char *end, double *out)
+ * numbers accurately", PLDI 1990).  With extended set, most other tokens
+ * of at most 19 significant digits take scan_extended.  The rest go to
+ * strtod, which
+ * also rounds correctly; all three equal Python's float() bit for bit. */
+static int scan_amplitude(const char **p, const char *end, double *out, int extended)
 {
     const char *tok = *p, *s = *p;
     int neg = s < end && *s == '-';
@@ -837,6 +906,9 @@ static int scan_amplitude(const char **p, const char *end, double *out)
         v = e10 >= 0 ? v * POW10[e10] : v / POW10[-e10];
         if (neg)
             v = -v;
+    } else if (exact && extended && !scan_extended(w, e10, &v)) {
+        if (neg)
+            v = -v;
     } else {
         char small[64], *buf = small, *stop;
         size_t len = (size_t)(s - tok);
@@ -865,13 +937,14 @@ int64_t graphseg_parse_samples(const char *buf, int64_t start, int64_t len,
 {
     const char *p = buf + start, *end = buf + len;
     int64_t count = 0, idx, prev = 0;
+    int extended = extended_rounding();
 
     while (p < end) {
         if (count == cap || scan_index(&p, end, &idx))
             return -1;
         if (count && (prev == INT64_MAX || idx != prev + 1))
             return -1;
-        if (p == end || *p++ != ',' || scan_amplitude(&p, end, &out[count]))
+        if (p == end || *p++ != ',' || scan_amplitude(&p, end, &out[count], extended))
             return -1;
         if (p < end && *p == '\r' && ++p == end)
             return -1; /* a '\r' that ends the body */

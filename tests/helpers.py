@@ -1,5 +1,8 @@
 """Shared builders and checkers for the test suite."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from graphseg import graph as gr
@@ -162,3 +165,31 @@ def assert_valid_segmentation(y, g, seg, slack=1e-9):
     assert abs(recomputed - seg.total_cost) / denom < 1e-6, (
         f"cost mismatch: reported {seg.total_cost}, recomputed {recomputed}"
     )
+
+
+def _round_to_bits(x, bits):
+    """The positive Fraction x rounded to `bits` significant bits, ties to even."""
+    e = x.numerator.bit_length() - x.denominator.bit_length()
+    if Fraction(2) ** e > x:
+        e -= 1  # now 2^e <= x < 2^(e + 1)
+    scale = Fraction(2) ** (bits - 1 - e)
+    return round(x * scale) / scale
+
+
+def halfway_tokens(rng, count):
+    """19-digit decimals off the exact fast path whose value rounded to 64
+    significant bits lies exactly halfway between two doubles, though the
+    value itself does not: rounding that 64-bit result to a double breaks
+    the tie to even, which is the wrong way for about half of them."""
+    tokens = []
+    while len(tokens) < count:
+        d = float(rng.uniform(1.0, 10.0)) * 10.0 ** int(rng.integers(-8, 27))
+        mid = Fraction(d) + Fraction(math.ulp(d)) / 2
+        e = math.floor(math.log10(d)) - 18
+        p10 = Fraction(10) ** e
+        w0 = round(mid / p10)
+        for w in range(w0 - 2, w0 + 3):
+            x = w * p10
+            if 10**18 <= w < 10**19 and x != mid and _round_to_bits(x, 64) == mid:
+                tokens.append(f"{w}e{e}")
+    return tokens

@@ -200,6 +200,8 @@ def _solve(signal, graph_, start_state):
     stats = {
         "mean_pieces": piece_total / ((n - 1) * nstates) if n > 1 else 0.0,
         "max_pieces": piece_max,
+        "decision_runs": sum(len(d) for d in dec_hi),
+        "point_runs": sum(d.count(_K_POINT) for d in dec_kind),
     }
     return Segmentation(
         boundaries=rev_bounds,

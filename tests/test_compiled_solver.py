@@ -201,3 +201,31 @@ def test_detect_corpus_records(record):
                           seed=37)
         g = learned_four_state()
     assert_matches_reference(generate_synthetic(cfg).signal.samples, g)
+
+
+def three_in_edge_graph():
+    # R's in-edges, in edge order, are up, down, up, so R's candidate goes
+    # through min_k three times a step and its result alternates between the
+    # two scratch lists
+    return gr.ConstraintGraph(
+        states=(gr.StateId(0, "B"), gr.StateId(1, "R"), gr.StateId(2, "S2"),
+                gr.StateId(3, "S3")),
+        edges=(gr.Edge(0, 1, gr.UP, 6.0, 40.0), gr.Edge(2, 1, gr.DOWN, 2.0, 30.0),
+               gr.Edge(3, 1, gr.UP, 3.0, 30.0), gr.Edge(1, 0, gr.DOWN, 3.0, 40.0),
+               gr.Edge(0, 2, gr.UP, 4.0, 30.0), gr.Edge(0, 3, gr.DOWN, 2.0, 30.0)),
+        baseline_state=0,
+        rpeak_state=1,
+    )
+
+
+@pytest.mark.parametrize("start", ["free", 0, 2])
+def test_state_with_three_in_edges(start):
+    # a start in B or S2 leaves R's stay candidate empty at the first steps,
+    # so a branch becomes the candidate before any min_k
+    cfg = SynthConfig(n_cycles=10, heart_rate_bpm=75.0, r_amplitude=10.0,
+                      noise_sigma=0.3, baseline_wander_amp=2.0, pre_r_dip=4.0, seed=3)
+    y = generate_synthetic(cfg).signal.samples
+    g = three_in_edge_graph()
+    assert len(y) > 2500
+    assert {0, 1, 2} <= set(solve(Signal(y, 360.0), g, start_state=start).edges_taken)
+    assert_matches_reference(y, g, start)

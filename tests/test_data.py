@@ -1,10 +1,14 @@
 """Record ingestion and the synthetic generator."""
 
+import ctypes
+import ctypes.util
 import math
 import os
+import platform
 import re
 import struct
 import tempfile
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -13,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from graphseg import data
+from graphseg import data, solver
 from graphseg.data import (
     DataFormatError,
     LabeledRecord,
@@ -25,6 +29,7 @@ from graphseg.data import (
     save_record,
 )
 from graphseg.solver import Signal
+from helpers import halfway_tokens
 
 
 def write_record(tmp_path, lines, ann_lines):
@@ -250,6 +255,63 @@ def test_scanned_amplitudes_are_bit_identical_to_float(tokens):
         want = _load_signal_lines(path)
         got = _scanned(path)
     assert _bits(got) == _bits(want) == _bits(np.array([float(t) for t in tokens]))
+
+
+def test_extended_scan_leaves_halfway_results_to_strtod(tmp_path):
+    rng = np.random.default_rng(47)
+    tokens = halfway_tokens(rng, 300)
+    # exact halfway points: integers above 2^54 that a double cannot hold
+    for _ in range(50):
+        d = float(int(rng.integers(2**54, 2**63)))
+        tokens.append(str(int(Fraction(d) + Fraction(math.ulp(d)) / 2)))
+    tokens += ["-" + t for t in tokens]
+    path = tmp_path / "sig.csv"
+    path.write_text(HEADER + "".join(f"{i},{t}\n" for i, t in enumerate(tokens)))
+    assert _bits(_scanned(str(path))) == _bits(np.array([float(t) for t in tokens]))
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64", "i386", "i686"),
+                    reason="the x87 precision control exists on x86 only")
+def test_lowered_x87_precision_leaves_tokens_to_strtod():
+    # a process may set the x87 unit to round to 24 bits; the extended scan
+    # would then round twice, so the scanner checks the precision first
+    rng = np.random.default_rng(53)
+    tokens = halfway_tokens(rng, 100) + [
+        f"{int(rng.integers(10**18, 10**19, dtype=np.uint64))}e{int(rng.integers(-27, 28))}"
+        for _ in range(200)]
+    body = "".join(f"{i},{t}\n" for i, t in enumerate(tokens)).encode()
+    out = np.empty(len(tokens))
+    libm = ctypes.CDLL(ctypes.util.find_library("m"))
+    saved, lowered = ctypes.create_string_buffer(64), ctypes.create_string_buffer(64)
+    assert libm.fegetenv(saved) == 0
+    ctypes.memmove(lowered, saved, 64)
+    control = int.from_bytes(saved.raw[:2], "little") & ~0x300  # precision: 24 bits
+    lowered[0:2] = control.to_bytes(2, "little")
+    assert libm.fesetenv(lowered) == 0
+    try:
+        n = solver._PARSE_SAMPLES(body, 0, len(body), out, len(out))
+    finally:
+        assert libm.fesetenv(saved) == 0
+    assert n == len(tokens)
+    assert _bits(out) == _bits(np.array([float(t) for t in tokens]))
+
+
+# doubles from 2^-90 to 2^153, where 17-digit spellings take the extended scan
+MID_RANGE_DOUBLES = st.builds(
+    lambda sign, exp, frac: _double(sign << 63 | exp << 52 | frac),
+    st.integers(0, 1), st.integers(1023 - 90, 1023 + 152), st.integers(0, 2**52 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(MID_RANGE_DOUBLES, min_size=2, max_size=200))
+def test_seventeen_digit_reprs_scan_bit_identical(values):
+    tokens = [repr(v) for v in values] + ["%.17e" % v for v in values]
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "sig.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(HEADER + "".join(f"{i},{t}\n" for i, t in enumerate(tokens)))
+        got = _scanned(path)
+    assert _bits(got) == _bits(np.array(values + values))
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])

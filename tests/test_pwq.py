@@ -175,9 +175,8 @@ def test_envelope_reflection_identity():
         gap = float(rng.uniform(0, 1.5))
         ge = min_geq_envelope(f, gap)
         le = min_leq_envelope(reflect(f), gap)
-        for m in np.linspace(f.domain[0], f.domain[1], 401):
-            a = ge(m)
-            b = le(-m)
+        ms = np.linspace(f.domain[0], f.domain[1], 401)
+        for a, b in zip(ge(ms).tolist(), le(-ms).tolist()):
             if math.isinf(a) or math.isinf(b):
                 assert a == b
             else:
@@ -195,7 +194,7 @@ def test_envelope_running_min_is_nonincreasing():
         if e.is_empty:
             continue
         lo, hi = e.feasible_span
-        vals = [e(m) for m in np.linspace(lo, hi, 500)]
+        vals = e(np.linspace(lo, hi, 500)).tolist()
         for v1, v2 in zip(vals, vals[1:]):
             assert v2 <= v1 + 1e-9
 

@@ -1,0 +1,170 @@
+"""``_solve.c`` under the address and undefined-behaviour sanitizers.
+
+``sanitize_runner.c`` runs the library's entry points outside the Python
+process.  Built with ``_solve.c`` under ``-fsanitize=address,undefined``, it
+solves long records, whose decision records fill several blocks of both
+streams, and scans edge-case sample files; a sanitizer report fails the
+run, and the results must equal the ctypes library's.  The test is skipped
+where gcc cannot link the sanitizers.
+"""
+
+import os
+import re
+import subprocess
+
+import numpy as np
+import pytest
+
+from graphseg import _native, solver
+from graphseg import graph as gr
+from graphseg.data import SynthConfig, generate_synthetic
+from graphseg.solver import Signal, solve_domain
+from helpers import halfway_tokens
+from test_compiled_solver import learned_four_state
+
+RUNNER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sanitize_runner.c")
+SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+            "-fno-omit-frame-pointer", "-g", "-O1", "-ffp-contract=off")
+ENV = {**os.environ, "ASAN_OPTIONS": "abort_on_error=0:exitcode=99",
+       "UBSAN_OPTIONS": "print_stacktrace=1:exitcode=99"}
+
+
+def _decision_block():
+    with open(_native.SOURCE) as fh:
+        return 1 << int(re.search(r"#define DEC_SHIFT (\d+)", fh.read()).group(1))
+
+
+@pytest.fixture(scope="module")
+def runner(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("sanitize")
+    probe = tmp / "probe.c"
+    probe.write_text("#include <stdlib.h>\nint main(void) { free(malloc(1)); return 0; }\n")
+    proc = subprocess.run([*_native.CC, *SANITIZE, "-o", str(tmp / "probe"), str(probe)],
+                          capture_output=True, text=True)
+    if proc.returncode != 0 or subprocess.run([str(tmp / "probe")], env=ENV).returncode:
+        pytest.skip(f"gcc cannot build with the sanitizers: {proc.stderr.strip()[-300:]}")
+    exe = tmp / "runner"
+    proc = subprocess.run([*_native.CC, *SANITIZE, "-o", str(exe), RUNNER, _native.SOURCE,
+                           "-lm"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return str(exe)
+
+
+def _run(runner, args, data):
+    proc = subprocess.run([runner, *args], input=data, capture_output=True, env=ENV)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")[-3000:]
+    return proc.stdout
+
+
+def _solve_inputs(y, g, start):
+    dlo, dhi = solve_domain(Signal(y, 360.0))
+    e = g.edges
+    return (np.ascontiguousarray(y, dtype=np.float64), len(y), len(g.states), start, len(e),
+            np.array([x.source for x in e], dtype=np.int32),
+            np.array([x.target for x in e], dtype=np.int32),
+            np.array([x.direction == gr.UP for x in e], dtype=np.int8),
+            np.array([x.gap for x in e], dtype=np.float64),
+            np.array([x.penalty for x in e], dtype=np.float64), dlo, dhi)
+
+
+def _library_solve(args):
+    y, n = args[0], args[1]
+    out = (np.zeros(n, np.int64), np.zeros(n, np.int32), np.zeros(n, np.int32),
+           np.zeros(n, np.float64))
+    info = np.zeros(6, dtype=np.int64)
+    total = solver.ctypes.c_double()
+    status = solver._SOLVE(*args, *out, info, solver.ctypes.byref(total))
+    return status, info, total.value, out
+
+
+def _runner_solve(runner, args):
+    y, n, nstates, start, nedges, src, tgt, up, gap, pen, dlo, dhi = args
+    data = b"".join([
+        np.int64(n).tobytes(), np.array([nstates, start, nedges], np.int32).tobytes(),
+        np.array([dlo, dhi]).tobytes(), y.tobytes(), src.tobytes(), tgt.tobytes(),
+        up.tobytes(), gap.tobytes(), pen.tobytes()])
+    raw = _run(runner, ["solve"], data)
+    status = int(np.frombuffer(raw, np.int32, 1)[0])
+    info = np.frombuffer(raw, np.int64, 6, 4)
+    total = float(np.frombuffer(raw, np.float64, 1, 52)[0])
+    pos, out = 60, []
+    for dtype in (np.int64, np.int32, np.int32, np.float64):
+        out.append(np.frombuffer(raw, dtype, n, pos))
+        pos += n * np.dtype(dtype).itemsize
+    assert pos == len(raw)
+    return status, info, total, out
+
+
+RECORDS = {
+    "plain": (SynthConfig(n_cycles=110, heart_rate_bpm=75.0, r_amplitude=10.0,
+                          noise_sigma=0.2, baseline_wander_amp=3.0, seed=31),
+              gr.initial_graph(6.5, 3.0, 50.0), -1),
+    "dip": (SynthConfig(n_cycles=110, heart_rate_bpm=88.0, r_amplitude=10.0,
+                        noise_sigma=0.2, baseline_wander_amp=3.0, pre_r_dip=10.5, seed=37),
+            learned_four_state(), -1),
+    "dip, start in S3": (SynthConfig(n_cycles=110, heart_rate_bpm=88.0, r_amplitude=10.0,
+                                     noise_sigma=0.2, baseline_wander_amp=3.0,
+                                     pre_r_dip=10.5, seed=41),
+                         learned_four_state(), 3),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_solve_under_sanitizers(runner, name):
+    cfg, g, start = RECORDS[name]
+    y = generate_synthetic(cfg).signal.samples
+    args = _solve_inputs(y, g, start)
+    status, info, total, out = _runner_solve(runner, args)
+    want_status, want_info, want_total, want_out = _library_solve(args)
+    assert status == want_status == 0
+    assert info.tolist() == want_info.tolist()
+    assert repr(total) == repr(want_total)
+    first = int(info[0])
+    for got, want in zip(out, want_out):
+        assert got[first:].tobytes() == want[first:].tobytes()
+    # both decision streams of some state cross a block boundary
+    block, nstates = _decision_block(), len(g.states)
+    assert len(y) > 25_000 and info[4] > nstates * block and info[5] > nstates * block
+
+
+SCAN_BODIES = [
+    b"0,1.5\n1,-2\n2,3e-3\n",
+    b"0,1\r\n1,2\r\n",
+    b"0,1\n1,2",
+    b"0,1\n1,2\r",
+    b"0,1\n1,2e",
+    b"0,1\n1,-",
+    b"0,1\n1,",
+    b"0,1\n1",
+    b"0,1\n-",
+    b"0,1.\n1,2\n",
+    b"0,1e+\n1,2\n",
+    b"0,1\n1,1e400\n",
+    b"0,-0.0\n1,5e-324\n",
+    b"9223372036854775806,1\n9223372036854775807,2\n9223372036854775808,3\n",
+    b"-9223372036854775808,1\n-9223372036854775807,2\n",
+    b"0," + b"1" * 300 + b"\n1,0." + b"0" * 400 + b"1\n2,1e" + b"0" * 30 + b"1\n",
+    b"0,18014398509481985\n1,-18014398509481985\n2,1e27\n3,1e28\n4,12345678901234567890\n",
+    b"0,1\n\n1,2\n",
+    b"",
+]
+
+
+def _library_parse(data, start):
+    out = np.empty(max((len(data) - start + 1) // 4, 0))
+    n = solver._PARSE_SAMPLES(data, start, len(data), out, len(out))
+    return n, out[:max(n, 0)]
+
+
+@pytest.mark.parametrize("body", SCAN_BODIES + [None])
+def test_scan_under_sanitizers(runner, body):
+    header = b"sample_index,amplitude\n"
+    if body is None:  # the extended scan's halfway results
+        tokens = halfway_tokens(np.random.default_rng(5), 40)
+        body = "".join(f"{i},{t}\n" for i, t in enumerate(tokens)).encode()
+    data = header + body
+    raw = _run(runner, ["parse", str(len(header))], data)
+    count = int(np.frombuffer(raw, np.int64, 1)[0])
+    want_count, want = _library_parse(data, len(header))
+    assert count == want_count
+    assert raw[8:] == want.tobytes()
