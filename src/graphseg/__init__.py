@@ -29,9 +29,9 @@ from .graph import (
     serialize,
     validate,
 )
+from ._native import NativeBuildError
 from .solver import (
     InfeasibleModelError,
-    NativeBuildError,
     Segmentation,
     Signal,
     extract_rpeaks,

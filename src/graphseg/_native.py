@@ -144,9 +144,9 @@ def load():
     parse = lib.graphseg_parse_samples
     parse.argtypes = [
         ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,  # bytes, body start, length
-        f64, ctypes.c_int64,  # out: amplitudes, capacity
+        f64, ctypes.c_int64, i64,  # out: amplitudes, capacity, info
     ]
-    parse.restype = ctypes.c_int64
+    parse.restype = ctypes.c_int
     pmin = lib.graphseg_min
     pmin.argtypes = [pieces, ctypes.c_int64, pieces, ctypes.c_int64, pieces]
     pmin.restype = ctypes.c_int64
@@ -157,3 +157,19 @@ def load():
     global_min.argtypes = [pieces, ctypes.c_int64, ctypes.POINTER(ctypes.c_double)]
     global_min.restype = ctypes.c_double
     return Library(solve, parse, pmin, prefix_min, global_min)
+
+
+# Built or found in the cache once, at import: before any timed call and
+# before a process pool forks workers that inherit it.  A failed build is
+# stored for library() to raise, and the command line to report.
+try:
+    _LIBRARY = load()
+except NativeBuildError as exc:
+    _LIBRARY = exc
+
+
+def library() -> Library:
+    """The library loaded at import, or raise the build's NativeBuildError."""
+    if isinstance(_LIBRARY, NativeBuildError):
+        raise _LIBRARY.with_traceback(None)
+    return _LIBRARY

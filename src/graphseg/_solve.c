@@ -35,6 +35,7 @@
  */
 
 #include <float.h>
+#include <locale.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -744,11 +745,16 @@ done:
     return status;
 }
 
-/* The sample CSV's body: lines `-?D+,-?D+(\.D+)?([eE][-+]?D+)?`, each
- * ending in "\n" or "\r\n" (the last line may end without one).  Any other
- * line, an index that does not follow the previous one by 1, an index
- * outside int64 or an amplitude that is not finite makes the scan fail, and
- * the Python line loop then reads the file and names the bad line. */
+/* The sample CSV's body, from the end of its header line: lines of spaces
+ * and tabs, or `[-+]?D+,[-+]?(D+(\.D*)?|\.D+)([eE][-+]?D+)?` in ASCII digits
+ * D with spaces and tabs around each field, each ending in "\n" or "\r\n"
+ * (the last line may end without one).  The indices follow each other by 1
+ * within int64 and the amplitudes are finite.  The scan stops at the first
+ * other line and reports the reason and the offset of the line's first
+ * byte, from which graphseg.data names the line (its messages follow this
+ * enum's order). */
+enum { PARSE_OK, PARSE_MALFORMED, PARSE_ORDER, PARSE_RANGE, PARSE_NOT_FINITE,
+       PARSE_NO_MEMORY, PARSE_FULL /* more samples than out holds */ };
 
 #define EXACT_MANTISSA (UINT64_C(1) << 53)
 #define EXACT_POW10 22
@@ -819,22 +825,29 @@ static int is_digit(char c)
     return c >= '0' && c <= '9';
 }
 
-/* An index `-?D+` at *p, advancing *p past it; -1 when it is not one or
- * lies outside int64. */
+static const char *skip_blanks(const char *s, const char *end)
+{
+    while (s < end && (*s == ' ' || *s == '\t'))
+        s++;
+    return s;
+}
+
+/* An index `[-+]?D+` at *p, advancing *p past it: 0, PARSE_MALFORMED when
+ * it is not one or PARSE_RANGE when it lies outside int64. */
 static int scan_index(const char **p, const char *end, int64_t *out)
 {
     const char *s = *p;
     int neg = s < end && *s == '-';
     uint64_t mag = 0, limit;
 
-    s += neg;
+    s += s < end && (*s == '-' || *s == '+');
     limit = neg ? (UINT64_C(1) << 63) : (uint64_t)INT64_MAX;
     if (s == end || !is_digit(*s))
-        return -1;
+        return PARSE_MALFORMED;
     for (; s < end && is_digit(*s); s++) {
         uint64_t d = (uint64_t)(*s - '0');
         if (mag > (limit - d) / 10)
-            return -1;
+            return PARSE_RANGE;
         mag = mag * 10 + d;
     }
     *out = neg ? -(int64_t)(mag - 1) - 1 : (int64_t)mag;
@@ -842,8 +855,8 @@ static int scan_index(const char **p, const char *end, int64_t *out)
     return 0;
 }
 
-/* The double nearest to the decimal amplitude at *p, advancing *p past it;
- * -1 when it does not match the grammar or is not finite.
+/* The double nearest to the decimal amplitude at *p, advancing *p past it:
+ * 0, PARSE_MALFORMED, PARSE_NOT_FINITE or PARSE_NO_MEMORY.
  *
  * A mantissa w of at most 19 significant digits and w <= 2^53 is exact in
  * a double, as is 10^e for |e| <= 22, so w * 10^e or w / 10^-e is one
@@ -856,15 +869,15 @@ static int scan_amplitude(const char **p, const char *end, double *out, int exte
 {
     const char *tok = *p, *s = *p;
     int neg = s < end && *s == '-';
-    int digits = 0, exact = 1, frac = 0;
+    int digits = 0, exact = 1, frac = 0, seen = 0;
     uint64_t w = 0;
     int64_t e10 = 0;
     double v;
 
-    s += neg;
+    s += s < end && (*s == '-' || *s == '+');
     for (;;) {
-        const char *first = s;
         for (; s < end && is_digit(*s); s++) {
+            seen = 1;
             if (w == 0 && *s == '0') {
                 e10 -= frac; /* a leading zero only places the point */
                 continue;
@@ -876,13 +889,13 @@ static int scan_amplitude(const char **p, const char *end, double *out, int exte
             w = w * 10 + (uint64_t)(*s - '0');
             e10 -= frac;
         }
-        if (s == first)
-            return -1;
         if (frac || s == end || *s != '.')
             break;
         frac = 1;
         s++;
     }
+    if (!seen)
+        return PARSE_MALFORMED;
     if (s < end && (*s == 'e' || *s == 'E')) {
         int eneg;
         int64_t e = 0;
@@ -891,7 +904,7 @@ static int scan_amplitude(const char **p, const char *end, double *out, int exte
         if (s < end && (*s == '-' || *s == '+'))
             s++;
         if (s == end || !is_digit(*s))
-            return -1;
+            return PARSE_MALFORMED;
         for (; s < end && is_digit(*s); s++) {
             if (e < 100000)
                 e = e * 10 + (*s - '0');
@@ -910,48 +923,63 @@ static int scan_amplitude(const char **p, const char *end, double *out, int exte
         if (neg)
             v = -v;
     } else {
-        char small[64], *buf = small, *stop;
+        char small[64], *buf = small, *stop, *dot;
         size_t len = (size_t)(s - tok);
         if (len >= sizeof small && !(buf = malloc(len + 1)))
-            return -1;
+            return PARSE_NO_MEMORY;
         memcpy(buf, tok, len);
         buf[len] = '\0';
+        if ((dot = memchr(buf, '.', len))) /* strtod reads the locale's point */
+            *dot = *localeconv()->decimal_point;
         v = strtod(buf, &stop);
-        /* a locale whose decimal point is not '.' stops strtod early */
-        if (stop != buf + len)
-            v = NAN;
+        /* a decimal point of more than one byte stops strtod early */
+        len -= (size_t)(stop - buf);
         if (buf != small)
             free(buf);
+        if (len)
+            return PARSE_MALFORMED;
     }
     if (!isfinite(v))
-        return -1;
+        return PARSE_NOT_FINITE;
     *out = v;
     *p = s;
-    return 0;
+    return PARSE_OK;
 }
 
-/* Scan the sample lines of buf[start, len) into out (cap entries).  Returns
- * the number of samples, or -1 when a line fails the scan or out is full. */
-int64_t graphseg_parse_samples(const char *buf, int64_t start, int64_t len,
-                               double *out, int64_t cap)
+/* Scan the sample lines of buf[start, len) into out (cap entries), setting
+ * info[0] to the number of samples.  Returns PARSE_OK, or the reason the
+ * line at offset info[1] fails, with its index in info[2] for PARSE_ORDER. */
+int graphseg_parse_samples(const char *buf, int64_t start, int64_t len,
+                           double *out, int64_t cap, int64_t *info)
 {
-    const char *p = buf + start, *end = buf + len;
-    int64_t count = 0, idx, prev = 0;
-    int extended = extended_rounding();
+    const char *p = buf + start, *end = buf + len, *line = p;
+    int64_t count = 0, idx = 0, prev = 0;
+    int extended = extended_rounding(), status = PARSE_OK;
 
-    while (p < end) {
-        if (count == cap || scan_index(&p, end, &idx))
-            return -1;
-        if (count && (prev == INT64_MAX || idx != prev + 1))
-            return -1;
-        if (p == end || *p++ != ',' || scan_amplitude(&p, end, &out[count], extended))
-            return -1;
-        if (p < end && *p == '\r' && ++p == end)
-            return -1; /* a '\r' that ends the body */
-        if (p < end && *p++ != '\n')
-            return -1;
-        prev = idx;
-        count++;
+    while (p < end && !status) {
+        line = p;
+        p = skip_blanks(p, end);
+        if (p < end && *p != '\n' && *p != '\r') { /* not a blank line */
+            status = count == cap ? PARSE_FULL : scan_index(&p, end, &idx);
+            p = skip_blanks(p, end);
+            if (!status && (p == end || *p++ != ','))
+                status = PARSE_MALFORMED;
+            p = skip_blanks(p, end);
+            if (!status)
+                status = scan_amplitude(&p, end, &out[count], extended);
+            if (!status && count && (prev == INT64_MAX || idx != prev + 1))
+                status = PARSE_ORDER;
+            p = skip_blanks(p, end);
+            prev = idx;
+            count += !status;
+        }
+        if (!status && p < end && *p == '\r' && (++p == end || *p != '\n'))
+            status = PARSE_MALFORMED; /* a lone "\r" */
+        if (!status && p < end && *p++ != '\n')
+            status = PARSE_MALFORMED;
     }
-    return count;
+    info[0] = count;
+    info[1] = line - buf;
+    info[2] = idx;
+    return status;
 }

@@ -18,10 +18,11 @@ import traceback
 
 from . import __version__
 from . import graph as gr
+from ._native import NativeBuildError
 from .data import DataFormatError, load_record, load_signal_csv, read_text, record_id_of
 from .evaluate import DetectionReport, cross_validate, windows_whole_record
 from .learning import LearnConfig, default_initial_graph, evaluate_graph, learn
-from .solver import InfeasibleModelError, NativeBuildError, extract_rpeaks, solve
+from .solver import InfeasibleModelError, extract_rpeaks, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2

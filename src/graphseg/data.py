@@ -4,10 +4,10 @@ The on-disk format is deliberately minimal: a two-column CSV
 ``sample_index,amplitude`` (header required) plus an annotation file with
 one 0-based R-peak sample index per line.  Both are UTF-8 with LF line
 endings and full-precision decimal amplitudes.  The compiled library scans
-a sample file's bytes in one pass; a line-by-line parse runs only when the
-scan refuses the file, and its error names the bad line.  A file that
-cannot be read, or holds a byte that is not UTF-8, is a DataFormatError
-too, naming the file (and the line).
+a sample file's bytes in one pass and reports the line it refuses, which
+the DataFormatError names.  A file that cannot be read, or holds a byte
+that is not UTF-8, is a DataFormatError too, naming the file (and the
+line).
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from __future__ import annotations
 import io
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import solver
+from . import _native
 from .solver import Signal
 
 
@@ -53,8 +54,13 @@ class LabeledRecord:
 
 
 _HEADER = "sample_index,amplitude"
-# header lines after which the compiled scanner reads the body
-_SCAN_HEADERS = (b"sample_index,amplitude\n", b"sample_index,amplitude\r\n")
+# graphseg_parse_samples's reasons for refusing a line (_solve.c)
+_SCAN_ERRORS = {
+    1: "expected index,amplitude in ASCII decimal, ending in LF or CRLF",
+    2: "sample_index {} breaks the contiguous order",
+    3: "sample_index outside int64",
+    4: "non-finite amplitude",
+}
 
 
 def _read_bytes(path):
@@ -86,75 +92,42 @@ def read_text(path):
     return _decode(path, _read_bytes(path))
 
 
-def _check_header(path, fh):
-    header = fh.readline()
-    if header.strip() != _HEADER:
-        raise DataFormatError(
-            f"{path}:1: expected header {_HEADER!r}, got {header.strip()!r}"
-        )
+def _refuse(path, data, offset, reason):
+    """Raise the DataFormatError for the line of data holding byte offset;
+    a byte that is not UTF-8 anywhere in data is named instead."""
+    _decode(path, data)
+    line = 1 + data.count(b"\n", 0, offset)
+    raise DataFormatError(f"{path}:{line}: {reason}")
 
 
 def load_signal_csv(path, sample_rate=360.0) -> Signal:
     """Read the two-column sample CSV into a Signal.
 
-    The compiled scanner reads the body's bytes in one pass when the header
-    line is exactly ``sample_index,amplitude``.  It takes only lines of an
-    integer, a comma and a plain decimal with an optional exponent, either
-    of them optionally negative (``-12,-0.5e-3``), ending in LF or CRLF,
-    with contiguous int64 indices and finite amplitudes, and it converts
-    each amplitude to the double Python's float() gives.  When it refuses
-    the file, the line loop reads the file again: it names the bad line,
-    and it accepts the spellings Python's int and float take that the scan
-    does not (blank lines, spaces, ``+1``, ``1_5``, Unicode digits, indices
-    above int64).
+    After a ``sample_index,amplitude`` header line, the compiled scan reads
+    the body in one pass: blank lines, or an ASCII decimal index and
+    amplitude with an optional sign (``-12,+.5e-3``), spaces and tabs
+    around each field, LF or CRLF line ends, contiguous int64 indices and
+    finite amplitudes.  Each amplitude is the double Python's float() gives.
+    Any other line is a DataFormatError that names it.
     """
-    parse = solver._PARSE_SAMPLES
-    if isinstance(parse, Exception):
-        raise parse.with_traceback(None)
     data = _read_bytes(path)
-    for header in _SCAN_HEADERS:
-        if data.startswith(header):
-            # a line takes at least 4 bytes ("0,0\n"), the last one 3
-            out = np.empty((len(data) - len(header) + 1) // 4)
-            n = parse(data, len(header), len(data), out, len(out))
-            if n >= 2:
-                out.resize(n, refcheck=False)  # shrinks in place
-                return Signal(out, sample_rate)
-    _decode(path, data)  # name the line of a byte that is not UTF-8
-    return Signal(_load_signal_lines(path), sample_rate)
-
-
-def _load_signal_lines(path):
-    """The sample CSV's amplitudes, parsed line by line."""
-    values = []
-    expected = None
-    with open(path, "r", encoding="utf-8") as fh:
-        _check_header(path, fh)
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DataFormatError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-            try:
-                idx = int(parts[0])
-                amp = float(parts[1])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not math.isfinite(amp):
-                raise DataFormatError(f"{path}:{lineno}: non-finite amplitude")
-            if expected is None:
-                expected = idx
-            if idx != expected:
-                raise DataFormatError(
-                    f"{path}:{lineno}: sample_index {idx} breaks the contiguous order"
-                )
-            expected += 1
-            values.append(amp)
-    if len(values) < 2:
-        raise DataFormatError(f"{path}: needs at least 2 samples, got {len(values)}")
-    return np.array(values)
+    start = re.match(rb"[^\r\n]*", data).end()  # the header line's end
+    header = data[:start].decode("utf-8", "replace").strip()
+    if header != _HEADER:
+        _refuse(path, data, 0, f"expected header {_HEADER!r}, got {header!r}")
+    # a line takes at least 4 bytes ("0,0\n"), the last one 3
+    out = np.empty((len(data) - start + 1) // 4)
+    info = np.zeros(3, dtype=np.int64)
+    status = _native.library().parse_samples(data, start, len(data), out, len(out), info)
+    n, offset, index = info.tolist()
+    if status in _SCAN_ERRORS:
+        _refuse(path, data, offset, _SCAN_ERRORS[status].format(index))
+    if status:  # no memory for a long amplitude, or no room left in out
+        raise MemoryError(f"{path}: the compiled sample scan ran out of room ({status})")
+    if n < 2:
+        raise DataFormatError(f"{path}: needs at least 2 samples, got {n}")
+    out.resize(n, refcheck=False)  # shrinks in place
+    return Signal(out, sample_rate)
 
 
 def _load_annotations(path, n):

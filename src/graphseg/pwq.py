@@ -25,14 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _native
-from ._native import PIECE, NativeBuildError
-
-# loaded at import, as in graphseg.solver; a failed build is raised by each call
-try:
-    _lib = _native.load()
-    _MIN, _PREFIX_MIN, _GLOBAL_MIN = _lib.min, _lib.prefix_min, _lib.global_min
-except NativeBuildError as exc:
-    _MIN = _PREFIX_MIN = _GLOBAL_MIN = exc
+from ._native import PIECE
 
 CONVEXITY_TOL = 1e-12  # a piece with a < -CONVEXITY_TOL is not convex
 K_STAY, K_PT, K_THR = 0, 4, 5  # the tag kinds of _solve.c
@@ -57,12 +50,6 @@ class QuadPiece(NamedTuple):
 
     def value(self, m: float) -> float:
         return (self.a * m + self.b) * m + self.c
-
-
-def _kernel(fn):  # fn, or raise the build error stored in its place
-    if isinstance(fn, Exception):
-        raise fn.with_traceback(None)
-    return fn
 
 
 def _finite(x, name):
@@ -209,7 +196,7 @@ def pointwise_min(f: PiecewiseQuad, g: PiecewiseQuad) -> PiecewiseQuad:
     if f.is_empty or g.is_empty:
         return g if f.is_empty else f
     out = np.zeros(3 * (2 * (len(f) + len(g)) + 2), dtype=PIECE)
-    n = _kernel(_MIN)(f._arr, len(f), g._arr, len(g), out)
+    n = _native.library().min(f._arr, len(f), g._arr, len(g), out)
     if n < 0:  # the sweep overran its step bound
         raise ValueError(_OVERFLOW)
     return _result(out[:n], f.domain)
@@ -223,7 +210,7 @@ def min_leq_envelope(f: PiecewiseQuad, gap: float) -> PiecewiseQuad:
     if not 0.0 <= gap < top - lo:
         raise ValueError(f"gap must be in [0, {top - lo}), the domain width; got {gap}")
     r = np.zeros(4 * len(f) + 1, dtype=PIECE)
-    r = r[: _kernel(_PREFIX_MIN)(f._arr, len(f), top, r)]
+    r = r[: _native.library().prefix_min(f._arr, len(f), top, r)]
     if gap != 0.0:
         # substitute m - gap and clip above top, as _solve.c's shift does;
         # lo + gap == hi + gap by rounding leaves a piece of no width
@@ -247,7 +234,7 @@ def global_min(f: PiecewiseQuad):
     if f.is_empty:
         raise EmptyFunctionError("global_min of an everywhere-infeasible function")
     arg = ctypes.c_double()
-    val = _kernel(_GLOBAL_MIN)(f._arr, len(f), ctypes.byref(arg))
+    val = _native.library().global_min(f._arr, len(f), ctypes.byref(arg))
     if not math.isfinite(val):
         raise ValueError(_OVERFLOW)
     return arg.value, val

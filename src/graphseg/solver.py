@@ -21,17 +21,6 @@ import numpy as np
 
 from . import _native
 from . import graph as gr
-from ._native import NativeBuildError
-
-# The compiled library is built, or found in the cache, at import: before any
-# timed call, and before a process pool forks workers that inherit it.  A
-# failed build is raised by every call to solve and to data.load_signal_csv,
-# so that the command line reports it with its exit code.
-try:
-    _lib = _native.load()
-    _SOLVE, _PARSE_SAMPLES = _lib.solve, _lib.parse_samples
-except NativeBuildError as exc:
-    _SOLVE = _PARSE_SAMPLES = exc
 
 # graphseg_solve status codes (see _solve.c)
 _INFEASIBLE_STEP, _INFEASIBLE_END, _NO_MEMORY, _NOT_FINITE = 1, 2, 3, 5
@@ -152,8 +141,6 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
     violations = gr.validate(graph_)
     if violations:
         raise gr.GraphValidationError(violations)
-    if isinstance(_SOLVE, Exception):
-        raise _SOLVE.with_traceback(None)
     y = np.ascontiguousarray(signal.samples)
     n = len(y)
     lo, hi = float(np.min(y)), float(np.max(y))
@@ -178,7 +165,7 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
     means = np.empty(n, dtype=np.float64)
     info = np.zeros(6, dtype=np.int64)
     total_cost = ctypes.c_double()
-    status = _SOLVE(
+    status = _native.library().solve(
         y, n, nstates, -1 if start is None else start,
         len(edges),
         np.array([e.source for e in edges], dtype=np.int32),

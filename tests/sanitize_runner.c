@@ -1,7 +1,12 @@
 /* A command-line runner for the entry points of src/graphseg/_solve.c, so
  * that a build under -fsanitize=address,undefined can run them outside the
- * Python process (tests/test_sanitizers.py).  Binary in on stdin, binary
- * out on stdout, native byte order:
+ * Python process (tests/test_sanitizers.py).  It is compiled as one
+ * translation unit with the library, whose source comes first:
+ *
+ *   gcc -fsanitize=address,undefined -include src/graphseg/_solve.c \
+ *       tests/sanitize_runner.c -lm
+ *
+ * Binary in on stdin, binary out on stdout, native byte order:
  *
  *   runner solve   in:  int64 n, int32 nstates, int32 start, int32 nedges,
  *                       double dlo, double dhi, double y[n],
@@ -14,7 +19,9 @@
  *
  *   runner parse START
  *                  in:  a sample file's bytes, its body from START
- *                  out: int64 count, then double amplitudes[count]
+ *                  out: int32 status, int64 info[3] (samples read, offset
+ *                       of the failing line, its index), then double
+ *                       amplitudes[samples read]
  *
  * Every input array is a malloc'd block of exactly its size, so a read past
  * its end is a heap overflow that the address sanitizer reports. */
@@ -23,15 +30,6 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
-
-int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
-                   int32_t nedges, const int32_t *e_src, const int32_t *e_tgt,
-                   const int8_t *e_up, const double *e_gap, const double *e_pen,
-                   double dlo, double dhi, int64_t *bounds, int32_t *edges_out,
-                   int32_t *states_out, double *means_out, int64_t *info,
-                   double *total_cost);
-int64_t graphseg_parse_samples(const char *buf, int64_t start, int64_t len,
-                               double *out, int64_t cap);
 
 static char *input;
 static size_t input_len, input_pos;
@@ -125,15 +123,16 @@ static int run_parse(int64_t start)
 {
     char *buf = take(input_len);
     /* the capacity graphseg.data.load_signal_csv gives */
-    int64_t cap = ((int64_t)input_len - start + 1) / 4, count;
+    int64_t cap = ((int64_t)input_len - start + 1) / 4, info[3] = {0};
     double *out = malloc(cap > 0 ? (size_t)cap * sizeof(double) : 1);
+    int32_t status;
 
     if (!out)
         die("out of memory");
-    count = graphseg_parse_samples(buf, start, (int64_t)input_len, out, cap);
-    put(&count, sizeof count);
-    if (count > 0)
-        put(out, (size_t)count * sizeof(double));
+    status = graphseg_parse_samples(buf, start, (int64_t)input_len, out, cap, info);
+    put(&status, sizeof status);
+    put(info, sizeof info);
+    put(out, (size_t)info[0] * sizeof(double));
     free(buf);
     free(out);
     return 0;

@@ -9,7 +9,6 @@ import re
 import struct
 import tempfile
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from graphseg import data, solver
+from graphseg import _native
 from graphseg.data import (
     DataFormatError,
     LabeledRecord,
     SynthConfig,
-    _load_signal_lines,
     generate_synthetic,
     load_record,
     load_signal_csv,
@@ -30,6 +28,7 @@ from graphseg.data import (
 )
 from graphseg.solver import Signal
 from helpers import halfway_tokens
+from reference_data import load_signal_lines
 
 
 def write_record(tmp_path, lines, ann_lines):
@@ -120,6 +119,7 @@ EDGE_BODIES = {
     "underscore amplitude": "0,1_0\n1,2\n",
     "unicode digits": "\u0661,1\n\u0662,2\n",
     "index above int64": f"{INT64_MAX + 1},1\n{INT64_MAX + 2},2\n",
+    "lone cr": "0,1\n1,2\r2,3\n",
     "index wraps past int64": f"{INT64_MAX},1\n{-INT64_MAX - 1},2\n",
     "non-zero first index": "41,1\n42,2\n43,3\n",
     "index gap": "0,1\n2,2\n",
@@ -140,6 +140,20 @@ EDGE_BODIES = {
     "empty body": "",
 }
 
+# the spellings the line loop reads and the scan refuses, with the line the
+# scan's error names (the header is line 1)
+NOW_REFUSED = {
+    "underscore index": 2,
+    "underscore amplitude": 2,
+    "unicode digits": 2,
+    "index above int64": 2,
+    "lone cr": 3,
+}
+# errors that the scan words as the line loop does; the scan words others,
+# such as a nan amplitude, in its own way
+SAME_WORDING = ("breaks the contiguous order", "non-finite amplitude",
+                "needs at least 2 samples")
+
 
 def _parse(parse, path):
     try:
@@ -148,27 +162,28 @@ def _parse(parse, path):
         return str(exc)
 
 
-@pytest.mark.parametrize("body", EDGE_BODIES.values(), ids=EDGE_BODIES.keys())
-def test_vectorised_parse_matches_line_loop(tmp_path, body):
+def _named_line(message):
+    """The ``path:line`` an error message starts with."""
+    return re.match(r"(.*?:\d+): ", message).group(1)
+
+
+@pytest.mark.parametrize("name, body", EDGE_BODIES.items(), ids=EDGE_BODIES.keys())
+def test_vectorised_parse_matches_line_loop(tmp_path, name, body):
     path = tmp_path / "sig.csv"
     path.write_bytes((HEADER + body).encode())
     got = _parse(lambda p: load_signal_csv(p).samples, str(path))
-    want = _parse(_load_signal_lines, str(path))
-    if isinstance(want, str):
-        assert got == want
+    want = _parse(load_signal_lines, str(path))
+    if name in NOW_REFUSED:
+        assert not isinstance(want, str)
+        assert got.startswith(f"{path}:{NOW_REFUSED[name]}: ")
+    elif isinstance(want, str):
+        if any(w in got for w in SAME_WORDING):
+            assert got == want
+        else:
+            assert _named_line(got) == _named_line(want)
     else:
         assert got.dtype == np.float64 and got.flags.c_contiguous
         assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
-def _refuse_line_loop(path):
-    raise AssertionError(f"{path} was not read by the compiled scan")
-
-
-def _scanned(path):
-    """load_signal_csv's samples, failing if the line loop had to read path."""
-    with mock.patch.object(data, "_load_signal_lines", _refuse_line_loop):
-        return load_signal_csv(path).samples
 
 
 def _bits(a):
@@ -187,7 +202,7 @@ def test_saved_records_take_the_compiled_scan(tmp_path, ending):
     elif ending == "no final newline":
         text = text[:-1]
     sp.write_bytes(text)
-    assert _bits(_scanned(str(sp))) == _bits(rec.signal.samples)
+    assert _bits(load_signal_csv(str(sp)).samples) == _bits(rec.signal.samples)
 
 
 # bodies in the scan's grammar that save_record does not write
@@ -199,6 +214,9 @@ SCANNED_BODIES = {
     "exponent spellings": "0,1e5\n1,1E+05\n2,-2.5e-3\n3,7E-0\n",
     "long tokens": f"0,{'1' * 300}\n1,0.{'0' * 400}1\n2,1e{'0' * 30}1\n",
     "mixed line endings": "0,1\r\n1,2\n2,3",
+    "signs and bare points": "+0,+1\n1,.5\n2,5.\n3,-.25e1\n4,+5.E-1\n5,-0.\n",
+    "blanks around fields": "\t\n 0\t, \t+1.5 \r\n \n1 ,2\t\r\n\t \n2,3\n \t ",
+    "long tokens with a point": f"0,.{'0' * 330}1\n1,{'9' * 30}.\n2,+{'1' * 70}.5\n",
 }
 
 
@@ -206,7 +224,7 @@ SCANNED_BODIES = {
 def test_scanned_bodies_match_line_loop(tmp_path, body):
     path = tmp_path / "sig.csv"
     path.write_bytes((HEADER + body).encode())
-    assert _bits(_scanned(str(path))) == _bits(_load_signal_lines(str(path)))
+    assert _bits(load_signal_csv(str(path)).samples) == _bits(load_signal_lines(str(path)))
 
 
 def _double(bits):
@@ -252,8 +270,8 @@ def test_scanned_amplitudes_are_bit_identical_to_float(tokens):
         path = os.path.join(d, "sig.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(HEADER + "".join(f"{i},{t}\n" for i, t in enumerate(tokens)))
-        want = _load_signal_lines(path)
-        got = _scanned(path)
+        want = load_signal_lines(path)
+        got = load_signal_csv(path).samples
     assert _bits(got) == _bits(want) == _bits(np.array([float(t) for t in tokens]))
 
 
@@ -267,7 +285,7 @@ def test_extended_scan_leaves_halfway_results_to_strtod(tmp_path):
     tokens += ["-" + t for t in tokens]
     path = tmp_path / "sig.csv"
     path.write_text(HEADER + "".join(f"{i},{t}\n" for i, t in enumerate(tokens)))
-    assert _bits(_scanned(str(path))) == _bits(np.array([float(t) for t in tokens]))
+    assert _bits(load_signal_csv(str(path)).samples) == _bits(np.array([float(t) for t in tokens]))
 
 
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64", "i386", "i686"),
@@ -280,7 +298,7 @@ def test_lowered_x87_precision_leaves_tokens_to_strtod():
         f"{int(rng.integers(10**18, 10**19, dtype=np.uint64))}e{int(rng.integers(-27, 28))}"
         for _ in range(200)]
     body = "".join(f"{i},{t}\n" for i, t in enumerate(tokens)).encode()
-    out = np.empty(len(tokens))
+    out, info = np.empty(len(tokens)), np.zeros(3, dtype=np.int64)
     libm = ctypes.CDLL(ctypes.util.find_library("m"))
     saved, lowered = ctypes.create_string_buffer(64), ctypes.create_string_buffer(64)
     assert libm.fegetenv(saved) == 0
@@ -289,10 +307,10 @@ def test_lowered_x87_precision_leaves_tokens_to_strtod():
     lowered[0:2] = control.to_bytes(2, "little")
     assert libm.fesetenv(lowered) == 0
     try:
-        n = solver._PARSE_SAMPLES(body, 0, len(body), out, len(out))
+        status = _native.library().parse_samples(body, 0, len(body), out, len(out), info)
     finally:
         assert libm.fesetenv(saved) == 0
-    assert n == len(tokens)
+    assert status == 0 and info[0] == len(tokens)
     assert _bits(out) == _bits(np.array([float(t) for t in tokens]))
 
 
@@ -310,14 +328,60 @@ def test_seventeen_digit_reprs_scan_bit_identical(values):
         path = os.path.join(d, "sig.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(HEADER + "".join(f"{i},{t}\n" for i, t in enumerate(tokens)))
-        got = _scanned(path)
+        got = load_signal_csv(path).samples
     assert _bits(got) == _bits(np.array(values + values))
+
+
+# sample lines the scan refuses, given the index the line should have
+REFUSED_LINES = {
+    "word": lambda i: "x",
+    "three fields": lambda i: f"{i},2,3",
+    "nan": lambda i: f"{i},nan",
+    "overflow to inf": lambda i: f"{i},1e400",
+    "index gap": lambda i: f"{i + 1},1",
+    "underscore": lambda i: f"{i},1_0",
+    "arabic-indic digit": lambda i: f"{i},\u0663",
+    "lone cr": lambda i: f"{i},1",  # ended by "\r" below
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_refused_line_is_named(data):
+    n = data.draw(st.integers(2, 30))
+    kind = data.draw(st.sampled_from(sorted(REFUSED_LINES)))
+    # the first index may be any, so a gap is one from the second line on
+    bad = data.draw(st.integers(1 if kind == "index gap" else 0, n - 1))
+    first = data.draw(st.integers(-3, 1000))
+    blanks = data.draw(st.lists(st.sampled_from([None, "", " ", "\t \t"]),
+                                min_size=n, max_size=n))
+    endings = data.draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=n, max_size=n))
+    if kind == "lone cr" and bad + 1 < n and blanks[bad + 1] == "":
+        blanks[bad + 1] = None  # "\r" and an empty line would make "\r\n"
+    lines, named = [HEADER], None
+    for j in range(n):
+        if blanks[j] is not None:
+            lines.append(blanks[j] + endings[j])
+        if j == bad:
+            named = len(lines) + 1
+            ending = "\r" if kind == "lone cr" else endings[j]
+            lines.append(REFUSED_LINES[kind](first + j) + ending)
+        else:
+            lines.append(f"{first + j},{j / 8!r}{endings[j]}")
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "sig.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(lines))
+        with pytest.raises(DataFormatError) as refused:
+            load_signal_csv(path)
+    assert str(refused.value).startswith(f"{path}:{named}: ")
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
 def test_undecodable_byte_names_file_and_line(tmp_path, newline):
     sp, ap = tmp_path / "sig.csv", tmp_path / "ann.txt"
-    good_sig = newline.join([b"sample_index,amplitude", b"0,1", b"1,2", b"2,3", b""])
+    # the scan refuses a lone CR line end, which annotation files may use
+    good_sig = b"\n".join([b"sample_index,amplitude", b"0,1", b"1,2", b"2,3", b""])
     sp.write_bytes(newline.join([b"sample_index,amplitude", b"0,1", b"1,\xff", b""]))
     ap.write_bytes(b"0\n")
     with pytest.raises(DataFormatError, match=r"sig\.csv:3: byte 0xff is not UTF-8"):

@@ -8,9 +8,9 @@ import sys
 
 import pytest
 
-from graphseg import _native, cli, data, pwq, solver
+from graphseg import _native, cli, data, pwq
 from graphseg import graph as gr
-from graphseg.solver import NativeBuildError
+from graphseg._native import NativeBuildError
 
 
 def test_source_compiles_without_warnings(tmp_path):
@@ -70,27 +70,22 @@ def test_failed_build_is_a_typed_error_and_detect_exits_4(tmp_path, monkeypatch,
         _native.load()
     assert list((tmp_path / "graphseg").iterdir()) == []  # no partial library
 
-    # the import-time build stores its error for solve and for the
-    # sample-file scanner to raise
+    # the import-time build stores its error, and solve, the sample-file
+    # scan and every pwq operation that calls the compiled kernels raise it
+    monkeypatch.setattr(_native, "_LIBRARY", failure.value)
     sig = tmp_path / "step.csv"
     sig.write_text("sample_index,amplitude\n"
                    + "".join(f"{i},{v}\n" for i, v in enumerate([0, 0, 5, 5, 0])))
     graph = tmp_path / "g.json"
     graph.write_text(gr.serialize(gr.initial_graph(1.0, 1.0, 1.0)))
-    for name in ("_SOLVE", "_PARSE_SAMPLES"):
-        monkeypatch.setattr(solver, name, failure.value)
-        rc = cli.main(["detect", "--signal", str(sig), "--graph", str(graph),
-                       "--out-dir", str(tmp_path / "out")])
-        assert rc == 4
-        assert message in capsys.readouterr().err
+    rc = cli.main(["detect", "--signal", str(sig), "--graph", str(graph),
+                   "--out-dir", str(tmp_path / "out")])
+    assert rc == 4
+    assert message in capsys.readouterr().err
     with pytest.raises(NativeBuildError, match=message):
         data.load_signal_csv(str(sig))
-
-    # and so does every pwq operation that calls the compiled kernels
     f = pwq.PiecewiseQuad.point_loss(1.0, (-5.0, 5.0))
-    for name, op in (("_MIN", lambda: pwq.pointwise_min(f, f)),
-                     ("_PREFIX_MIN", lambda: pwq.min_leq_envelope(f, 1.0)),
-                     ("_GLOBAL_MIN", lambda: pwq.global_min(f))):
-        monkeypatch.setattr(pwq, name, failure.value)
+    for op in (lambda: pwq.pointwise_min(f, f), lambda: pwq.min_leq_envelope(f, 1.0),
+               lambda: pwq.global_min(f)):
         with pytest.raises(NativeBuildError, match=message):
             op()

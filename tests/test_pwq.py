@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import reference_pwq as ref
-from graphseg import pwq
+from graphseg import _native, pwq
 from graphseg.pwq import (
     DomainMismatchError,
     EmptyFunctionError,
@@ -508,7 +508,8 @@ def test_overflowing_results_are_typed_errors():
 
 def test_step_bound_failure_is_a_typed_error(monkeypatch):
     # finite pieces never overrun min_k's step bound; the status is mapped
-    monkeypatch.setattr(pwq, "_MIN", lambda *args: -1)
+    overrun = _native.library()._replace(min=lambda *args: -1)
+    monkeypatch.setattr(_native, "_LIBRARY", overrun)
     f = PiecewiseQuad.point_loss(1.0, DOM)
     with pytest.raises(ValueError, match="overflow float64"):
         pointwise_min(f, PiecewiseQuad.point_loss(2.0, DOM))

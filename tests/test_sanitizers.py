@@ -1,13 +1,15 @@
 """``_solve.c`` under the address and undefined-behaviour sanitizers.
 
 ``sanitize_runner.c`` runs the library's entry points outside the Python
-process.  Built with ``_solve.c`` under ``-fsanitize=address,undefined``, it
-solves long records, whose decision records fill several blocks of both
-streams, and scans edge-case sample files; a sanitizer report fails the
-run, and the results must equal the ctypes library's.  The test is skipped
-where gcc cannot link the sanitizers.
+process.  Built under ``-fsanitize=address,undefined`` as one translation
+unit with ``_solve.c`` (``-include``), so that a drift in an entry point's
+signature fails to compile, it solves long records, whose decision records
+fill several blocks of both streams, and scans edge-case sample files; a
+sanitizer report fails the run, and the results must equal the ctypes
+library's.  The test is skipped where gcc cannot link the sanitizers.
 """
 
+import ctypes
 import os
 import re
 import subprocess
@@ -15,7 +17,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from graphseg import _native, solver
+from graphseg import _native
 from graphseg import graph as gr
 from graphseg.data import SynthConfig, generate_synthetic
 from graphseg.solver import Signal, solve_domain
@@ -44,8 +46,8 @@ def runner(tmp_path_factory):
     if proc.returncode != 0 or subprocess.run([str(tmp / "probe")], env=ENV).returncode:
         pytest.skip(f"gcc cannot build with the sanitizers: {proc.stderr.strip()[-300:]}")
     exe = tmp / "runner"
-    proc = subprocess.run([*_native.CC, *SANITIZE, "-o", str(exe), RUNNER, _native.SOURCE,
-                           "-lm"], capture_output=True, text=True)
+    proc = subprocess.run([*_native.CC, *SANITIZE, "-include", _native.SOURCE,
+                           "-o", str(exe), RUNNER, "-lm"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return str(exe)
 
@@ -72,8 +74,8 @@ def _library_solve(args):
     out = (np.zeros(n, np.int64), np.zeros(n, np.int32), np.zeros(n, np.int32),
            np.zeros(n, np.float64))
     info = np.zeros(6, dtype=np.int64)
-    total = solver.ctypes.c_double()
-    status = solver._SOLVE(*args, *out, info, solver.ctypes.byref(total))
+    total = ctypes.c_double()
+    status = _native.library().solve(*args, *out, info, ctypes.byref(total))
     return status, info, total.value, out
 
 
@@ -147,13 +149,26 @@ SCAN_BODIES = [
     b"0,18014398509481985\n1,-18014398509481985\n2,1e27\n3,1e28\n4,12345678901234567890\n",
     b"0,1\n\n1,2\n",
     b"",
+    b"\n0,1\n \t\n\r\n1,2\n\n",
+    b" 0 ,\t1\t\r\n\t1\t, 2 \n",
+    b"+0,+1\n1,-.5\n2,.5e1\n3,5.\n4,+5.e-1\n",
+    b"0,1\n1,2\n \t ",
+    b"0,1\n1,.\n",
+    b"0,1\n1,2\r3\n",
+    b"0,1\n1,nan\n",
+    b"0,1\n1,InFiNiTy",
+    b"0,1\n2,2\n",
+    b"0,1\n1,2\n99999999999999999999,3\n",
+    b"0,1 1\n1,2\n",
+    b"0,." + b"0" * 300 + b"1\n1," + b"9" * 80 + b".\n",
 ]
 
 
 def _library_parse(data, start):
     out = np.empty(max((len(data) - start + 1) // 4, 0))
-    n = solver._PARSE_SAMPLES(data, start, len(data), out, len(out))
-    return n, out[:max(n, 0)]
+    info = np.zeros(3, dtype=np.int64)
+    status = _native.library().parse_samples(data, start, len(data), out, len(out), info)
+    return status, info, out[:info[0]]
 
 
 @pytest.mark.parametrize("body", SCAN_BODIES + [None])
@@ -164,7 +179,9 @@ def test_scan_under_sanitizers(runner, body):
         body = "".join(f"{i},{t}\n" for i, t in enumerate(tokens)).encode()
     data = header + body
     raw = _run(runner, ["parse", str(len(header))], data)
-    count = int(np.frombuffer(raw, np.int64, 1)[0])
-    want_count, want = _library_parse(data, len(header))
-    assert count == want_count
-    assert raw[8:] == want.tobytes()
+    status = int(np.frombuffer(raw, np.int32, 1)[0])
+    info = np.frombuffer(raw, np.int64, 3, 4)
+    want_status, want_info, want = _library_parse(data, len(header))
+    assert status == want_status
+    assert info.tolist() == want_info.tolist()  # count, failing line, index
+    assert raw[28:] == want.tobytes()
