@@ -160,7 +160,7 @@ def load():
 
 
 # Built or found in the cache once, at import: before any timed call and
-# before a process pool forks workers that inherit it.  A failed build is
+# before the threads of cross_validate share it.  A failed build is
 # stored for library() to raise, and the command line to report.
 try:
     _LIBRARY = load()

@@ -2,12 +2,13 @@
 
 The on-disk format is deliberately minimal: a two-column CSV
 ``sample_index,amplitude`` (header required) plus an annotation file with
-one 0-based R-peak sample index per line.  Both are UTF-8 with LF line
-endings and full-precision decimal amplitudes.  The compiled library scans
-a sample file's bytes in one pass and reports the line it refuses, which
-the DataFormatError names.  A file that cannot be read, or holds a byte
-that is not UTF-8, is a DataFormatError too, naming the file (and the
-line).
+one 0-based R-peak sample index per line, in ASCII decimal with an
+optional sign and spaces or tabs around it (blank lines are skipped).
+Both are UTF-8 with LF line endings and full-precision decimal amplitudes.
+The compiled library scans a sample file's bytes in one pass and reports
+the line it refuses, which the DataFormatError names.  A file that cannot
+be read, or holds a byte that is not UTF-8, is a DataFormatError too,
+naming the file (and the line).
 """
 
 from __future__ import annotations
@@ -92,6 +93,11 @@ def read_text(path):
     return _decode(path, _read_bytes(path))
 
 
+def _quote(text, limit=60):
+    """repr of text, cut to its first limit characters and ``...``."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}..."
+
+
 def _refuse(path, data, offset, reason):
     """Raise the DataFormatError for the line of data holding byte offset;
     a byte that is not UTF-8 anywhere in data is named instead."""
@@ -114,7 +120,7 @@ def load_signal_csv(path, sample_rate=360.0) -> Signal:
     start = re.match(rb"[^\r\n]*", data).end()  # the header line's end
     header = data[:start].decode("utf-8", "replace").strip()
     if header != _HEADER:
-        _refuse(path, data, 0, f"expected header {_HEADER!r}, got {header!r}")
+        _refuse(path, data, 0, f"expected header {_HEADER!r}, got {_quote(header)}")
     # a line takes at least 4 bytes ("0,0\n"), the last one 3
     out = np.empty((len(data) - start + 1) // 4)
     info = np.zeros(3, dtype=np.int64)
@@ -130,18 +136,25 @@ def load_signal_csv(path, sample_rate=360.0) -> Signal:
     return Signal(out, sample_rate)
 
 
+# an annotation line: blank, or one index in the sample scan's grammar
+_ANNOTATION = re.compile(r"[ \t]*(?:([+-]?[0-9]+)[ \t]*)?")
+
+
 def _load_annotations(path, n):
     ann = []
     # newline=None splits lines as a file opened in text mode does
     with io.StringIO(read_text(path), newline=None) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            line = line.rstrip("\n")
+            m = _ANNOTATION.fullmatch(line)
+            if m is None:
+                raise DataFormatError(
+                    f"{path}:{lineno}: expected a sample index in ASCII decimal, "
+                    f"got {_quote(line)}"
+                )
+            if m[1] is None:
                 continue
-            try:
-                idx = int(line)
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            idx = int(m[1])
             if not (0 <= idx < n):
                 raise DataFormatError(
                     f"{path}:{lineno}: annotation {idx} outside the signal [0, {n})"

@@ -1,9 +1,10 @@
 /* A command-line runner for the entry points of src/graphseg/_solve.c, so
- * that a build under -fsanitize=address,undefined can run them outside the
- * Python process (tests/test_sanitizers.py).  It is compiled as one
- * translation unit with the library, whose source comes first:
+ * that a build under -fsanitize=address,undefined or -fsanitize=thread can
+ * run them outside the Python process (tests/test_sanitizers.py).  It is
+ * compiled as one translation unit with the library, whose source comes
+ * first:
  *
- *   gcc -fsanitize=address,undefined -include src/graphseg/_solve.c \
+ *   gcc -fsanitize=address,undefined -pthread -include src/graphseg/_solve.c \
  *       tests/sanitize_runner.c -lm
  *
  * Binary in on stdin, binary out on stdout, native byte order:
@@ -17,6 +18,11 @@
  *                       int64 bounds[n], int32 edges[n], int32 states[n],
  *                       double means[n]
  *
+ *   runner solve-threads K
+ *                  the same, solved in K threads at once (1 <= K <= 64),
+ *                  each with outputs of its own; all K must be equal, and
+ *                  the first is written
+ *
  *   runner parse START
  *                  in:  a sample file's bytes, its body from START
  *                  out: int32 status, int64 info[3] (samples read, offset
@@ -26,10 +32,13 @@
  * Every input array is a malloc'd block of exactly its size, so a read past
  * its end is a heap overflow that the address sanitizer reports. */
 
+#include <pthread.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+
+#define MAX_THREADS 64
 
 static char *input;
 static size_t input_len, input_pos;
@@ -74,48 +83,121 @@ static void put(const void *p, size_t size)
         die("write failed");
 }
 
-static int run_solve(void)
-{
-    int64_t *n = take(sizeof *n), info[6] = {0};
-    int32_t *head = take(3 * sizeof(int32_t));
-    double *dom = take(2 * sizeof(double)), total = 0.0;
-    int32_t nedges = head[2];
-    double *y = take((size_t)*n * sizeof(double));
-    int32_t *src = take((size_t)nedges * sizeof(int32_t));
-    int32_t *tgt = take((size_t)nedges * sizeof(int32_t));
-    int8_t *up = take((size_t)nedges);
-    double *gap = take((size_t)nedges * sizeof(double));
-    double *pen = take((size_t)nedges * sizeof(double));
-    int64_t *bounds = calloc((size_t)*n, sizeof(int64_t));
-    int32_t *edges = calloc((size_t)*n, sizeof(int32_t));
-    int32_t *states = calloc((size_t)*n, sizeof(int32_t));
-    double *means = calloc((size_t)*n, sizeof(double));
+struct solve_call {
+    /* in */
+    int64_t n;
+    int32_t *head;  /* nstates, start, nedges */
+    double *dom, *y, *gap, *pen;
+    int32_t *src, *tgt;
+    int8_t *up;
+    /* out */
     int32_t status;
+    int64_t info[6];
+    double total;
+    int64_t *bounds;
+    int32_t *edges, *states;
+    double *means;
+};
 
-    if (!bounds || !edges || !states || !means)
+static void *solve_call(void *arg)
+{
+    struct solve_call *c = arg;
+
+    c->status = graphseg_solve(c->y, c->n, c->head[0], c->head[1], c->head[2], c->src,
+                               c->tgt, c->up, c->gap, c->pen, c->dom[0], c->dom[1],
+                               c->bounds, c->edges, c->states, c->means, c->info,
+                               &c->total);
+    return NULL;
+}
+
+static void alloc_outputs(struct solve_call *c)
+{
+    c->bounds = calloc((size_t)c->n, sizeof(int64_t));
+    c->edges = calloc((size_t)c->n, sizeof(int32_t));
+    c->states = calloc((size_t)c->n, sizeof(int32_t));
+    c->means = calloc((size_t)c->n, sizeof(double));
+    if (!c->bounds || !c->edges || !c->states || !c->means)
         die("out of memory");
-    status = graphseg_solve(y, *n, head[0], head[1], nedges, src, tgt, up, gap, pen,
-                            dom[0], dom[1], bounds, edges, states, means, info, &total);
-    put(&status, sizeof status);
-    put(info, sizeof info);
-    put(&total, sizeof total);
-    put(bounds, (size_t)*n * sizeof(int64_t));
-    put(edges, (size_t)*n * sizeof(int32_t));
-    put(states, (size_t)*n * sizeof(int32_t));
-    put(means, (size_t)*n * sizeof(double));
+}
+
+static void free_outputs(struct solve_call *c)
+{
+    free(c->bounds);
+    free(c->edges);
+    free(c->states);
+    free(c->means);
+}
+
+static int same_outputs(const struct solve_call *a, const struct solve_call *b)
+{
+    size_t n = (size_t)a->n;
+
+    return a->status == b->status && !memcmp(a->info, b->info, sizeof a->info) &&
+           !memcmp(&a->total, &b->total, sizeof a->total) &&
+           !memcmp(a->bounds, b->bounds, n * sizeof(int64_t)) &&
+           !memcmp(a->edges, b->edges, n * sizeof(int32_t)) &&
+           !memcmp(a->states, b->states, n * sizeof(int32_t)) &&
+           !memcmp(a->means, b->means, n * sizeof(double));
+}
+
+/* Solve the input once, or with threads > 0 in that many threads at once,
+ * each writing outputs of its own, which must all be equal. */
+static int run_solve(int threads)
+{
+    struct solve_call in = {0}, *calls;
+    pthread_t *ids;
+    int64_t *n = take(sizeof *n);
+    int k, count = threads > 0 ? threads : 1;
+
+    in.n = *n;
     free(n);
-    free(head);
-    free(dom);
-    free(y);
-    free(src);
-    free(tgt);
-    free(up);
-    free(gap);
-    free(pen);
-    free(bounds);
-    free(edges);
-    free(states);
-    free(means);
+    in.head = take(3 * sizeof(int32_t));
+    in.dom = take(2 * sizeof(double));
+    in.y = take((size_t)in.n * sizeof(double));
+    in.src = take((size_t)in.head[2] * sizeof(int32_t));
+    in.tgt = take((size_t)in.head[2] * sizeof(int32_t));
+    in.up = take((size_t)in.head[2]);
+    in.gap = take((size_t)in.head[2] * sizeof(double));
+    in.pen = take((size_t)in.head[2] * sizeof(double));
+    calls = malloc((size_t)count * sizeof *calls);
+    ids = malloc((size_t)count * sizeof *ids);
+    if (!calls || !ids)
+        die("out of memory");
+    for (k = 0; k < count; k++) {
+        calls[k] = in;
+        alloc_outputs(&calls[k]);
+    }
+    if (threads > 0) {
+        for (k = 0; k < count; k++)
+            if (pthread_create(&ids[k], NULL, solve_call, &calls[k]))
+                die("cannot start a thread");
+        for (k = 0; k < count; k++)
+            pthread_join(ids[k], NULL);
+    } else {
+        solve_call(&calls[0]);
+    }
+    for (k = 1; k < count; k++)
+        if (!same_outputs(&calls[0], &calls[k]))
+            die("the threads' solves differ");
+    put(&calls[0].status, sizeof calls[0].status);
+    put(calls[0].info, sizeof calls[0].info);
+    put(&calls[0].total, sizeof calls[0].total);
+    put(calls[0].bounds, (size_t)in.n * sizeof(int64_t));
+    put(calls[0].edges, (size_t)in.n * sizeof(int32_t));
+    put(calls[0].states, (size_t)in.n * sizeof(int32_t));
+    put(calls[0].means, (size_t)in.n * sizeof(double));
+    for (k = 0; k < count; k++)
+        free_outputs(&calls[k]);
+    free(calls);
+    free(ids);
+    free(in.head);
+    free(in.dom);
+    free(in.y);
+    free(in.src);
+    free(in.tgt);
+    free(in.up);
+    free(in.gap);
+    free(in.pen);
     return 0;
 }
 
@@ -144,11 +226,14 @@ int main(int argc, char **argv)
 
     read_input();
     if (argc == 2 && !strcmp(argv[1], "solve"))
-        rc = run_solve();
+        rc = run_solve(0);
+    else if (argc == 3 && !strcmp(argv[1], "solve-threads") && atoi(argv[2]) > 0 &&
+             atoi(argv[2]) <= MAX_THREADS)
+        rc = run_solve(atoi(argv[2]));
     else if (argc == 3 && !strcmp(argv[1], "parse"))
         rc = run_parse(strtoll(argv[2], NULL, 10));
     else
-        die("usage: runner solve | runner parse START");
+        die("usage: runner solve | runner solve-threads K | runner parse START");
     free(input);
     return rc;
 }

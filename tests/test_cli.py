@@ -199,6 +199,18 @@ def test_cv_reports_fold_entries(tmp_path, capsys):
     assert [pooled["tp"], pooled["fp"], pooled["fn"]] == recomputed
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cv_jobs_below_one_exit_2(tmp_path, capsys, jobs):
+    _rec, sp, ap = synth_files(tmp_path, "r3", n_cycles=10, heart_rate_bpm=75,
+                               r_amplitude=10.0, noise_sigma=0.1, seed=4)
+    out = tmp_path / "out"
+    rc = cli.main(["cv", "--signal", str(sp), "--annotations", str(ap),
+                   "--out-dir", str(out), "--k", "5", "--jobs", jobs])
+    assert rc == 2
+    assert f"n_jobs must be an int >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_rerun_is_byte_identical(tmp_path, capsys):
     rec, sp, ap = synth_files(tmp_path, "r4", n_cycles=8, heart_rate_bpm=80,
                               r_amplitude=10.0, noise_sigma=0.2, seed=6)

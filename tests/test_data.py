@@ -84,6 +84,47 @@ def test_load_record_requires_header(tmp_path):
         load_record(sp, ap)
 
 
+def test_long_header_is_quoted_in_part(tmp_path):
+    # a file with no line end is one header line
+    sp = tmp_path / "sig.csv"
+    sp.write_text(";".join(f"{i};{i / 7!r}" for i in range(100_000)))
+    with pytest.raises(DataFormatError) as refused:
+        load_signal_csv(str(sp))
+    message = str(refused.value)
+    assert message.startswith(f"{sp}:1: expected header 'sample_index,amplitude', got '0;")
+    assert message.endswith("'...") and len(message) < len(str(sp)) + 150
+
+
+ANNOTATION_FILES = {
+    "underscore": ("2\n\n1_5\n", "expected a sample index in ASCII decimal, got '1_5'"),
+    "arabic-indic digits": ("\u0661\u0667\n", "got '\u0661\u0667'"),
+    "em space": ("\u20035\n", "got '\\u20035'"),
+    "hex": ("0x10\n", "got '0x10'"),
+    "decimal point": ("1.0\n", "got '1.0'"),
+    "sign alone": ("-\n", "got '-'"),
+    "two indices": ("1 2\n", "got '1 2'"),
+}
+
+
+@pytest.mark.parametrize("text, error", ANNOTATION_FILES.values(), ids=ANNOTATION_FILES.keys())
+def test_annotations_take_the_index_grammar(tmp_path, text, error):
+    sp, ap = write_record(tmp_path, [HEADER.strip()] + [f"{i},0" for i in range(20)], [])
+    with open(ap, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    line = 1 + text.rstrip("\n").count("\n")
+    with pytest.raises(DataFormatError) as refused:
+        load_record(sp, ap)
+    assert str(refused.value).startswith(f"{ap}:{line}: ")
+    assert error in str(refused.value)
+
+
+def test_annotations_read_spaces_tabs_and_signs(tmp_path):
+    sp, ap = write_record(tmp_path, [HEADER.strip()] + [f"{i},0" for i in range(20)], [])
+    with open(ap, "w", encoding="utf-8", newline="") as fh:
+        fh.write(" +3\t\n\n \t\r\n07\r15 \n")
+    assert load_record(sp, ap).rpeak_annotations.tolist() == [3, 7, 15]
+
+
 def test_load_record_gap_in_indices(tmp_path):
     sp, ap = write_record(
         tmp_path, ["sample_index,amplitude", "0,1.0", "2,2.0"], [0]

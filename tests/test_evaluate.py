@@ -404,3 +404,14 @@ def test_cross_validate_parallel_equals_serial():
     r1 = cross_validate([rec], k=5, cfg=cfg, initial_graph=g, n_jobs=1)
     r2 = cross_validate([rec], k=5, cfg=cfg, initial_graph=g, n_jobs=2)
     assert r1.to_json_dict() == r2.to_json_dict()
+
+
+@pytest.mark.parametrize("n_jobs", [0, -3, 1.5, "2"])
+def test_cross_validate_rejects_bad_n_jobs(n_jobs):
+    rec = record_with_cycles(10, seed=6)
+    with pytest.raises(ValueError, match="n_jobs"):
+        cross_validate([rec], k=5, cfg=LearnConfig(max_iterations=0), n_jobs=n_jobs)
+
+
+def test_cross_validate_of_no_records_is_an_empty_report():
+    assert cross_validate([], k=5).records == []

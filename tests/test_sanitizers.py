@@ -1,12 +1,14 @@
-"""``_solve.c`` under the address and undefined-behaviour sanitizers.
+"""``_solve.c`` under the address, undefined-behaviour and thread sanitizers.
 
 ``sanitize_runner.c`` runs the library's entry points outside the Python
 process.  Built under ``-fsanitize=address,undefined`` as one translation
 unit with ``_solve.c`` (``-include``), so that a drift in an entry point's
 signature fails to compile, it solves long records, whose decision records
-fill several blocks of both streams, and scans edge-case sample files; a
-sanitizer report fails the run, and the results must equal the ctypes
-library's.  The test is skipped where gcc cannot link the sanitizers.
+fill several blocks of both streams, and scans edge-case sample files.
+Built under ``-fsanitize=thread``, it solves the same records in several
+threads at once, as ``cross_validate``'s thread pool does.  A sanitizer
+report fails the run, and the results must equal the ctypes library's.
+Each build is skipped where gcc cannot link its sanitizers.
 """
 
 import ctypes
@@ -25,10 +27,13 @@ from helpers import halfway_tokens
 from test_compiled_solver import learned_four_state
 
 RUNNER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sanitize_runner.c")
-SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all",
-            "-fno-omit-frame-pointer", "-g", "-O1", "-ffp-contract=off")
+COMMON = ("-fno-omit-frame-pointer", "-g", "-O1", "-ffp-contract=off", "-pthread")
+SANITIZE = ("-fsanitize=address,undefined", "-fno-sanitize-recover=all", *COMMON)
+TSAN = ("-fsanitize=thread", *COMMON)
 ENV = {**os.environ, "ASAN_OPTIONS": "abort_on_error=0:exitcode=99",
-       "UBSAN_OPTIONS": "print_stacktrace=1:exitcode=99"}
+       "UBSAN_OPTIONS": "print_stacktrace=1:exitcode=99",
+       "TSAN_OPTIONS": "halt_on_error=1:exitcode=99"}
+THREADS = 4
 
 
 def _decision_block():
@@ -36,20 +41,38 @@ def _decision_block():
         return 1 << int(re.search(r"#define DEC_SHIFT (\d+)", fh.read()).group(1))
 
 
-@pytest.fixture(scope="module")
-def runner(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("sanitize")
+def _build_runner(tmp, flags, probe_source):
+    """The runner built with flags, or skip where the probe program built
+    with them does not compile or run."""
     probe = tmp / "probe.c"
-    probe.write_text("#include <stdlib.h>\nint main(void) { free(malloc(1)); return 0; }\n")
-    proc = subprocess.run([*_native.CC, *SANITIZE, "-o", str(tmp / "probe"), str(probe)],
+    probe.write_text(probe_source)
+    proc = subprocess.run([*_native.CC, *flags, "-o", str(tmp / "probe"), str(probe)],
                           capture_output=True, text=True)
-    if proc.returncode != 0 or subprocess.run([str(tmp / "probe")], env=ENV).returncode:
-        pytest.skip(f"gcc cannot build with the sanitizers: {proc.stderr.strip()[-300:]}")
+    if proc.returncode != 0:
+        pytest.skip(f"gcc cannot build with {flags[0]}: {proc.stderr.strip()[-300:]}")
+    run = subprocess.run([str(tmp / "probe")], env=ENV, capture_output=True, text=True)
+    if run.returncode:
+        pytest.skip(f"a program built with {flags[0]} does not run: "
+                    f"{run.stderr.strip()[-300:]}")
     exe = tmp / "runner"
-    proc = subprocess.run([*_native.CC, *SANITIZE, "-include", _native.SOURCE,
+    proc = subprocess.run([*_native.CC, *flags, "-include", _native.SOURCE,
                            "-o", str(exe), RUNNER, "-lm"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return str(exe)
+
+
+@pytest.fixture(scope="module")
+def runner(tmp_path_factory):
+    return _build_runner(tmp_path_factory.mktemp("sanitize"), SANITIZE,
+                         "#include <stdlib.h>\nint main(void) { free(malloc(1)); return 0; }\n")
+
+
+@pytest.fixture(scope="module")
+def tsan_runner(tmp_path_factory):
+    return _build_runner(tmp_path_factory.mktemp("tsan"), TSAN,
+                         "#include <pthread.h>\nstatic void *run(void *p) { return p; }\n"
+                         "int main(void) { pthread_t t; return pthread_create(&t, 0, run, 0) "
+                         "|| pthread_join(t, 0); }\n")
 
 
 def _run(runner, args, data):
@@ -79,13 +102,13 @@ def _library_solve(args):
     return status, info, total.value, out
 
 
-def _runner_solve(runner, args):
+def _runner_solve(runner, args, mode=("solve",)):
     y, n, nstates, start, nedges, src, tgt, up, gap, pen, dlo, dhi = args
     data = b"".join([
         np.int64(n).tobytes(), np.array([nstates, start, nedges], np.int32).tobytes(),
         np.array([dlo, dhi]).tobytes(), y.tobytes(), src.tobytes(), tgt.tobytes(),
         up.tobytes(), gap.tobytes(), pen.tobytes()])
-    raw = _run(runner, ["solve"], data)
+    raw = _run(runner, mode, data)
     status = int(np.frombuffer(raw, np.int32, 1)[0])
     info = np.frombuffer(raw, np.int64, 6, 4)
     total = float(np.frombuffer(raw, np.float64, 1, 52)[0])
@@ -111,12 +134,11 @@ RECORDS = {
 }
 
 
-@pytest.mark.parametrize("name", RECORDS)
-def test_solve_under_sanitizers(runner, name):
+def _assert_solves_like_library(runner, name, mode=("solve",)):
     cfg, g, start = RECORDS[name]
     y = generate_synthetic(cfg).signal.samples
     args = _solve_inputs(y, g, start)
-    status, info, total, out = _runner_solve(runner, args)
+    status, info, total, out = _runner_solve(runner, args, mode)
     want_status, want_info, want_total, want_out = _library_solve(args)
     assert status == want_status == 0
     assert info.tolist() == want_info.tolist()
@@ -127,6 +149,17 @@ def test_solve_under_sanitizers(runner, name):
     # both decision streams of some state cross a block boundary
     block, nstates = _decision_block(), len(g.states)
     assert len(y) > 25_000 and info[4] > nstates * block and info[5] > nstates * block
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_solve_under_sanitizers(runner, name):
+    _assert_solves_like_library(runner, name)
+
+
+@pytest.mark.parametrize("name", ["plain", "dip, start in S3"])
+def test_threaded_solves_under_thread_sanitizer(tsan_runner, name):
+    # the runner also requires the threads' outputs to be equal
+    _assert_solves_like_library(tsan_runner, name, ("solve-threads", str(THREADS)))
 
 
 SCAN_BODIES = [
