@@ -63,12 +63,17 @@ def match(labels, detections, tolerance_samples: int) -> MatchResult:
 
     Candidate pairs are taken in order of increasing distance; every label
     and every detection is used at most once.  Unmatched labels count as
-    false negatives, unmatched detections as false positives.
+    false negatives, unmatched detections as false positives.  Any finite
+    tolerance at or above the span of the inputs gives the result of that
+    span.
     """
-    if not (math.isfinite(tolerance_samples) and tolerance_samples >= 0):
+    if not 0 <= tolerance_samples < math.inf:
         raise ValueError(f"tolerance_samples must be finite and >= 0, got {tolerance_samples}")
     labels, detections = _sorted_lists(labels, detections)
-    tol = int(tolerance_samples)
+    # the clamp keeps the search bounds inside int64
+    span = (max(labels[-1], detections[-1]) - min(labels[0], detections[0])
+            if labels and detections else 0)
+    tol = min(int(tolerance_samples), span)
     det_arr = np.asarray(detections)
     lab_arr = np.asarray(labels)
     return _greedy_match(

@@ -9,6 +9,8 @@ is not an edge; the solver handles the no-change case directly.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 
 UP = "up"
@@ -45,10 +47,20 @@ class Edge:
 
 @dataclass(frozen=True)
 class ConstraintGraph:
+    """A valid graph: the constructor stores states and edges as tuples and
+    raises GraphValidationError with every violation validate() finds."""
+
     states: tuple
     edges: tuple
     baseline_state: int
     rpeak_state: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", tuple(self.states))
+        object.__setattr__(self, "edges", tuple(self.edges))
+        violations = validate(self)
+        if violations:
+            raise GraphValidationError(violations)
 
     def state_named(self, name: str) -> StateId:
         for s in self.states:
@@ -69,10 +81,6 @@ class ConstraintGraph:
 def initial_graph(gap_up: float, gap_down: float, penalty: float) -> ConstraintGraph:
     """Two-state starting point: baseline B with an up edge to R and a down
     edge back."""
-    if gap_up < 0 or gap_down < 0 or penalty < 0:
-        raise ValueError(
-            f"gaps and penalty must be non-negative, got ({gap_up}, {gap_down}, {penalty})"
-        )
     return ConstraintGraph(
         states=(StateId(0, "B"), StateId(1, "R")),
         edges=(
@@ -84,20 +92,41 @@ def initial_graph(gap_up: float, gap_down: float, penalty: float) -> ConstraintG
     )
 
 
+def _is_int(v):
+    return type(v) is int or (isinstance(v, int) and not isinstance(v, bool))
+
+
+def _is_real(v):
+    return type(v) is float or (isinstance(v, numbers.Real) and not isinstance(v, bool))
+
+
 def validate(g: ConstraintGraph):
     """Return a list of human-readable invariant violations (empty when valid).
 
-    Never raises; parse() raises GraphValidationError when this is non-empty.
+    Never raises.  The ConstraintGraph constructor raises
+    GraphValidationError when this is non-empty, so every graph that exists
+    passes it.
     """
     out = []
     n = len(g.states)
     if n == 0:
         return ["graph has no states"]
+    if not all(isinstance(s, StateId) for s in g.states):
+        return ["every state must be a StateId"]
+    if not all(isinstance(e, Edge) for e in g.edges):
+        return ["every edge must be an Edge"]
     ids = [s.id for s in g.states]
-    if ids != list(range(n)):
+    if not all(map(_is_int, ids)) or ids != list(range(n)):
         out.append(f"state ids must be dense 0..{n - 1} in order, got {ids}")
         return out
+    for i, e in enumerate(g.edges):
+        if not (_is_int(e.source) and _is_int(e.target)):
+            out.append(f"edge {i} ({e.source!r}->{e.target!r}): endpoints must be integers")
+    if out:
+        return out
     names = [s.name for s in g.states]
+    if not all(isinstance(x, str) for x in names):
+        return [f"state names must be strings, got {names}"]
     if len(set(names)) != n:
         dup = sorted({x for x in names if names.count(x) > 1})
         out.append(f"duplicate state names: {dup}")
@@ -113,12 +142,19 @@ def validate(g: ConstraintGraph):
             continue
         if e.source == e.target:
             out.append(f"{label}: self-loops are not allowed")
-        if e.direction not in DIRECTIONS:
+        hashable = isinstance(e.direction, str)
+        if not (hashable and e.direction in DIRECTIONS):
             out.append(f"{label}: direction must be 'up' or 'down', got {e.direction!r}")
-        if not (e.gap >= 0):
-            out.append(f"{label}: gap must be non-negative, got {e.gap}")
-        if not (e.penalty >= 0):
-            out.append(f"{label}: penalty must be non-negative, got {e.penalty}")
+        for field, v in (("gap", e.gap), ("penalty", e.penalty)):
+            if not _is_real(v):
+                out.append(f"{label}: {field} must be a number, got {v!r}")
+                hashable = False
+            elif not (v >= 0):
+                out.append(f"{label}: {field} must be non-negative, got {v}")
+            elif not v <= sys.float_info.max:
+                out.append(f"{label}: {field} must be finite, got {v}")
+        if not hashable:
+            continue
         key = (e.source, e.target, e.direction, e.gap, e.penalty)
         if key in seen:
             out.append(f"{label}: duplicates another edge with identical attributes")
@@ -131,7 +167,7 @@ def validate(g: ConstraintGraph):
             out.append(f"state {v} ({g.states[v].name}): no incoming edge")
 
     for anchor, label in ((g.baseline_state, "baseline_state"), (g.rpeak_state, "rpeak_state")):
-        if not (isinstance(anchor, int) and 0 <= anchor < n):
+        if not (_is_int(anchor) and 0 <= anchor < n):
             out.append(f"{label} {anchor} is not a state id")
 
     if not out and not _strongly_connected(g):
@@ -167,7 +203,7 @@ _TOP_KEYS = {"states", "edges", "baseline_state", "rpeak_state"}
 
 def _want_int(obj, key, where):
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_int(v):
         raise GraphParseError(f"{where}: field {key!r} must be an integer, got {v!r}")
     return v
 
@@ -176,11 +212,20 @@ def _want_real(obj, key, where):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise GraphParseError(f"{where}: field {key!r} must be a number, got {v!r}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise GraphParseError(f"{where}: field {key!r} is past the float range") from None
 
 
 def parse(document: str) -> ConstraintGraph:
-    """Parse the JSON graph document; reject unknown fields; validate."""
+    """Parse the JSON graph document and reject unknown fields.
+
+    Raises GraphParseError for a malformed document and, from the
+    ConstraintGraph constructor, GraphValidationError for a graph that
+    breaks an invariant (a value past the float range, such as 1e400,
+    reads as inf and is refused there).
+    """
     try:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
@@ -232,16 +277,12 @@ def parse(document: str) -> ConstraintGraph:
             )
         )
 
-    g = ConstraintGraph(
-        states=tuple(states),
-        edges=tuple(edges),
+    return ConstraintGraph(
+        states=states,
+        edges=edges,
         baseline_state=_want_int(raw, "baseline_state", "top level"),
         rpeak_state=_want_int(raw, "rpeak_state", "top level"),
     )
-    violations = validate(g)
-    if violations:
-        raise GraphValidationError(violations)
-    return g
 
 
 def serialize(g: ConstraintGraph) -> str:

@@ -16,6 +16,7 @@ import heapq
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -165,8 +166,9 @@ def enumerate_candidates(g: gr.ConstraintGraph, min_gap: float = 0.0) -> list:
 
     A doubled gap below min_gap becomes min_gap, and a halved gap below
     min_gap / 2 becomes 0.  Inapplicable deletions (protected target, wrong
-    degrees, would create a self-loop) and any edit whose result fails
-    validation are omitted; omissions are logged at debug level.
+    degrees, would create a self-loop) and any edit whose resulting graph the
+    ConstraintGraph constructor refuses are omitted; omissions are logged at
+    debug level.
     """
     out = []
     protected = {g.baseline_state, g.rpeak_state}
@@ -191,7 +193,7 @@ def enumerate_candidates(g: gr.ConstraintGraph, min_gap: float = 0.0) -> list:
               replace(e, source=w2.id, gap=half)], [w1, w2]),
         )
         for kind, edges, states in inserts:
-            _append_candidate(out, kind, i, _replace_edge(g, i, edges, states))
+            _append_candidate(out, kind, i, _replace_edge, g, i, edges, states)
 
         vin = g.in_edges(e.target)
         vout = g.out_edges(e.target)
@@ -203,7 +205,7 @@ def enumerate_candidates(g: gr.ConstraintGraph, min_gap: float = 0.0) -> list:
             j, succ = vout[0]
             for kind, kept in (("delete_merge_keep_in", e), ("delete_merge_keep_out", succ)):
                 merged = replace(kept, source=e.source, target=succ.target)
-                _append_candidate(out, kind, i, _delete_state(g, i, j, merged))
+                _append_candidate(out, kind, i, _delete_state, g, i, j, merged)
 
         down_gap = e.gap / EDIT_FACTOR
         tunings = (
@@ -213,14 +215,16 @@ def enumerate_candidates(g: gr.ConstraintGraph, min_gap: float = 0.0) -> list:
             ("gap_down", replace(e, gap=0.0 if down_gap < min_gap / 2.0 else down_gap)),
         )
         for kind, edited in tunings:
-            _append_candidate(out, kind, i, _replace_edge(g, i, [edited]))
+            _append_candidate(out, kind, i, _replace_edge, g, i, [edited])
     return out
 
 
-def _append_candidate(out, kind, anchor, graph_):
-    violations = gr.validate(graph_)
-    if violations:
-        log.debug("edit %s on edge %d omitted: %s", kind, anchor, violations)
+def _append_candidate(out, kind, anchor, build, *args):
+    """Append the candidate build(*args) makes, or log why it is invalid."""
+    try:
+        graph_ = build(*args)
+    except gr.GraphValidationError as exc:
+        log.debug("edit %s on edge %d omitted: %s", kind, anchor, exc.violations)
         return
     out.append(EditCandidate(kind=kind, anchor_edge=anchor, resulting_graph=graph_))
 
@@ -256,8 +260,10 @@ def evaluate_graph(g: gr.ConstraintGraph, windows, cfg: LearnConfig):
             if w.eval_span is not None:
                 lo, hi = w.eval_span
                 det = [d for d in det if lo <= d < hi]
-            tol = int(round(cfg.tolerance_ms * w.signal.sample_rate / 1000.0))
-            mr = match(labels, det, tol)
+            tol = cfg.tolerance_ms * w.signal.sample_rate / 1000.0
+            # a product past the float range exceeds any span, and match
+            # treats every tolerance beyond the inputs' span as that span
+            mr = match(labels, det, int(round(min(tol, sys.float_info.max))))
             row = RecordCounts(w.record_id, tp=mr.tp, fp=mr.fp, fn=mr.fn)
         rows.append(row)
         total += row.fn + row.fp
@@ -311,7 +317,8 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
     penalty sum, then enumeration order).  Stops when no candidate improves,
     at max_iterations, or after the validation error rises on two
     consecutive accepted iterations, in which case the best-validation
-    snapshot is returned.
+    snapshot is returned.  The initial graph, like every ConstraintGraph,
+    was checked when it was built.
 
     Candidates are scored best-first.  A heap holds one entry per candidate:
     its running FN+FP over the training windows scored so far (shortest
@@ -326,9 +333,6 @@ def learn(initial: gr.ConstraintGraph, windows, cfg: LearnConfig = None):
         cfg = LearnConfig()
     if not windows:
         raise ValueError("windows must be non-empty")
-    violations = gr.validate(initial)
-    if violations:
-        raise gr.GraphValidationError(violations)
     step = _gap_step(windows)
 
     rng = np.random.default_rng(cfg.seed)

@@ -48,8 +48,8 @@ class Signal:
             raise ValueError("signal needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("signal contains non-finite samples")
-        if not self.sample_rate > 0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be positive and finite, got {self.sample_rate}")
 
     def __len__(self):
         return len(self.samples)
@@ -126,7 +126,8 @@ def _resolve_start(graph_, start_state):
             return graph_.state_named(start_state).id
         except KeyError:
             pass
-    if isinstance(start_state, int) and 0 <= start_state < len(graph_.states):
+    if (isinstance(start_state, int) and not isinstance(start_state, bool)
+            and 0 <= start_state < len(graph_.states)):
         return start_state
     raise ValueError(f"start_state {start_state!r} is not a state of the graph")
 
@@ -137,10 +138,11 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
     Returns the optimal boundaries, per-segment means and hidden states, the
     edges taken, and the optimal total cost.  At equal cost, staying in a
     state is preferred over changing, and lower-index edges over higher.
+    The graph is not checked here: a ConstraintGraph is valid once built.
     """
-    violations = gr.validate(graph_)
-    if violations:
-        raise gr.GraphValidationError(violations)
+    if not isinstance(graph_, gr.ConstraintGraph):
+        # the C code indexes by edge endpoints that only the constructor checked
+        raise TypeError(f"graph must be a ConstraintGraph, got {type(graph_).__name__}")
     y = np.ascontiguousarray(signal.samples)
     n = len(y)
     lo, hi = float(np.min(y)), float(np.max(y))

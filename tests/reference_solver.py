@@ -39,13 +39,16 @@ def solve(signal, graph_, start_state="free"):
         edges = tuple(replace(e, gap=float(np.ldexp(e.gap, -k)),
                               penalty=float(np.ldexp(e.penalty, -2 * k)))
                       for e in graph_.edges)
-    seg = _solve(image, replace(graph_, edges=edges), start_state)
+    # the image's edge values may pass the float range (inf), which no
+    # ConstraintGraph holds, so they travel beside the graph, as in solve
+    seg = _solve(image, graph_, start_state, edges)
     seg.means = [math.ldexp(m, k) for m in seg.means]
     seg.total_cost = math.ldexp(seg.total_cost, 2 * k)
     return seg
 
 
-def _solve(signal, graph_, start_state):
+def _solve(signal, graph_, start_state, edges=None):
+    edges = graph_.edges if edges is None else edges
     y = signal.samples
     n = len(y)
     dlo, dhi = solve_domain(signal)
@@ -55,7 +58,7 @@ def _solve(signal, graph_, start_state):
 
     # (edge index, source, is_up, gap, penalty) per target state
     in_edges = [[] for _ in range(nstates)]
-    for idx, e in enumerate(graph_.edges):
+    for idx, e in enumerate(edges):
         in_edges[e.target].append((idx, e.source, e.direction == gr.UP, e.gap, e.penalty))
 
     y0 = float(y[0])
@@ -164,7 +167,6 @@ def _solve(signal, graph_, start_state):
     rev_means = [m]
     rev_bounds = []
     rev_edges = []
-    edges = graph_.edges
     for t in range(n - 1, 0, -1):
         off = dec_off[v]
         lo_i = off[t - 1]

@@ -257,6 +257,42 @@ def test_bad_tolerance_exits_2(tmp_path, capsys, command, tolerance):
     assert f"input error: tolerance_ms must be finite and >= 0, got {float(tolerance)}" in err
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--sample-rate", "inf"], 2),
+    (["--sample-rate", "nan"], 2),
+    (["--sample-rate", "1e308"], 0),
+    (["--tolerance-ms", "1e306"], 0),
+])
+def test_overflowing_tolerance_is_no_internal_error(tmp_path, capsys, flags, code):
+    # each of these once overflowed int() or the int64 search bounds of
+    # match and exited 4; a finite tolerance past every span matches as the
+    # span does, so the perfect detector keeps Sen 100
+    _rec, sp, ap = synth_files(tmp_path, "r7", n_cycles=10, heart_rate_bpm=75,
+                               r_amplitude=10.0, noise_sigma=0.1, seed=8)
+    graph = tmp_path / "g.json"
+    graph.write_text(gr.serialize(gr.initial_graph(4.0, 2.0, 40.0)))
+    out = tmp_path / "o"
+    rc = cli.main(["eval", "--signal", str(sp), "--annotations", str(ap),
+                   "--graph", str(graph), "--out-dir", str(out), *flags])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert "Traceback" not in err
+    if code == 0:
+        assert json.loads((out / "report.json").read_text())["pooled"]["sen"] == 100.0
+    else:
+        assert "sample_rate must be positive and finite" in err
+
+
+def test_graph_with_a_value_past_the_float_range_exits_2(tmp_path, step_files, capsys):
+    # 1e400 reads as inf, and serialize would write it as Infinity
+    sig, graph = step_files
+    graph.write_text(graph.read_text().replace('"penalty": 1.0', '"penalty": 1e400', 1))
+    rc = cli.main(["detect", "--signal", str(sig), "--graph", str(graph),
+                   "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "penalty must be finite, got inf" in capsys.readouterr().err
+
+
 def same_basename_files(tmp_path):
     """Two different records saved as a/rec.csv and b/rec.csv."""
     args = []

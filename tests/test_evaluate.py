@@ -67,6 +67,16 @@ def test_match_rejects_a_bad_tolerance(tolerance):
         match([5], [5], tolerance)
 
 
+@pytest.mark.parametrize("tolerance", [1e19, 1e308, pytest.param(10**400, id="10**400"),
+                                       pytest.param(2**63, id="2**63")])
+@pytest.mark.parametrize("labels, dets", [([1, 5], [2, 9]), ([1, 5], []), ([], [2]),
+                                          ([0, 700], [350])])
+def test_match_tolerance_beyond_the_span_is_the_span(tolerance, labels, dets):
+    # a tolerance past int64 once overflowed the search bounds
+    span = max(labels + dets) - min(labels + dets) if labels and dets else 0
+    assert match(labels, dets, tolerance) == match(labels, dets, span)
+
+
 def test_match_symmetry_swaps_fp_fn():
     rng = np.random.default_rng(12)
     for _ in range(25):

@@ -1,5 +1,8 @@
 """Solver tests: exact cases, oracle agreement, equivariances, extraction."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -48,14 +51,15 @@ def test_constant_signal_huge_penalty():
 
 
 def test_solve_rejects_invalid_graph():
-    bad = gr.ConstraintGraph(
-        states=(gr.StateId(0, "B"), gr.StateId(1, "R")),
-        edges=(gr.Edge(0, 1, "up", 1.0, -1.0), gr.Edge(1, 0, "down", 1.0, 1.0)),
-        baseline_state=0,
-        rpeak_state=1,
-    )
-    with pytest.raises(gr.GraphValidationError):
-        solve(sig(STEP), bad)
+    # the constructor refuses the graph, so solve never sees it
+    with pytest.raises(gr.GraphValidationError) as exc:
+        gr.ConstraintGraph(
+            states=(gr.StateId(0, "B"), gr.StateId(1, "R")),
+            edges=(gr.Edge(0, 1, "up", 1.0, -1.0), gr.Edge(1, 0, "down", 1.0, 1.0)),
+            baseline_state=0,
+            rpeak_state=1,
+        )
+    assert any("penalty must be non-negative" in v for v in exc.value.violations)
 
 
 def test_solve_rejects_unknown_start_state():
@@ -66,6 +70,23 @@ def test_solve_rejects_unknown_start_state():
         solve(sig(STEP), g, start_state=7)
 
 
+def test_solve_takes_only_a_constraint_graph():
+    # a look-alike skips the constructor's check, so its endpoints would
+    # reach the compiled code unchecked
+    g = gr.initial_graph(1, 1, 1)
+    fake = SimpleNamespace(**{**vars(g), "edges": g.edges + (gr.Edge(0, 5, "up", 1.0, 1.0),)})
+    with pytest.raises(TypeError, match="must be a ConstraintGraph, got SimpleNamespace"):
+        solve(sig(STEP), fake)
+
+
+@pytest.mark.parametrize("start", [True, False])
+def test_solve_rejects_bool_start_state(start):
+    # True == 1 and False == 0, but a bool is not a state id
+    g = gr.initial_graph(1, 1, 1)
+    with pytest.raises(ValueError, match=f"start_state {start} is not a state"):
+        solve(sig(STEP), g, start_state=start)
+
+
 def test_signal_validation():
     with pytest.raises(ValueError):
         Signal(np.array([1.0]), 360.0)
@@ -73,6 +94,12 @@ def test_signal_validation():
         Signal(np.array([1.0, np.nan]), 360.0)
     with pytest.raises(ValueError):
         Signal(np.array([1.0, 2.0]), 0.0)
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan, -math.inf])
+def test_signal_refuses_non_finite_sample_rate(rate):
+    with pytest.raises(ValueError, match="sample_rate must be positive and finite"):
+        Signal(np.array([1.0, 2.0]), rate)
 
 
 def test_solve_domain_pads_range():
@@ -345,9 +372,10 @@ def test_oracle_equivalence_under_exact_ties():
             gap = round(float(rng.integers(0, 3)) / delta) * delta
             edges.append(gr.Edge(i, (i + 1) % nstates, direction, gap,
                                  float(rng.integers(0, 4))))
-        g = gr.ConstraintGraph(states=states, edges=tuple(edges),
-                               baseline_state=0, rpeak_state=1)
-        if gr.validate(g):
+        try:
+            g = gr.ConstraintGraph(states=states, edges=tuple(edges),
+                                   baseline_state=0, rpeak_state=1)
+        except gr.GraphValidationError:
             continue
         seg = solve(s, g)
         assert_valid_segmentation(y, g, seg)
