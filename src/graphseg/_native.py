@@ -1,8 +1,10 @@
 """Build and load the compiled library in ``_solve.c``: the solver's forward
 pass and backtrack (``graphseg_solve``), the kernels of the public
 ``graphseg.pwq`` operations (``graphseg_min``, ``graphseg_prefix_min``,
-``graphseg_global_min``) and the sample-file scanner
-(``graphseg_parse_samples``).
+``graphseg_global_min``), the sample-file scanner
+(``graphseg_parse_samples``) and the sample-file writer
+(``graphseg_format_samples``, whose amplitudes are byte for byte their
+Python ``repr``).
 
 The C source is compiled once with the system ``gcc`` into a shared library
 cached in ``$XDG_CACHE_HOME/graphseg`` (``~/.cache/graphseg`` when unset),
@@ -15,11 +17,12 @@ place, so processes building at the same time never load a partial file.
 ``-ffp-contract=off`` keeps the compiler from fusing a multiply and an add
 into one instruction that rounds once: every floating-point operation then
 rounds as Python's does, the compiled solver matches the Python loop bit
-for bit and the scanner's decimal-to-double multiply or divide rounds
-once.  ``-O2`` makes ``solve`` 25-40% faster than ``-Os`` on the
-benchmark's detect records.  It costs more only on a first run with an
-empty cache: gcc 12 peaks at about 42 MiB and takes about 0.6 s, against
-38 MiB and 0.4 s at ``-Os`` (2-vCPU VM).
+for bit, and the decimal-to-double multiply or divide with which the
+scanner reads and the writer checks its digits rounds once.  ``-O2`` makes
+``solve`` 25-40% faster than ``-Os`` on the benchmark's detect records.
+It costs more only on a first run with an empty cache: gcc 12 peaks at
+about 42 MiB and takes about 0.6 s, against 38 MiB and 0.4 s at ``-Os``
+(2-vCPU VM).
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ class Library(NamedTuple):
 
     solve: object
     parse_samples: object
+    format_samples: object
     min: object
     prefix_min: object
     global_min: object
@@ -130,8 +134,8 @@ def load():
         lib = ctypes.CDLL(path)
     except OSError as exc:
         raise NativeBuildError(f"cannot load {path}: {exc}") from exc
-    f64, i64, i32, i8, pieces = (
-        _array(t) for t in (np.float64, np.int64, np.int32, np.int8, PIECE))
+    f64, i64, i32, i8, u8, pieces = (
+        _array(t) for t in (np.float64, np.int64, np.int32, np.int8, np.uint8, PIECE))
     solve = lib.graphseg_solve
     solve.argtypes = [
         f64, ctypes.c_int64, ctypes.c_int32, ctypes.c_int32,  # y, n, states, start
@@ -147,6 +151,12 @@ def load():
         f64, ctypes.c_int64, i64,  # out: amplitudes, capacity, info
     ]
     parse.restype = ctypes.c_int
+    fmt = lib.graphseg_format_samples
+    fmt.argtypes = [
+        f64, ctypes.c_int64, ctypes.c_int64,  # amplitudes, first and end index
+        u8, ctypes.c_int64, i64,  # out: bytes, capacity, info
+    ]
+    fmt.restype = ctypes.c_int
     pmin = lib.graphseg_min
     pmin.argtypes = [pieces, ctypes.c_int64, pieces, ctypes.c_int64, pieces]
     pmin.restype = ctypes.c_int64
@@ -156,7 +166,7 @@ def load():
     global_min = lib.graphseg_global_min
     global_min.argtypes = [pieces, ctypes.c_int64, ctypes.POINTER(ctypes.c_double)]
     global_min.restype = ctypes.c_double
-    return Library(solve, parse, pmin, prefix_min, global_min)
+    return Library(solve, parse, fmt, pmin, prefix_min, global_min)
 
 
 # Built or found in the cache once, at import: before any timed call and

@@ -1,6 +1,7 @@
 /* Forward pass and backtrack of graphseg.solver.solve, the kernels of the
  * public graphseg.pwq operations, and the sample-file scanner of
- * graphseg.data.load_signal_csv (at the end of this file).
+ * graphseg.data.load_signal_csv and writer of graphseg.data.save_record
+ * (at the end of this file).
  *
  * This is the functional dynamic program of the Python loop kept as the
  * test oracle in tests/reference_solver.py (over the Python kernels of
@@ -39,6 +40,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -855,16 +857,32 @@ static int scan_index(const char **p, const char *end, int64_t *out)
     return 0;
 }
 
-/* The double nearest to the decimal amplitude at *p, advancing *p past it:
- * 0, PARSE_MALFORMED, PARSE_NOT_FINITE or PARSE_NO_MEMORY.
- *
- * A mantissa w of at most 19 significant digits and w <= 2^53 is exact in
- * a double, as is 10^e for |e| <= 22, so w * 10^e or w / 10^-e is one
+/* The double nearest to w * 10^e10.  A w of at most 2^53 is exact in a
+ * double, as is 10^e for |e| <= 22, so w * 10^e or w / 10^-e is one
  * correctly rounded operation (Clinger, "How to read floating point
- * numbers accurately", PLDI 1990).  With extended set, most other tokens
- * of at most 19 significant digits take scan_extended.  The rest go to
- * strtod, which
- * also rounds correctly; all three equal Python's float() bit for bit. */
+ * numbers accurately", PLDI 1990).  With extended set, most other w (any
+ * w < 2^64) with |e10| <= 27 take scan_extended.  The rest go to strtod,
+ * which also rounds correctly; all three equal Python's float() bit for
+ * bit.  The text strtod reads has no decimal point, so the locale's does
+ * not matter. */
+static double read_decimal(uint64_t w, int64_t e10, int extended)
+{
+    char text[48];
+    double v = (double)w;
+
+    if (w <= EXACT_MANTISSA && e10 >= -EXACT_POW10 && e10 <= EXACT_POW10)
+        return e10 >= 0 ? v * POW10[e10] : v / POW10[-e10];
+    if (extended && !scan_extended(w, e10, &v))
+        return v;
+    snprintf(text, sizeof text, "%llue%lld", (unsigned long long)w, (long long)e10);
+    return strtod(text, NULL);
+}
+
+/* The double nearest to the decimal amplitude at *p, advancing *p past it:
+ * 0, PARSE_MALFORMED, PARSE_NOT_FINITE or PARSE_NO_MEMORY.  A token of at
+ * most 19 significant digits and an exponent below 100000 is its mantissa
+ * w and exponent e10, which read_decimal reads; strtod reads the others
+ * from their text. */
 static int scan_amplitude(const char **p, const char *end, double *out, int extended)
 {
     const char *tok = *p, *s = *p;
@@ -914,12 +932,8 @@ static int scan_amplitude(const char **p, const char *end, double *out, int exte
         e10 += eneg ? -e : e;
     }
 
-    if (exact && w <= EXACT_MANTISSA && e10 >= -EXACT_POW10 && e10 <= EXACT_POW10) {
-        v = (double)w;
-        v = e10 >= 0 ? v * POW10[e10] : v / POW10[-e10];
-        if (neg)
-            v = -v;
-    } else if (exact && extended && !scan_extended(w, e10, &v)) {
+    if (exact) {
+        v = read_decimal(w, e10, extended);
         if (neg)
             v = -v;
     } else {
@@ -982,4 +996,198 @@ int graphseg_parse_samples(const char *buf, int64_t start, int64_t len,
     info[1] = line - buf;
     info[2] = idx;
     return status;
+}
+
+/* The sample lines of graphseg.data.save_record, "index,amplitude\n", with
+ * each amplitude spelled as Python's repr spells it: the shortest digits
+ * that read back to the same double, the nearest to it among those; the
+ * exponent form below 1e-4 and from 1e16 up, with at least two exponent
+ * digits (1e-05); a ".0" after an integral value, and -0.0.
+ *
+ * The digits are found for 1e-5 <= |x| < 1e15 and for zero.  There a
+ * correctly rounded decimal of 15, 16 or 17 significant digits is w =
+ * round(m * 10^s / 2^q) for x = m * 2^-q, with 3 <= q <= 69, s <= 21 and
+ * m * 10^s < 2^123, exact in 128 bits.  Each is rounded from the exact
+ * value, never from another.  Every 15-digit decimal that a double holds
+ * reads back to it, so a double has at most one, its own rounding
+ * (DBL_DIG); failing that the nearest 16-digit one is the only candidate;
+ * 17 digits always read back.  (A power of two, whose next double down lies
+ * nearer than the next up, could read back only from the 16-digit decimal
+ * just above it; no power of two in the range does.)  read_decimal, the
+ * scan's reader, decides what reads back, and trailing zeros are then
+ * dropped.  Other amplitudes, tiny, huge, subnormal or not finite, are left
+ * to the caller, which writes that line with repr. */
+#define FORMAT_MIN_E10 (-5)
+#define FORMAT_MAX_E10 14
+#define FORMAT_LINE_BYTES 48 /* an int64 index, ',', 24 bytes of repr, '\n' */
+
+#ifdef __SIZEOF_INT128__
+typedef unsigned __int128 u128;
+
+/* 10^0 .. 10^19 */
+static const uint64_t POW10_INT[20] = {
+    UINT64_C(1), UINT64_C(10), UINT64_C(100), UINT64_C(1000), UINT64_C(10000),
+    UINT64_C(100000), UINT64_C(1000000), UINT64_C(10000000), UINT64_C(100000000),
+    UINT64_C(1000000000), UINT64_C(10000000000), UINT64_C(100000000000),
+    UINT64_C(1000000000000), UINT64_C(10000000000000), UINT64_C(100000000000000),
+    UINT64_C(1000000000000000), UINT64_C(10000000000000000),
+    UINT64_C(100000000000000000), UINT64_C(1000000000000000000),
+    UINT64_C(10000000000000000000)};
+
+/* Whether m * 2^-q >= 10^e10, for m < 2^53, q <= 69 and 10^e10 within a
+ * factor of 100 of m * 2^-q, so that no product reaches 2^128 */
+static int at_least_pow10(uint64_t m, int q, int e10)
+{
+    if (e10 >= 0)
+        return (u128)m >= (u128)POW10_INT[e10] << q;
+    return (u128)m * POW10_INT[-e10] >= (u128)1 << q;
+}
+
+/* p / 2^q rounded to the nearest integer, ties to even */
+static uint64_t round_shifted(u128 p, int q)
+{
+    u128 n = p >> q, rem = p - (n << q), half = (u128)1 << (q - 1);
+
+    return (uint64_t)(n + (rem > half || (rem == half && (n & 1))));
+}
+
+/* Python's repr digits of x > 0 as w * 10^*e10, or -1 when x lies outside
+ * [1e-5, 1e15) */
+static int shortest_digits(double x, int extended, uint64_t *w, int *e10)
+{
+    uint64_t bits, m;
+    int b2, q, d10, s;
+    u128 p;
+
+    memcpy(&bits, &x, sizeof bits);
+    b2 = (int)(bits >> 52) - 1023; /* x in [2^b2, 2^(b2 + 1)) */
+    if (b2 < -17 || b2 > 49)
+        return -1;
+    m = (bits & ((UINT64_C(1) << 52) - 1)) | UINT64_C(1) << 52;
+    q = 52 - b2; /* x = m * 2^-q */
+    d10 = (int)floor(b2 * 0.30102999566398120); /* floor(log10(x)) or one less */
+    d10 += at_least_pow10(m, q, d10 + 1);
+    if (d10 < FORMAT_MIN_E10 || d10 > FORMAT_MAX_E10)
+        return -1;
+    s = 14 - d10; /* x * 10^s has 15 digits before the point */
+    p = (u128)m * POW10_INT[s];
+    for (;; s++, p *= 10) { /* 15, 16, then 17 digits */
+        *w = round_shifted(p, q);
+        *e10 = -s;
+        if (s == 16 - d10 || read_decimal(*w, -s, extended) == x)
+            return 0;
+    }
+}
+#else
+static int shortest_digits(double x, int extended, uint64_t *w, int *e10)
+{
+    (void)x;
+    (void)extended;
+    (void)w;
+    (void)e10;
+    return -1;
+}
+#endif
+
+/* The decimal digits of w > 0, ending at end; returns their start */
+static char *put_digits(uint64_t w, char *end)
+{
+    do
+        *--end = (char)('0' + w % 10);
+    while (w /= 10);
+    return end;
+}
+
+/* repr(x) at out, returning its length, or 0 for an amplitude left to the
+ * caller */
+static int format_amplitude(double x, int extended, char *out)
+{
+    char buf[20], *digits, *s = out;
+    uint64_t w;
+    int e10, nd, decpt;
+
+    if (signbit(x)) {
+        *s++ = '-';
+        x = -x;
+    }
+    if (x == 0) {
+        memcpy(s, "0.0", 3);
+        return (int)(s - out) + 3;
+    }
+    if (shortest_digits(x, extended, &w, &e10))
+        return 0;
+    for (; w % 10 == 0; w /= 10)
+        e10++;
+    digits = put_digits(w, buf + sizeof buf);
+    nd = (int)(buf + sizeof buf - digits);
+    decpt = nd + e10; /* x = 0.digits * 10^decpt, -4 <= decpt <= 16 */
+    if (decpt == -4) { /* repr's exponent form, here only for x < 1e-4 */
+        *s++ = digits[0];
+        if (nd > 1) {
+            *s++ = '.';
+            memcpy(s, digits + 1, (size_t)nd - 1);
+            s += nd - 1;
+        }
+        memcpy(s, "e-05", 4);
+        s += 4;
+    } else if (decpt <= 0) {
+        memcpy(s, "0.000", (size_t)(2 - decpt));
+        s += 2 - decpt;
+        memcpy(s, digits, (size_t)nd);
+        s += nd;
+    } else if (decpt < nd) {
+        memcpy(s, digits, (size_t)decpt);
+        s += decpt;
+        *s++ = '.';
+        memcpy(s, digits + decpt, (size_t)(nd - decpt));
+        s += nd - decpt;
+    } else {
+        memcpy(s, digits, (size_t)nd);
+        s += nd;
+        memset(s, '0', (size_t)(decpt - nd));
+        s += decpt - nd;
+        memcpy(s, ".0", 2);
+        s += 2;
+    }
+    return (int)(s - out);
+}
+
+/* Write the lines "i,repr(y[i])\n" for i from start while i < stop into
+ * out (cap bytes).  Stops at stop, at a line that no longer fits, or at an
+ * amplitude that format_amplitude leaves to the caller.  Sets info[0] to
+ * the i of the first line not written and info[1] to the bytes written;
+ * returns 1 when it stopped at such an amplitude, else 0. */
+int graphseg_format_samples(const double *y, int64_t start, int64_t stop, char *out,
+                            int64_t cap, int64_t *info)
+{
+    char line[FORMAT_LINE_BYTES], *s;
+    int64_t i, used = 0;
+    int extended = extended_rounding(), left = 0;
+
+    for (i = start; i < stop; i++) {
+        char digits[20], *d;
+        uint64_t mag = i < 0 ? -(uint64_t)i : (uint64_t)i;
+        int len;
+
+        s = line;
+        *s = '-';
+        s += i < 0;
+        d = put_digits(mag, digits + sizeof digits);
+        memcpy(s, d, (size_t)(digits + sizeof digits - d));
+        s += digits + sizeof digits - d;
+        *s++ = ',';
+        if (!(len = format_amplitude(y[i], extended, s))) {
+            left = 1;
+            break;
+        }
+        s += len;
+        *s++ = '\n';
+        if (s - line > cap - used)
+            break;
+        memcpy(out + used, line, (size_t)(s - line));
+        used += s - line;
+    }
+    info[0] = i;
+    info[1] = used;
+    return left;
 }

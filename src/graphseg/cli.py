@@ -12,14 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import secrets
 import sys
 import traceback
 
 from . import __version__
 from . import graph as gr
 from ._native import NativeBuildError
-from .data import DataFormatError, load_record, load_signal_csv, read_text, record_id_of
+from .data import (DataFormatError, load_record, load_signal_csv, read_text, record_id_of,
+                   replace_file)
 from .evaluate import DetectionReport, cross_validate, windows_whole_record
 from .learning import LearnConfig, default_initial_graph, evaluate_graph, learn
 from .solver import InfeasibleModelError, extract_rpeaks, solve
@@ -48,18 +48,8 @@ def _load_graph(path):
 
 
 def _write(path, text):
-    """Write text to a new file beside path, then rename it over path, so
-    that an interrupted write never leaves a partial file under path."""
-    tmp = os.path.join(os.path.dirname(path),
-                       f".{os.path.basename(path)}.{secrets.token_hex(6)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="\n")
-    try:
-        with fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Write text as UTF-8 beside path and rename it into place."""
+    replace_file(path, lambda fh: fh.write(text.encode("utf-8")))
 
 
 def _load_records(args):

@@ -9,6 +9,13 @@ The compiled library scans a sample file's bytes in one pass and reports
 the line it refuses, which the DataFormatError names.  A file that cannot
 be read, or holds a byte that is not UTF-8, is a DataFormatError too,
 naming the file (and the line).
+
+save_record writes each amplitude as Python's repr writes it, so it reads
+back to the same bits.  The compiled library formats the sample lines a
+chunk at a time into one small buffer; the rare amplitude whose digits it
+does not compute (below 1e-5 or from 1e15 up in magnitude, other than
+zero) is written with repr.  Each file is written beside its path and
+renamed into place, so a failed save leaves no partial file.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import io
 import math
 import os
 import re
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,15 +194,55 @@ def load_record(signal_path, annotation_path, sample_rate=360.0, lead="MLII",
     return LabeledRecord(record_id, signal, ann, lead=lead)
 
 
+def replace_file(path, write):
+    """Call write(fh) on a new binary file beside path, then rename it over
+    path, so that a failed or interrupted write leaves neither a partial
+    file under path nor the new file."""
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{secrets.token_hex(6)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+# lines per call of the compiled writer, and the longest line it writes: an
+# int64 index, a comma, 24 bytes of repr and LF
+_CHUNK_LINES = 4096
+_LINE_BYTES = 48
+
+
+def _write_samples(fh, samples):
+    """The sample CSV of samples: the header, then "i,repr(samples[i])" per
+    line, formatted by the compiled library a chunk of lines at a time into
+    one buffer.  It leaves the amplitudes whose digits it does not compute
+    (below 1e-5 or from 1e15 up in magnitude, other than zero) to repr."""
+    fh.write(f"{_HEADER}\n".encode())
+    fmt = _native.library().format_samples
+    samples = np.ascontiguousarray(samples, dtype=np.float64)
+    buf = np.empty(_CHUNK_LINES * _LINE_BYTES, dtype=np.uint8)
+    view, info = memoryview(buf), np.zeros(2, dtype=np.int64)
+    i, n = 0, len(samples)
+    while i < n:
+        left = fmt(samples, i, min(i + _CHUNK_LINES, n), buf, len(buf), info)
+        i, used = info.tolist()
+        fh.write(view[:used])
+        if left:
+            fh.write(f"{i},{float(samples[i])!r}\n".encode())
+            i += 1
+
+
 def save_record(record: LabeledRecord, signal_path, annotation_path):
-    """Inverse of load_record; amplitudes keep full round-trip precision."""
-    with open(signal_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("sample_index,amplitude\n")
-        for i, v in enumerate(record.signal.samples.tolist()):
-            fh.write(f"{i},{v!r}\n")
-    with open(annotation_path, "w", encoding="utf-8", newline="\n") as fh:
-        for idx in record.rpeak_annotations:
-            fh.write(f"{idx}\n")
+    """Inverse of load_record: the amplitudes are written as repr writes
+    them, so they read back to the same bits.  Each file is written beside
+    its path and renamed into place."""
+    replace_file(signal_path, lambda fh: _write_samples(fh, record.signal.samples))
+    text = "".join(f"{idx}\n" for idx in record.rpeak_annotations.tolist())
+    replace_file(annotation_path, lambda fh: fh.write(text.encode()))
 
 
 @dataclass
@@ -219,6 +267,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_cycles", "heart_rate_bpm", "sample_rate", "r_amplitude",
+                     "noise_sigma", "baseline_wander_amp", "pre_r_dip"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.n_cycles < 1:
             raise ValueError("n_cycles must be >= 1")
         if self.heart_rate_bpm <= 0 or self.sample_rate <= 0:
@@ -227,6 +279,20 @@ class SynthConfig:
             raise ValueError("r_amplitude must be positive")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        n = self.n_cycles * self.cycle_samples
+        if not n < _MAX_SAMPLES:
+            raise ValueError(
+                f"n_cycles * 60 / heart_rate_bpm * sample_rate gives a record of "
+                f"{n:.3g} samples; it must be finite and below {_MAX_SAMPLES}")
+
+    @property
+    def cycle_samples(self):
+        """The samples in one cycle at the mean heart rate."""
+        return 60.0 / self.heart_rate_bpm * self.sample_rate
+
+
+# the most float64 samples an array's byte size can count (numpy's limit)
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
 
 
 R_WAVE_WIDTH_S = 0.030     # full visible width of the R bump
@@ -247,7 +313,7 @@ def generate_synthetic(cfg: SynthConfig) -> LabeledRecord:
     """Deterministic synthetic record with ground-truth R annotations."""
     rng = np.random.default_rng(cfg.seed)
     rate = cfg.sample_rate
-    cyc = 60.0 / cfg.heart_rate_bpm * rate
+    cyc = cfg.cycle_samples
     n = int(round(cfg.n_cycles * cyc))
 
     jitter = rng.uniform(-0.05, 0.05, cfg.n_cycles)

@@ -1,13 +1,17 @@
-"""A line-by-line reader of the sample CSV, over Python's ``int`` and
-``float``.
+"""A line-by-line reader and writer of the sample CSV, over Python's
+``int``, ``float`` and ``repr``.
 
-This is the differential oracle of the compiled scan that
+The reader is the differential oracle of the compiled scan that
 ``graphseg.data.load_signal_csv`` runs (``graphseg_parse_samples`` in
 ``src/graphseg/_solve.c``).  It reads more spellings than the scan takes:
 ``_`` between digits, digits and whitespace that are not ASCII, indices
 outside int64 and lone CR line ends, which the scan refuses.  On every
 other body the two must give the same float64 bits, or errors that name
 the same line.
+
+The writer is the oracle of the compiled writer that
+``graphseg.data.save_record`` runs (``graphseg_format_samples``): both must
+write the same bytes.
 """
 
 import math
@@ -58,3 +62,12 @@ def load_signal_lines(path):
     if len(values) < 2:
         raise DataFormatError(f"{path}: needs at least 2 samples, got {len(values)}")
     return np.array(values)
+
+
+def save_signal_lines(samples, path):
+    """Write the sample CSV of samples line by line, each amplitude as its
+    repr."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_HEADER + "\n")
+        for i, v in enumerate(np.asarray(samples, dtype=np.float64).tolist()):
+            fh.write(f"{i},{v!r}\n")

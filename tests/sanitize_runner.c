@@ -29,6 +29,14 @@
  *                       of the failing line, its index), then double
  *                       amplitudes[samples read]
  *
+ *   runner format START CAP
+ *                  in:  double y[n], the whole input
+ *                  out: the sample lines of y from START, formatted in as
+ *                       many calls as it takes into one buffer of CAP
+ *                       bytes, as graphseg.data.save_record calls it; a
+ *                       line that the library leaves to its caller is
+ *                       written "i,?\n"
+ *
  * Every input array is a malloc'd block of exactly its size, so a read past
  * its end is a heap overflow that the address sanitizer reports. */
 
@@ -220,6 +228,28 @@ static int run_parse(int64_t start)
     return 0;
 }
 
+static int run_format(int64_t start, int64_t cap)
+{
+    int64_t n = (int64_t)(input_len / sizeof(double)), i = start, info[2];
+    double *y = take((size_t)n * sizeof(double));
+    char *out = malloc(cap > 0 ? (size_t)cap : 1);
+
+    if (!out)
+        die("out of memory");
+    while (i < n) {
+        int left = graphseg_format_samples(y, i, n, out, cap, info);
+        put(out, (size_t)info[1]);
+        if (left)
+            printf("%lld,?\n", (long long)info[0]);
+        else if (info[0] == i)
+            die("no room for a line");
+        i = info[0] + left;
+    }
+    free(y);
+    free(out);
+    return 0;
+}
+
 int main(int argc, char **argv)
 {
     int rc;
@@ -232,8 +262,11 @@ int main(int argc, char **argv)
         rc = run_solve(atoi(argv[2]));
     else if (argc == 3 && !strcmp(argv[1], "parse"))
         rc = run_parse(strtoll(argv[2], NULL, 10));
+    else if (argc == 4 && !strcmp(argv[1], "format"))
+        rc = run_format(strtoll(argv[2], NULL, 10), strtoll(argv[3], NULL, 10));
     else
-        die("usage: runner solve | runner solve-threads K | runner parse START");
+        die("usage: runner solve | runner solve-threads K | runner parse START | "
+            "runner format START CAP");
     free(input);
     return rc;
 }

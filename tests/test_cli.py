@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from graphseg import cli
+from graphseg import cli, data
 from graphseg import graph as gr
 from graphseg import solver
 from graphseg.data import SynthConfig, generate_synthetic, save_record
@@ -376,8 +376,8 @@ def test_manifest_written_before_computation(tmp_path, step_files, capsys, comma
 
 
 def fail_writes_partway(monkeypatch, marker):
-    """Make every write of a text containing marker stop halfway through
-    with a full disk."""
+    """Make every write of bytes containing marker stop halfway through
+    with a full disk.  Outputs are written by data.replace_file."""
     real_open = open
 
     class HalfWriter:
@@ -390,10 +390,10 @@ def fail_writes_partway(monkeypatch, marker):
         def __exit__(self, *exc):
             self.fh.close()
 
-        def write(self, text):
-            if marker not in text:
-                return self.fh.write(text)
-            self.fh.write(text[: len(text) // 2])
+        def write(self, chunk):
+            if marker.encode() not in bytes(chunk):
+                return self.fh.write(chunk)
+            self.fh.write(chunk[: len(chunk) // 2])
             self.fh.flush()
             raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -401,7 +401,7 @@ def fail_writes_partway(monkeypatch, marker):
         fh = real_open(file, mode, *args, **kwargs)
         return HalfWriter(fh) if "w" in mode or "x" in mode else fh
 
-    monkeypatch.setattr(cli, "open", fake_open, raising=False)
+    monkeypatch.setattr(data, "open", fake_open, raising=False)
 
 
 @pytest.mark.parametrize("command", ["detect", "learn"])

@@ -1,7 +1,9 @@
 """Record ingestion and the synthetic generator."""
 
+import contextlib
 import ctypes
 import ctypes.util
+import errno
 import math
 import os
 import platform
@@ -16,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from graphseg import _native
+from graphseg import _native, data
 from graphseg.data import (
     DataFormatError,
     LabeledRecord,
@@ -28,7 +30,7 @@ from graphseg.data import (
 )
 from graphseg.solver import Signal
 from helpers import halfway_tokens
-from reference_data import load_signal_lines
+from reference_data import load_signal_lines, save_signal_lines
 
 
 def write_record(tmp_path, lines, ann_lines):
@@ -329,17 +331,14 @@ def test_extended_scan_leaves_halfway_results_to_strtod(tmp_path):
     assert _bits(load_signal_csv(str(path)).samples) == _bits(np.array([float(t) for t in tokens]))
 
 
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64", "i386", "i686"),
-                    reason="the x87 precision control exists on x86 only")
-def test_lowered_x87_precision_leaves_tokens_to_strtod():
-    # a process may set the x87 unit to round to 24 bits; the extended scan
-    # would then round twice, so the scanner checks the precision first
-    rng = np.random.default_rng(53)
-    tokens = halfway_tokens(rng, 100) + [
-        f"{int(rng.integers(10**18, 10**19, dtype=np.uint64))}e{int(rng.integers(-27, 28))}"
-        for _ in range(200)]
-    body = "".join(f"{i},{t}\n" for i, t in enumerate(tokens)).encode()
-    out, info = np.empty(len(tokens)), np.zeros(3, dtype=np.int64)
+X86_ONLY = pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64", "i386", "i686"),
+                              reason="the x87 precision control exists on x86 only")
+
+
+@contextlib.contextmanager
+def x87_rounding_to_24_bits():
+    """Set the x87 unit to round to 24 bits, as a process may, so that the
+    library's extended path would round twice."""
     libm = ctypes.CDLL(ctypes.util.find_library("m"))
     saved, lowered = ctypes.create_string_buffer(64), ctypes.create_string_buffer(64)
     assert libm.fegetenv(saved) == 0
@@ -348,11 +347,36 @@ def test_lowered_x87_precision_leaves_tokens_to_strtod():
     lowered[0:2] = control.to_bytes(2, "little")
     assert libm.fesetenv(lowered) == 0
     try:
-        status = _native.library().parse_samples(body, 0, len(body), out, len(out), info)
+        yield
     finally:
         assert libm.fesetenv(saved) == 0
+
+
+@X86_ONLY
+def test_lowered_x87_precision_leaves_tokens_to_strtod():
+    # the scanner checks the precision first
+    rng = np.random.default_rng(53)
+    tokens = halfway_tokens(rng, 100) + [
+        f"{int(rng.integers(10**18, 10**19, dtype=np.uint64))}e{int(rng.integers(-27, 28))}"
+        for _ in range(200)]
+    body = "".join(f"{i},{t}\n" for i, t in enumerate(tokens)).encode()
+    out, info = np.empty(len(tokens)), np.zeros(3, dtype=np.int64)
+    with x87_rounding_to_24_bits():
+        status = _native.library().parse_samples(body, 0, len(body), out, len(out), info)
     assert status == 0 and info[0] == len(tokens)
     assert _bits(out) == _bits(np.array([float(t) for t in tokens]))
+
+
+@X86_ONLY
+def test_lowered_x87_precision_leaves_writer_checks_to_strtod():
+    # the writer reads its 16-digit candidates back as the scanner does
+    y = np.random.default_rng(59).normal(0.0, 3.0, 2000)
+    buf, info = np.empty(len(y) * data._LINE_BYTES, dtype=np.uint8), np.zeros(2, np.int64)
+    with x87_rounding_to_24_bits():
+        left = _native.library().format_samples(y, 0, len(y), buf, len(buf), info)
+    assert left == 0 and info[0] == len(y)
+    want = "".join(f"{i},{v!r}\n" for i, v in enumerate(y.tolist())).encode()
+    assert buf[:info[1]].tobytes() == want
 
 
 # doubles from 2^-90 to 2^153, where 17-digit spellings take the extended scan
@@ -459,6 +483,112 @@ def test_save_load_roundtrip_is_bit_exact(samples):
     assert back.signal.samples.view(np.int64).tolist() == samples.view(np.int64).tolist()
 
 
+def _assert_writes_like_repr(samples):
+    """save_record writes the repr loop's bytes, which read back to the
+    same bits."""
+    samples = np.asarray(samples, dtype=np.float64)
+    rec = LabeledRecord("r", Signal(samples, 360.0), np.array([], dtype=np.int64))
+    with tempfile.TemporaryDirectory() as d:
+        sp, op = os.path.join(d, "r.csv"), os.path.join(d, "oracle.csv")
+        save_record(rec, sp, os.path.join(d, "r.ann"))
+        save_signal_lines(samples, op)
+        with open(sp, "rb") as got, open(op, "rb") as want:
+            saved, oracle = got.read(), want.read()
+        assert _bits(load_signal_csv(sp).samples) == _bits(samples)
+    for got, want in zip(saved.splitlines(), oracle.splitlines()):
+        assert got == want  # names the first line that differs
+    assert saved == oracle
+
+
+# random bit patterns (mostly outside the compiled digits' range, so left
+# to repr), random mantissas at binary exponents in and around that range,
+# subnormals, zeros and the extremes
+WRITTEN_DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_double).filter(math.isfinite),
+    st.builds(lambda sign, exp, frac: _double(sign << 63 | exp << 52 | frac),
+              st.integers(0, 1), st.integers(1023 - 20, 1023 + 53),
+              st.integers(0, 2**52 - 1)),
+    st.builds(lambda sign, frac: _double(sign << 63 | frac),
+              st.integers(0, 1), st.integers(0, 2**52 - 1)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     -2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(WRITTEN_DOUBLES, min_size=2, max_size=300))
+def test_saved_amplitudes_are_their_repr(values):
+    _assert_writes_like_repr(values)
+
+
+def test_powers_of_two_are_saved_as_their_repr():
+    powers = [math.ldexp(1.0, k) for k in range(-1074, 1024)]
+    _assert_writes_like_repr(powers + [-p for p in powers])
+
+
+def neighbours(x, count=40):
+    """x and its count nearest doubles on each side, and their negatives."""
+    out, up, down = [x], x, x
+    for _ in range(count):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out + [-v for v in out]
+
+
+@pytest.mark.parametrize("x", [1e-5, 1e-4, 1e15, 1e16, 2.0**53])
+def test_neighbours_of_the_format_thresholds_are_saved_as_their_repr(x):
+    # the exponent form starts below 1e-4 and at 1e16; the compiled digits
+    # cover [1e-5, 1e15); 2^53 ends the doubles that hold every integer
+    _assert_writes_like_repr(neighbours(x))
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_records_of_about_one_chunk_are_saved_as_their_repr(extra):
+    n = data._CHUNK_LINES + extra
+    y = np.random.default_rng(61 + extra).normal(0.0, 2.0, n)
+    # amplitudes left to repr at the ends of the chunk and of the record
+    for i in (0, data._CHUNK_LINES - 2, n - 2, n - 1):
+        y[i] = 1e-300 * (i + 1)
+    y[1] = -0.0
+    _assert_writes_like_repr(y)
+
+
+def test_strided_samples_are_saved_as_their_repr():
+    # a Signal may hold a view with strides; the library reads a contiguous copy
+    _assert_writes_like_repr(np.linspace(-3.0, 3.0, 101)[::3])
+
+
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch):
+    # a save that fails after its first chunk of lines leaves each path
+    # absent or as it was, and no temporary file beside it
+    n = 3 * data._CHUNK_LINES
+    rec = LabeledRecord("r", Signal(np.arange(n) / 7.0, 360.0), np.array([5]))
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "r.csv").write_bytes(b"previous samples\n")
+    (old / "r.ann").write_bytes(b"previous annotations\n")
+    lib = _native.library()
+    calls = []
+
+    def fail_after_one_chunk(*args):
+        calls.append(args[1])
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return lib.format_samples(*args)
+
+    monkeypatch.setattr(_native, "_LIBRARY", lib._replace(format_samples=fail_after_one_chunk))
+    for d in (tmp_path, old):
+        calls.clear()
+        with pytest.raises(OSError, match="No space left"):
+            save_record(rec, str(d / "r.csv"), str(d / "r.ann"))
+        assert calls == [0, data._CHUNK_LINES]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
+    assert sorted(p.name for p in old.iterdir()) == ["r.ann", "r.csv"]
+    assert (old / "r.csv").read_bytes() == b"previous samples\n"
+    assert (old / "r.ann").read_bytes() == b"previous annotations\n"
+
+
 def test_labeled_record_validation():
     s = Signal(np.zeros(10), 360.0)
     with pytest.raises(ValueError):
@@ -530,3 +660,22 @@ def test_synth_config_validation():
         SynthConfig(n_cycles=5, r_amplitude=0.0)
     with pytest.raises(ValueError):
         SynthConfig(n_cycles=5, heart_rate_bpm=0)
+
+
+@pytest.mark.parametrize("fields, named", [
+    ({"sample_rate": math.inf}, "sample_rate must be finite"),
+    ({"sample_rate": math.nan}, "sample_rate must be finite"),
+    ({"sample_rate": 1e308}, "heart_rate_bpm \\* sample_rate gives a record of inf samples"),
+    ({"heart_rate_bpm": 1e-300}, "heart_rate_bpm \\* sample_rate gives a record of 6.48e\\+304"),
+    ({"noise_sigma": math.nan}, "noise_sigma must be finite"),
+    ({"n_cycles": math.inf}, "n_cycles must be finite"),
+    ({"r_amplitude": math.inf}, "r_amplitude must be finite"),
+    ({"baseline_wander_amp": -math.inf}, "baseline_wander_amp must be finite"),
+    ({"pre_r_dip": math.nan}, "pre_r_dip must be finite"),
+], ids=["sample_rate inf", "sample_rate nan", "sample_rate 1e308", "heart_rate_bpm 1e-300",
+        "noise_sigma nan", "n_cycles inf", "r_amplitude inf", "wander -inf", "pre_r_dip nan"])
+def test_synth_config_refuses_non_finite_fields_and_lengths(fields, named):
+    # each used to end in a bare OverflowError or numpy's ValueError inside
+    # generate_synthetic, or (noise_sigma nan) in a record without noise
+    with pytest.raises(ValueError, match=named):
+        SynthConfig(**{"n_cycles": 3, **fields})

@@ -2,6 +2,7 @@
 
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -19,6 +20,25 @@ def test_source_compiles_without_warnings(tmp_path):
            "-o", str(tmp_path / "solve.so"), _native.SOURCE]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_keeps_no_mutable_globals(tmp_path):
+    # concurrent ctypes calls (cross_validate's threads, tests/test_threads.py)
+    # and the ThreadSanitizer runner rely on the library holding no state:
+    # nm must list only code (T, t), read-only data (r) and undefined
+    # references (U), never data or bss (D, d, B, b) such as a lazily filled
+    # table
+    if shutil.which("nm") is None:
+        pytest.skip("nm is not installed")
+    obj = tmp_path / "solve.o"
+    flags = [f for f in _native.CFLAGS if f != "-shared"]
+    proc = subprocess.run([*_native.CC, *flags, "-c", "-o", str(obj), _native.SOURCE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    listing = subprocess.run(["nm", str(obj)], capture_output=True, text=True, check=True)
+    symbols = [tuple(line.split()[-2:]) for line in listing.stdout.splitlines()]
+    assert ("T", "graphseg_format_samples") in symbols
+    assert [s for s in symbols if s[0] not in ("T", "t", "r", "U")] == []
 
 
 def test_flags_keep_python_rounding():

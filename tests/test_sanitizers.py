@@ -4,7 +4,9 @@
 process.  Built under ``-fsanitize=address,undefined`` as one translation
 unit with ``_solve.c`` (``-include``), so that a drift in an entry point's
 signature fails to compile, it solves long records, whose decision records
-fill several blocks of both streams, and scans edge-case sample files.
+fill several blocks of both streams, scans edge-case sample files, and
+writes the sample lines of edge-case amplitudes and of lines that fill its
+buffer exactly.
 Built under ``-fsanitize=thread``, it solves the same records in several
 threads at once, as ``cross_validate``'s thread pool does.  A sanitizer
 report fails the run, and the results must equal the ctypes library's.
@@ -25,6 +27,7 @@ from graphseg.data import SynthConfig, generate_synthetic
 from graphseg.solver import Signal, solve_domain
 from helpers import halfway_tokens
 from test_compiled_solver import learned_four_state
+from test_data import neighbours
 
 RUNNER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sanitize_runner.c")
 COMMON = ("-fno-omit-frame-pointer", "-g", "-O1", "-ffp-contract=off", "-pthread")
@@ -218,3 +221,56 @@ def test_scan_under_sanitizers(runner, body):
     assert status == want_status
     assert info.tolist() == want_info.tolist()  # count, failing line, index
     assert raw[28:] == want.tobytes()
+
+
+def _format_in_calls(y, start, cap):
+    """What the runner's format command writes, through the ctypes library."""
+    fmt = _native.library().format_samples
+    out, info, chunks, i = np.empty(cap, np.uint8), np.zeros(2, np.int64), [], start
+    while i < len(y):
+        left = fmt(y, i, len(y), out, cap, info)
+        chunks.append(out[:info[1]].tobytes())
+        if left:
+            chunks.append(f"{info[0]},?\n".encode())
+        assert info[0] + left > i
+        i = int(info[0]) + left
+    return b"".join(chunks)
+
+
+def _format_edge_values():
+    values = [2.0 ** k for k in range(-1074, 1024)] + [
+        0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    near = [v for x in (1e-5, 1e-4, 1e15, 1e16, 2.0 ** 53) for v in neighbours(x, 20)]
+    return np.array(values + [-v for v in values] + near)
+
+
+def _longest_written(rng, count):
+    """Negative amplitudes whose repr takes 23 bytes, the longest the library
+    writes: 17 digits in the exponent form or after "0.000"."""
+    out = []
+    while len(out) < count:
+        v = -float(rng.uniform(1e-5, 1e-3))
+        if len(repr(v)) == 23:
+            out.append(v)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("case", ["edge values", "exactly full"])
+def test_format_under_sanitizers(runner, case):
+    if case == "edge values":
+        y, start, cap = _format_edge_values(), 0, 48
+    else:  # lines 10-99 all take 27 bytes, and 3 of them fill the buffer
+        y, start = _longest_written(np.random.default_rng(67), 100), 10
+        cap = 3 * len(f"{start},{y[start]!r}\n")
+    got = _run(runner, ["format", str(start), str(cap)], y.tobytes())
+    assert got == _format_in_calls(y, start, cap)
+    left = 0
+    for line, i in zip(got.decode().splitlines(), range(start, len(y))):
+        v = float(y[i])
+        if line == f"{i},?":  # amplitudes outside [1e-5, 1e15) other than zero
+            assert v and not 1e-5 <= abs(v) < 1e15
+            left += 1
+        else:
+            assert line == f"{i},{v!r}"
+    assert len(got.splitlines()) == len(y) - start
+    assert left if case == "edge values" else not left
