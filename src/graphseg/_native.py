@@ -1,5 +1,6 @@
 """Build and load the compiled library in ``_solve.c``: the solver's forward
-pass and backtrack (``graphseg_solve``), the kernels of the public
+pass and backtrack (``graphseg_solve``, which takes the graph as one array
+of ``EDGE`` and writes one array of ``SEGMENT``), the kernels of the public
 ``graphseg.pwq`` operations (``graphseg_min``, ``graphseg_prefix_min``,
 ``graphseg_global_min``), the sample-file scanner
 (``graphseg_parse_samples``) and the sample-file writer
@@ -52,6 +53,13 @@ PIECE = np.dtype({
     "offsets": [0, 8, 16, 24, 32, 40, 48, 52],
     "itemsize": 56,
 })
+
+# graphseg_solve's C structs Edge (its input, one per edge) and Segment (its
+# output), laid out as C lays them out; _solve.c asserts their layout.
+EDGE = np.dtype([("gap", "f8"), ("penalty", "f8"), ("source", "i4"), ("target", "i4"),
+                 ("up", "i1")], align=True)
+SEGMENT = np.dtype([("bound", "i8"), ("mean", "f8"), ("edge", "i4"), ("state", "i4")],
+                   align=True)
 
 
 class NativeBuildError(RuntimeError):
@@ -134,14 +142,14 @@ def load():
         lib = ctypes.CDLL(path)
     except OSError as exc:
         raise NativeBuildError(f"cannot load {path}: {exc}") from exc
-    f64, i64, i32, i8, u8, pieces = (
-        _array(t) for t in (np.float64, np.int64, np.int32, np.int8, np.uint8, PIECE))
+    f64, i64, u8, pieces, edges, segments = (
+        _array(t) for t in (np.float64, np.int64, np.uint8, PIECE, EDGE, SEGMENT))
     solve = lib.graphseg_solve
     solve.argtypes = [
         f64, ctypes.c_int64, ctypes.c_int32, ctypes.c_int32,  # y, n, states, start
-        ctypes.c_int32, i32, i32, i8, f64, f64,  # edges: count, src, tgt, up, gap, penalty
+        ctypes.c_int32, edges,  # edge count, edges
         ctypes.c_double, ctypes.c_double,  # domain
-        i64, i32, i32, f64, i64,  # out: bounds, edges, states, means, info
+        segments, i64,  # out: segments, info
         ctypes.POINTER(ctypes.c_double),  # out: total cost
     ]
     solve.restype = ctypes.c_int

@@ -23,7 +23,8 @@
  *
  * graphseg.pwq calls min_k, prefix_min and graphseg_global_min through the
  * entry points before graphseg_solve, on numpy arrays whose dtype spells
- * out Piece; the static asserts below pin that layout.
+ * out Piece; graphseg_solve reads the graph from an array of Edge and
+ * writes into one of Segment.  The static asserts below pin these layouts.
  *
  * Each state update of graphseg_solve is one pass over its pieces: every
  * state function carries the stay tag, so min_k reads it in place; a down
@@ -73,6 +74,26 @@ typedef struct {
 _Static_assert(sizeof(Piece) == 56, "graphseg.pwq's piece dtype is 56 bytes");
 _Static_assert(offsetof(Piece, br) == 48, "graphseg.pwq's br offset is 48");
 _Static_assert(offsetof(Piece, kind) == 52, "graphseg.pwq's kind offset is 52");
+
+/* graphseg_solve's edge (up is 1 for an up edge, 0 for a down edge) and
+ * segment, laid out as the dtypes _native.EDGE and _native.SEGMENT */
+typedef struct {
+    double gap, penalty;
+    int32_t source, target;
+    int8_t up;
+} Edge;
+
+typedef struct {
+    int64_t bound;
+    double mean;
+    int32_t edge, state;
+} Segment;
+
+_Static_assert(sizeof(Edge) == 32, "_native.EDGE is 32 bytes");
+_Static_assert(offsetof(Edge, source) == 16, "_native.EDGE's source offset is 16");
+_Static_assert(offsetof(Edge, up) == 24, "_native.EDGE's up offset is 24");
+_Static_assert(sizeof(Segment) == 24, "_native.SEGMENT is 24 bytes");
+_Static_assert(offsetof(Segment, edge) == 16, "_native.SEGMENT's edge offset is 16");
 
 typedef struct {
     Piece *p;
@@ -466,17 +487,14 @@ int64_t graphseg_prefix_min(const Piece *f, int64_t n, double dom_hi, Piece *out
 
 /* Solve one signal.  Edges are given by index; a state's in-edges are
  * taken in edge-index order.  start < 0 lets the first segment be in any
- * state.  The output arrays hold n entries; on SOLVE_OK the segments'
- * states and means are entries [info[0], n), the boundaries and edges
- * taken entries [info[0], n - 1), info[2], info[3] hold the sum and the
- * maximum of the pre-loss piece counts over (state, step), and info[4],
- * info[5] the decision runs and the K_POINT runs stored. */
+ * state.  segs holds n entries; on SOLVE_OK entries [info[0], n) hold the
+ * segments' states and means, and [info[0], n - 1) the bound (samples
+ * before the change) and edge taken at each change.  info[2], info[3] hold
+ * the sum and the maximum of the pre-loss piece counts over (state, step),
+ * and info[4], info[5] the decision runs and the K_POINT runs stored. */
 int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
-                   int32_t nedges, const int32_t *e_src, const int32_t *e_tgt,
-                   const int8_t *e_up, const double *e_gap, const double *e_pen,
-                   double dlo, double dhi, int64_t *bounds, int32_t *edges_out,
-                   int32_t *states_out, double *means_out, int64_t *info,
-                   double *total_cost)
+                   int32_t nedges, const Edge *edges, double dlo, double dhi,
+                   Segment *segs, int64_t *info, double *total_cost)
 {
     int status = SOLVE_NO_MEMORY;
     double width = dhi - dlo;
@@ -499,7 +517,7 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     for (v = 0; v < nstates; v++) {
         in_start[v + 1] = in_start[v];
         for (k = 0; k < nedges; k++)
-            if (e_tgt[k] == v)
+            if (edges[k].target == v)
                 in_edge[in_start[v + 1]++] = k;
     }
 
@@ -530,9 +548,9 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
              * written to the scratch list that cand does not point to */
             for (k = in_start[v]; k < in_start[v + 1]; k++) {
                 int32_t eidx = in_edge[k];
-                const List *src = &funcs[e_src[eidx]];
-                double gap = e_gap[eidx], lam = e_pen[eidx], top, sgn;
-                int up = e_up[eidx];
+                const List *src = &funcs[edges[eidx].source];
+                double gap = edges[eidx].gap, lam = edges[eidx].penalty, top, sgn;
+                int up = edges[eidx].up;
                 int8_t thr_kind;
                 size_t jj;
 
@@ -678,8 +696,8 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     m = best_arg;
     v = best_v;
     first = n - 1;
-    states_out[first] = v;
-    means_out[first] = m;
+    segs[first].state = v;
+    segs[first].mean = m;
     for (t = n - 1; t > 0; t--) {
         const uint32_t *o = &off[2 * ((size_t)v * n + t - 1)];
         size_t lo_i = o[0], pt_i = o[1], hi_i = o[2], i = lo_i;
@@ -698,21 +716,21 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
         kind = *dec_code(&dv->runs, i) % 4;
         if (br >= 0) {
             first--;
-            bounds[first] = t;
-            edges_out[first] = br;
+            segs[first].bound = t;
+            segs[first].edge = br;
             if (kind == K_THR_UP)
-                m = m - e_gap[br];
+                m = m - edges[br].gap;
             else if (kind == K_THR_DOWN)
-                m = m + e_gap[br];
+                m = m + edges[br].gap;
             else
                 m = *dec_f64(&dv->pts, pt_i);
             if (m < dlo)
                 m = dlo;
             else if (m > dhi)
                 m = dhi;
-            v = e_src[br];
-            states_out[first] = v;
-            means_out[first] = m;
+            v = edges[br].source;
+            segs[first].state = v;
+            segs[first].mean = m;
         }
     }
     info[0] = first;

@@ -271,8 +271,11 @@ class SynthConfig:
                      "noise_sigma", "baseline_wander_amp", "pre_r_dip"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.n_cycles < 1:
-            raise ValueError("n_cycles must be >= 1")
+        for name, least in (("n_cycles", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < least):
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         if self.heart_rate_bpm <= 0 or self.sample_rate <= 0:
             raise ValueError("rates must be positive")
         if self.r_amplitude <= 0:
@@ -280,10 +283,10 @@ class SynthConfig:
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
         n = self.n_cycles * self.cycle_samples
-        if not n < _MAX_SAMPLES:
+        if not (n < _MAX_SAMPLES and round(n) >= 2):
             raise ValueError(
                 f"n_cycles * 60 / heart_rate_bpm * sample_rate gives a record of "
-                f"{n:.3g} samples; it must be finite and below {_MAX_SAMPLES}")
+                f"{n:.3g} samples; it must be finite, at least 2 and below {_MAX_SAMPLES}")
 
     @property
     def cycle_samples(self):

@@ -7,8 +7,9 @@ envelope of the source state's function plus the edge penalty; the new
 sample's squared-error term is then added.  Backtracking uses compact
 per-(state, step) decision records so memory stays linear in the signal
 length.  The forward pass and the backtrack run in C (``_solve.c``, one
-call per solve); this module checks the inputs, packs the graph's edges and
-unpacks the result.
+call per solve); this module checks the inputs, packs the graph's edges into
+one array of ``_native.EDGE`` and reads the result from one array of
+``_native.SEGMENT``.
 """
 
 from __future__ import annotations
@@ -132,6 +133,13 @@ def _resolve_start(graph_, start_state):
     raise ValueError(f"start_state {start_state!r} is not a state of the graph")
 
 
+def _edge_array(graph_: gr.ConstraintGraph):
+    """The graph's edges as the array of ``_native.EDGE`` that the compiled
+    solver reads, in edge-index order."""
+    return np.array([(e.gap, e.penalty, e.source, e.target, e.direction == gr.UP)
+                     for e in graph_.edges], dtype=_native.EDGE)
+
+
 def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Segmentation:
     """Minimise total squared error plus change penalties subject to the graph.
 
@@ -147,35 +155,25 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
     n = len(y)
     lo, hi = float(np.min(y)), float(np.max(y))
     k = _image_exponent(lo, hi)
-    gaps = np.array([e.gap for e in graph_.edges], dtype=np.float64)
-    penalties = np.array([e.penalty for e in graph_.edges], dtype=np.float64)
+    edges = _edge_array(graph_)
     if k:
         y, lo, hi = np.ldexp(y, -k), math.ldexp(lo, -k), math.ldexp(hi, -k)
         # a gap or penalty past the float range of the image becomes inf, so
         # its edge is never taken; against image samples below 1 in size,
         # such an edge could never pay for itself anyway
         with np.errstate(over="ignore"):
-            gaps, penalties = np.ldexp(gaps, -k), np.ldexp(penalties, -2 * k)
+            edges["gap"] = np.ldexp(edges["gap"], -k)
+            edges["penalty"] = np.ldexp(edges["penalty"], -2 * k)
     dlo, dhi = _padded(lo, hi)
     nstates = len(graph_.states)
     start = _resolve_start(graph_, start_state)
-    edges = graph_.edges
 
-    bounds = np.empty(n, dtype=np.int64)
-    edges_taken = np.empty(n, dtype=np.int32)
-    states = np.empty(n, dtype=np.int32)
-    means = np.empty(n, dtype=np.float64)
+    segs = np.empty(n, dtype=_native.SEGMENT)
     info = np.zeros(6, dtype=np.int64)
     total_cost = ctypes.c_double()
     status = _native.library().solve(
-        y, n, nstates, -1 if start is None else start,
-        len(edges),
-        np.array([e.source for e in edges], dtype=np.int32),
-        np.array([e.target for e in edges], dtype=np.int32),
-        np.array([e.direction == gr.UP for e in edges], dtype=np.int8),
-        gaps, penalties,
-        dlo, dhi,
-        bounds, edges_taken, states, means, info, ctypes.byref(total_cost),
+        y, n, nstates, -1 if start is None else start, len(edges), edges, dlo, dhi,
+        segs, info, ctypes.byref(total_cost),
     )
     if status == _INFEASIBLE_STEP:
         raise InfeasibleModelError("every state", int(info[1]))
@@ -196,10 +194,10 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
         "point_runs": int(info[5]),
     }
     return Segmentation(
-        boundaries=bounds[first : n - 1].tolist(),
-        edges_taken=edges_taken[first : n - 1].tolist(),
-        means=np.ldexp(means[first:], k).tolist(),
-        states=states[first:].tolist(),
+        boundaries=segs["bound"][first : n - 1].tolist(),
+        edges_taken=segs["edge"][first : n - 1].tolist(),
+        means=np.ldexp(segs["mean"][first:], k).tolist(),
+        states=segs["state"][first:].tolist(),
         total_cost=math.ldexp(total_cost.value, 2 * k),
         stats=stats,
     )

@@ -11,12 +11,10 @@
  *
  *   runner solve   in:  int64 n, int32 nstates, int32 start, int32 nedges,
  *                       double dlo, double dhi, double y[n],
- *                       int32 src[nedges], int32 tgt[nedges],
- *                       int8 up[nedges], double gap[nedges],
- *                       double penalty[nedges]
+ *                       Edge edges[nedges]
  *                  out: int32 status, int64 info[6], double total_cost,
- *                       int64 bounds[n], int32 edges[n], int32 states[n],
- *                       double means[n]
+ *                       Segment segs[n] (entries the solve does not write
+ *                       are zero)
  *
  *   runner solve-threads K
  *                  the same, solved in K threads at once (1 <= K <= 64),
@@ -95,57 +93,29 @@ struct solve_call {
     /* in */
     int64_t n;
     int32_t *head;  /* nstates, start, nedges */
-    double *dom, *y, *gap, *pen;
-    int32_t *src, *tgt;
-    int8_t *up;
+    double *dom, *y;
+    Edge *edges;
     /* out */
     int32_t status;
     int64_t info[6];
     double total;
-    int64_t *bounds;
-    int32_t *edges, *states;
-    double *means;
+    Segment *segs;
 };
 
 static void *solve_call(void *arg)
 {
     struct solve_call *c = arg;
 
-    c->status = graphseg_solve(c->y, c->n, c->head[0], c->head[1], c->head[2], c->src,
-                               c->tgt, c->up, c->gap, c->pen, c->dom[0], c->dom[1],
-                               c->bounds, c->edges, c->states, c->means, c->info,
-                               &c->total);
+    c->status = graphseg_solve(c->y, c->n, c->head[0], c->head[1], c->head[2], c->edges,
+                               c->dom[0], c->dom[1], c->segs, c->info, &c->total);
     return NULL;
-}
-
-static void alloc_outputs(struct solve_call *c)
-{
-    c->bounds = calloc((size_t)c->n, sizeof(int64_t));
-    c->edges = calloc((size_t)c->n, sizeof(int32_t));
-    c->states = calloc((size_t)c->n, sizeof(int32_t));
-    c->means = calloc((size_t)c->n, sizeof(double));
-    if (!c->bounds || !c->edges || !c->states || !c->means)
-        die("out of memory");
-}
-
-static void free_outputs(struct solve_call *c)
-{
-    free(c->bounds);
-    free(c->edges);
-    free(c->states);
-    free(c->means);
 }
 
 static int same_outputs(const struct solve_call *a, const struct solve_call *b)
 {
-    size_t n = (size_t)a->n;
-
     return a->status == b->status && !memcmp(a->info, b->info, sizeof a->info) &&
            !memcmp(&a->total, &b->total, sizeof a->total) &&
-           !memcmp(a->bounds, b->bounds, n * sizeof(int64_t)) &&
-           !memcmp(a->edges, b->edges, n * sizeof(int32_t)) &&
-           !memcmp(a->states, b->states, n * sizeof(int32_t)) &&
-           !memcmp(a->means, b->means, n * sizeof(double));
+           !memcmp(a->segs, b->segs, (size_t)a->n * sizeof(Segment));
 }
 
 /* Solve the input once, or with threads > 0 in that many threads at once,
@@ -162,18 +132,16 @@ static int run_solve(int threads)
     in.head = take(3 * sizeof(int32_t));
     in.dom = take(2 * sizeof(double));
     in.y = take((size_t)in.n * sizeof(double));
-    in.src = take((size_t)in.head[2] * sizeof(int32_t));
-    in.tgt = take((size_t)in.head[2] * sizeof(int32_t));
-    in.up = take((size_t)in.head[2]);
-    in.gap = take((size_t)in.head[2] * sizeof(double));
-    in.pen = take((size_t)in.head[2] * sizeof(double));
+    in.edges = take((size_t)in.head[2] * sizeof(Edge));
     calls = malloc((size_t)count * sizeof *calls);
     ids = malloc((size_t)count * sizeof *ids);
     if (!calls || !ids)
         die("out of memory");
     for (k = 0; k < count; k++) {
         calls[k] = in;
-        alloc_outputs(&calls[k]);
+        calls[k].segs = calloc((size_t)in.n, sizeof(Segment));
+        if (!calls[k].segs)
+            die("out of memory");
     }
     if (threads > 0) {
         for (k = 0; k < count; k++)
@@ -190,22 +158,15 @@ static int run_solve(int threads)
     put(&calls[0].status, sizeof calls[0].status);
     put(calls[0].info, sizeof calls[0].info);
     put(&calls[0].total, sizeof calls[0].total);
-    put(calls[0].bounds, (size_t)in.n * sizeof(int64_t));
-    put(calls[0].edges, (size_t)in.n * sizeof(int32_t));
-    put(calls[0].states, (size_t)in.n * sizeof(int32_t));
-    put(calls[0].means, (size_t)in.n * sizeof(double));
+    put(calls[0].segs, (size_t)in.n * sizeof(Segment));
     for (k = 0; k < count; k++)
-        free_outputs(&calls[k]);
+        free(calls[k].segs);
     free(calls);
     free(ids);
     free(in.head);
     free(in.dom);
     free(in.y);
-    free(in.src);
-    free(in.tgt);
-    free(in.up);
-    free(in.gap);
-    free(in.pen);
+    free(in.edges);
     return 0;
 }
 

@@ -672,10 +672,20 @@ def test_synth_config_validation():
     ({"r_amplitude": math.inf}, "r_amplitude must be finite"),
     ({"baseline_wander_amp": -math.inf}, "baseline_wander_amp must be finite"),
     ({"pre_r_dip": math.nan}, "pre_r_dip must be finite"),
+    ({"n_cycles": 2.5}, "n_cycles must be an int >= 1, got 2.5"),
+    ({"n_cycles": True}, "n_cycles must be an int >= 1, got True"),
+    ({"seed": -1}, "seed must be an int >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an int >= 0, got 1.5"),
+    ({"heart_rate_bpm": 1e5}, "n_cycles \\* 60 / heart_rate_bpm \\* sample_rate gives a "
+     "record of 0.648 samples; it must be finite, at least 2"),
+    ({"sample_rate": 1e-3}, "heart_rate_bpm \\* sample_rate gives a record of 0.0024 samples"),
 ], ids=["sample_rate inf", "sample_rate nan", "sample_rate 1e308", "heart_rate_bpm 1e-300",
-        "noise_sigma nan", "n_cycles inf", "r_amplitude inf", "wander -inf", "pre_r_dip nan"])
+        "noise_sigma nan", "n_cycles inf", "r_amplitude inf", "wander -inf", "pre_r_dip nan",
+        "n_cycles 2.5", "n_cycles True", "seed -1", "seed 1.5", "heart_rate_bpm 1e5",
+        "sample_rate 1e-3"])
 def test_synth_config_refuses_non_finite_fields_and_lengths(fields, named):
-    # each used to end in a bare OverflowError or numpy's ValueError inside
-    # generate_synthetic, or (noise_sigma nan) in a record without noise
+    # each used to end in a bare OverflowError, numpy's ValueError or
+    # TypeError inside generate_synthetic, Signal's "at least 2 samples"
+    # (which names no field), or (noise_sigma nan) in a record without noise
     with pytest.raises(ValueError, match=named):
         SynthConfig(**{"n_cycles": 3, **fields})

@@ -1,5 +1,6 @@
 """Building, caching and loading the compiled library."""
 
+import ctypes
 import os
 import re
 import shutil
@@ -7,9 +8,10 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from graphseg import _native, cli, data, pwq
+from graphseg import _native, cli, data, pwq, solver
 from graphseg import graph as gr
 from graphseg._native import NativeBuildError
 
@@ -60,6 +62,24 @@ def test_piece_dtype_matches_the_asserted_struct_layout():
     fields = {name: off for name, (_, off) in _native.PIECE.fields.items()}
     assert fields == {"lo": 0, "hi": 8, "a": 16, "b": 24, "c": 32, "pt": 40,
                       "br": 48, "kind": 52}
+
+
+def test_solve_refuses_arrays_of_another_layout():
+    # the ndpointer checks keep an array that C would misread out of solve
+    g = gr.initial_graph(1.0, 1.0, 1.0)
+    edges = solver._edge_array(g)
+    packed = edges.astype([(name, _native.EDGE[name]) for name in _native.EDGE.names])
+
+    def call(edges, segs):
+        return _native.library().solve(np.zeros(3), 3, len(g.states), -1, len(edges), edges,
+                                       -1.0, 1.0, segs, np.zeros(6, np.int64),
+                                       ctypes.byref(ctypes.c_double()))
+
+    assert call(edges, np.zeros(3, _native.SEGMENT)) == 0
+    with pytest.raises(ctypes.ArgumentError):
+        call(packed, np.zeros(3, _native.SEGMENT))
+    with pytest.raises(ctypes.ArgumentError):
+        call(edges, np.zeros(6, _native.SEGMENT)[::2])
 
 
 def test_cold_cache_builds_into_a_private_directory(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ import pytest
 from graphseg import _native
 from graphseg import graph as gr
 from graphseg.data import SynthConfig, generate_synthetic
-from graphseg.solver import Signal, solve_domain
+from graphseg.solver import Signal, _edge_array, solve_domain
 from helpers import halfway_tokens
 from test_compiled_solver import learned_four_state
 from test_data import neighbours
@@ -86,41 +86,30 @@ def _run(runner, args, data):
 
 def _solve_inputs(y, g, start):
     dlo, dhi = solve_domain(Signal(y, 360.0))
-    e = g.edges
-    return (np.ascontiguousarray(y, dtype=np.float64), len(y), len(g.states), start, len(e),
-            np.array([x.source for x in e], dtype=np.int32),
-            np.array([x.target for x in e], dtype=np.int32),
-            np.array([x.direction == gr.UP for x in e], dtype=np.int8),
-            np.array([x.gap for x in e], dtype=np.float64),
-            np.array([x.penalty for x in e], dtype=np.float64), dlo, dhi)
+    edges = _edge_array(g)
+    return (np.ascontiguousarray(y, dtype=np.float64), len(y), len(g.states), start,
+            len(edges), edges, dlo, dhi)
 
 
 def _library_solve(args):
-    y, n = args[0], args[1]
-    out = (np.zeros(n, np.int64), np.zeros(n, np.int32), np.zeros(n, np.int32),
-           np.zeros(n, np.float64))
+    segs = np.zeros(args[1], _native.SEGMENT)
     info = np.zeros(6, dtype=np.int64)
     total = ctypes.c_double()
-    status = _native.library().solve(*args, *out, info, ctypes.byref(total))
-    return status, info, total.value, out
+    status = _native.library().solve(*args, segs, info, ctypes.byref(total))
+    return status, info, total.value, segs
 
 
 def _runner_solve(runner, args, mode=("solve",)):
-    y, n, nstates, start, nedges, src, tgt, up, gap, pen, dlo, dhi = args
+    y, n, nstates, start, nedges, edges, dlo, dhi = args
     data = b"".join([
         np.int64(n).tobytes(), np.array([nstates, start, nedges], np.int32).tobytes(),
-        np.array([dlo, dhi]).tobytes(), y.tobytes(), src.tobytes(), tgt.tobytes(),
-        up.tobytes(), gap.tobytes(), pen.tobytes()])
+        np.array([dlo, dhi]).tobytes(), y.tobytes(), edges.tobytes()])
     raw = _run(runner, mode, data)
     status = int(np.frombuffer(raw, np.int32, 1)[0])
     info = np.frombuffer(raw, np.int64, 6, 4)
     total = float(np.frombuffer(raw, np.float64, 1, 52)[0])
-    pos, out = 60, []
-    for dtype in (np.int64, np.int32, np.int32, np.float64):
-        out.append(np.frombuffer(raw, dtype, n, pos))
-        pos += n * np.dtype(dtype).itemsize
-    assert pos == len(raw)
-    return status, info, total, out
+    assert len(raw) == 60 + n * _native.SEGMENT.itemsize
+    return status, info, total, np.frombuffer(raw, _native.SEGMENT, n, 60)
 
 
 RECORDS = {
@@ -141,14 +130,12 @@ def _assert_solves_like_library(runner, name, mode=("solve",)):
     cfg, g, start = RECORDS[name]
     y = generate_synthetic(cfg).signal.samples
     args = _solve_inputs(y, g, start)
-    status, info, total, out = _runner_solve(runner, args, mode)
-    want_status, want_info, want_total, want_out = _library_solve(args)
+    status, info, total, segs = _runner_solve(runner, args, mode)
+    want_status, want_info, want_total, want_segs = _library_solve(args)
     assert status == want_status == 0
     assert info.tolist() == want_info.tolist()
     assert repr(total) == repr(want_total)
-    first = int(info[0])
-    for got, want in zip(out, want_out):
-        assert got[first:].tobytes() == want[first:].tobytes()
+    assert segs.tobytes() == want_segs.tobytes()  # entries not written are 0 in both
     # both decision streams of some state cross a block boundary
     block, nstates = _decision_block(), len(g.states)
     assert len(y) > 25_000 and info[4] > nstates * block and info[5] > nstates * block
