@@ -185,7 +185,6 @@ def _add_learn_flags(p):
     p.add_argument("--max-iterations", type=int, default=20)
     p.add_argument("--tolerance-ms", type=float, default=100.0)
     p.add_argument("--validation-fraction", type=float, default=0.25)
-    p.add_argument("--cycles-per-window", type=int, default=4)
 
 
 def build_parser():
@@ -212,6 +211,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pooled", action="store_true",
                    help="train one graph over all records instead of per record")
+    p.add_argument("--cycles-per-window", type=int, default=4)
     _add_learn_flags(p)
     p.set_defaults(func=_cmd_learn)
 

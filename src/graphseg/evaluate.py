@@ -330,6 +330,9 @@ def windows_from_cycles(record: LabeledRecord, cycle_ids) -> list:
 
 def windows_whole_record(record: LabeledRecord, cycles_per_window=4) -> list:
     """Chop a record into consecutive fixed-size cycle groups."""
+    if isinstance(cycles_per_window, bool) or not (
+            isinstance(cycles_per_window, int) and cycles_per_window >= 1):
+        raise ValueError(f"cycles_per_window must be an int >= 1, got {cycles_per_window!r}")
     m = record.n_cycles
     out = []
     for start in range(0, m, cycles_per_window):

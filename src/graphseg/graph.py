@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 UP = "up"
 DOWN = "down"
@@ -196,16 +196,18 @@ def _strongly_connected(g: ConstraintGraph) -> bool:
     return len(reach(fwd)) == n and len(reach(rev)) == n
 
 
-_STATE_KEYS = {"id", "name"}
-_EDGE_KEYS = {"source", "target", "direction", "gap", "penalty"}
-_TOP_KEYS = {"states", "edges", "baseline_state", "rpeak_state"}
+_FIELDS = {cls: {f.name for f in fields(cls)} for cls in (StateId, Edge, ConstraintGraph)}
 
 
-def _want_int(obj, key, where):
-    v = obj[key]
-    if not _is_int(v):
-        raise GraphParseError(f"{where}: field {key!r} must be an integer, got {v!r}")
-    return v
+def _object(cls, obj, where):
+    """Return obj if it is a JSON object with exactly the fields of cls."""
+    if not isinstance(obj, dict):
+        raise GraphParseError(f"{where}: must be an object")
+    want = _FIELDS[cls]
+    if obj.keys() != want:
+        raise GraphParseError(f"{where}: missing field(s) {sorted(want - obj.keys())}, "
+                              f"unknown field(s) {sorted(obj.keys() - want)}")
+    return obj
 
 
 def _want_real(obj, key, where):
@@ -219,87 +221,40 @@ def _want_real(obj, key, where):
 
 
 def parse(document: str) -> ConstraintGraph:
-    """Parse the JSON graph document and reject unknown fields.
+    """Parse the JSON graph document by its shape; the constructor checks
+    the values.
 
-    Raises GraphParseError for a malformed document and, from the
-    ConstraintGraph constructor, GraphValidationError for a graph that
-    breaks an invariant (a value past the float range, such as 1e400,
-    reads as inf and is refused there).
+    Raises GraphParseError when the document is not JSON, an object lacks
+    or adds a field, 'states' or 'edges' is not a list, or a gap or penalty
+    is not a number (bools included) or is an int past the float range.
+    Any other bad value (a mistyped id, endpoint, anchor, name or direction,
+    or a broken invariant; 1e400 reads as inf) is a GraphValidationError
+    from the ConstraintGraph constructor that lists every violation.
     """
     try:
         raw = json.loads(document)
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise GraphParseError("top-level value must be an object")
-    missing = _TOP_KEYS - raw.keys()
-    if missing:
-        raise GraphParseError(f"missing required field(s): {sorted(missing)}")
-    unknown = raw.keys() - _TOP_KEYS
-    if unknown:
-        raise GraphParseError(f"unknown field(s): {sorted(unknown)}")
-    if not isinstance(raw["states"], list):
-        raise GraphParseError("'states' must be a list")
-    if not isinstance(raw["edges"], list):
-        raise GraphParseError("'edges' must be a list")
-
-    states = []
-    for i, s in enumerate(raw["states"]):
-        where = f"states[{i}]"
-        if not isinstance(s, dict):
-            raise GraphParseError(f"{where}: must be an object")
-        if s.keys() != _STATE_KEYS:
-            raise GraphParseError(
-                f"{where}: expected fields {sorted(_STATE_KEYS)}, got {sorted(s.keys())}"
-            )
-        if not isinstance(s["name"], str):
-            raise GraphParseError(f"{where}: field 'name' must be a string")
-        states.append(StateId(_want_int(s, "id", where), s["name"]))
-
+    except (ValueError, RecursionError) as exc:  # an int of over 4300 digits, deep nesting
+        raise GraphParseError(f"invalid JSON: {exc}") from exc
+    _object(ConstraintGraph, raw, "top level")
+    for key in ("states", "edges"):
+        if not isinstance(raw[key], list):
+            raise GraphParseError(f"{key!r} must be a list")
+    states = [StateId(**_object(StateId, s, f"states[{i}]"))
+              for i, s in enumerate(raw["states"])]
     edges = []
     for i, e in enumerate(raw["edges"]):
         where = f"edges[{i}]"
-        if not isinstance(e, dict):
-            raise GraphParseError(f"{where}: must be an object")
-        if e.keys() != _EDGE_KEYS:
-            raise GraphParseError(
-                f"{where}: expected fields {sorted(_EDGE_KEYS)}, got {sorted(e.keys())}"
-            )
-        if not isinstance(e["direction"], str):
-            raise GraphParseError(f"{where}: field 'direction' must be a string")
-        edges.append(
-            Edge(
-                _want_int(e, "source", where),
-                _want_int(e, "target", where),
-                e["direction"],
-                _want_real(e, "gap", where),
-                _want_real(e, "penalty", where),
-            )
-        )
-
-    return ConstraintGraph(
-        states=states,
-        edges=edges,
-        baseline_state=_want_int(raw, "baseline_state", "top level"),
-        rpeak_state=_want_int(raw, "rpeak_state", "top level"),
-    )
+        _object(Edge, e, where)
+        e["gap"] = _want_real(e, "gap", where)
+        e["penalty"] = _want_real(e, "penalty", where)
+        edges.append(Edge(**e))
+    raw["states"], raw["edges"] = states, edges
+    return ConstraintGraph(**raw)
 
 
 def serialize(g: ConstraintGraph) -> str:
     """Canonical JSON rendering; parse(serialize(g)) == g structurally."""
-    doc = {
-        "states": [{"id": s.id, "name": s.name} for s in g.states],
-        "edges": [
-            {
-                "source": e.source,
-                "target": e.target,
-                "direction": e.direction,
-                "gap": e.gap,
-                "penalty": e.penalty,
-            }
-            for e in g.edges
-        ],
-        "baseline_state": g.baseline_state,
-        "rpeak_state": g.rpeak_state,
-    }
+    doc = dict(vars(g), states=[vars(s) for s in g.states], edges=[vars(e) for e in g.edges])
     return json.dumps(doc, indent=2) + "\n"

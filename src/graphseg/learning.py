@@ -17,7 +17,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -93,8 +93,7 @@ class LearnTrace:
     def _rows(self):
         first = LearnStep(0, None, None, self.initial_train_error,
                           self.initial_validation_error, self.initial_graph)
-        return [dict(vars(s), graph=json.loads(gr.serialize(s.graph)))
-                for s in [first, *self.steps]]
+        return [asdict(s) for s in [first, *self.steps]]
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r) for r in self._rows()) + "\n"

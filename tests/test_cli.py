@@ -439,3 +439,56 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert e.value.code == 0
     assert "graphseg" in capsys.readouterr().out
+
+
+def test_graph_with_mistyped_fields_exits_2_listing_each(tmp_path, step_files, capsys):
+    sig, graph = step_files
+    doc = json.loads(graph.read_text())
+    doc["edges"][0]["direction"] = None
+    doc["edges"][1]["direction"] = None
+    graph.write_text(json.dumps(doc))
+    rc = cli.main(["detect", "--signal", str(sig), "--graph", str(graph),
+                   "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "input error" in err and "Traceback" not in err
+    assert "edge 0 (0->1): direction must be 'up' or 'down', got None" in err
+    assert "edge 1 (1->0): direction must be 'up' or 'down', got None" in err
+
+
+def test_cv_refuses_cycles_per_window(tmp_path, capsys):
+    # cv windows its folds by cycle, so the flag was accepted and ignored
+    _rec, sp, ap = synth_files(tmp_path, "r3", n_cycles=10, seed=4)
+    with pytest.raises(SystemExit) as e:
+        cli.main(["cv", "--signal", str(sp), "--annotations", str(ap),
+                  "--out-dir", str(tmp_path / "o"), "--cycles-per-window", "7"])
+    assert e.value.code == 2
+    assert "--cycles-per-window" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cycles", ["0", "-1"])
+@pytest.mark.parametrize("command", ["learn", "eval"])
+def test_cycles_per_window_below_one_exits_2(tmp_path, capsys, command, cycles):
+    # 0 once failed in range() and -1 as "windows must be non-empty"
+    _rec, sp, ap = synth_files(tmp_path, "r7", n_cycles=10, seed=8)
+    graph = tmp_path / "g.json"
+    graph.write_text(gr.serialize(gr.initial_graph(4.0, 2.0, 40.0)))
+    flag = "--graph" if command == "eval" else "--initial-graph"
+    out = tmp_path / "o"
+    rc = cli.main([command, "--signal", str(sp), "--annotations", str(ap),
+                   flag, str(graph), "--out-dir", str(out),
+                   "--cycles-per-window", cycles])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"cycles_per_window must be an int >= 1, got {cycles}" in err
+    assert not (out / "report.json").exists()
+
+
+def test_deeply_nested_graph_document_exits_2(tmp_path, step_files, capsys):
+    # the decoder's RecursionError once exited 4 as an internal error
+    sig, graph = step_files
+    graph.write_text("[" * 100_000)
+    rc = cli.main(["detect", "--signal", str(sig), "--graph", str(graph),
+                   "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert "invalid JSON" in capsys.readouterr().err

@@ -425,3 +425,9 @@ def test_cross_validate_rejects_bad_n_jobs(n_jobs):
 
 def test_cross_validate_of_no_records_is_an_empty_report():
     assert cross_validate([], k=5).records == []
+
+
+@pytest.mark.parametrize("cycles", [0, -1, 2.0, True, None])
+def test_windows_whole_record_refuses_cycles_below_one(cycles):
+    with pytest.raises(ValueError, match="cycles_per_window must be an int >= 1"):
+        windows_whole_record(record_with_cycles(10), cycles_per_window=cycles)

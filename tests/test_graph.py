@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -240,3 +241,109 @@ def test_state_lookup_helpers():
         g.state_named("Z")
     assert [i for i, _ in g.in_edges(0)] == [1]
     assert [i for i, _ in g.out_edges(0)] == [0]
+
+
+INITIAL_6_5_3_50 = """\
+{
+  "states": [
+    {
+      "id": 0,
+      "name": "B"
+    },
+    {
+      "id": 1,
+      "name": "R"
+    }
+  ],
+  "edges": [
+    {
+      "source": 0,
+      "target": 1,
+      "direction": "up",
+      "gap": 6.5,
+      "penalty": 50.0
+    },
+    {
+      "source": 1,
+      "target": 0,
+      "direction": "down",
+      "gap": 3.0,
+      "penalty": 50.0
+    }
+  ],
+  "baseline_state": 0,
+  "rpeak_state": 1
+}
+"""
+
+LEARNED_GRAPH = Path(__file__).resolve().parent.parent / "perfbench" / "graphs" / "criterion7_learned.json"
+
+
+def test_serialize_writes_the_golden_bytes():
+    assert gr.serialize(gr.initial_graph(6.5, 3.0, 50.0)) == INITIAL_6_5_3_50
+
+
+def test_committed_learned_graph_round_trips_byte_for_byte():
+    text = LEARNED_GRAPH.read_text()
+    assert len(gr.parse(text).states) == 4
+    assert gr.serialize(gr.parse(text)) == text
+
+
+# Raw JSON tokens: 1e400 reads as inf, 10**400 as an int past the float range
+BAD_VALUES = ["null", "true", "0", "-1", "1.5", "1e400",
+              pytest.param("1" + "0" * 400, id="10**400"), '"s"', "[]", "{}"]
+_PATHS = ([("states",), ("edges",), ("baseline_state",), ("rpeak_state",)]
+          + [("states", i, k) for i in range(2) for k in ("id", "name")]
+          + [("edges", i, k) for i in range(2)
+             for k in ("source", "target", "direction", "gap", "penalty")])
+
+
+def _document_with(path, token):
+    doc = json.loads(INITIAL_6_5_3_50)
+    obj = doc
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = "@VALUE@"
+    return json.dumps(doc).replace('"@VALUE@"', token)
+
+
+@pytest.mark.parametrize("token", BAD_VALUES)
+@pytest.mark.parametrize("path", _PATHS, ids=lambda p: "/".join(map(str, p)))
+def test_parse_of_any_field_value_raises_only_graph_errors(path, token):
+    try:
+        g = gr.parse(_document_with(path, token))
+    except (gr.GraphParseError, gr.GraphValidationError):
+        return
+    assert gr.parse(gr.serialize(g)) == g
+
+
+def test_parse_leaves_field_types_to_the_constructor_which_lists_each():
+    doc = json.loads(INITIAL_6_5_3_50)
+    doc["edges"][0]["source"] = "0"
+    doc["edges"][1]["target"] = 0.5
+    with pytest.raises(gr.GraphValidationError) as exc:
+        gr.parse(json.dumps(doc))
+    assert exc.value.violations == [
+        "edge 0 ('0'->1): endpoints must be integers",
+        "edge 1 (1->0.5): endpoints must be integers",
+    ]
+    doc = json.loads(INITIAL_6_5_3_50)
+    doc["edges"][0]["direction"] = None
+    doc["edges"][1]["direction"] = "sideways"
+    with pytest.raises(gr.GraphValidationError) as exc:
+        gr.parse(json.dumps(doc))
+    assert exc.value.violations == [
+        "edge 0 (0->1): direction must be 'up' or 'down', got None",
+        "edge 1 (1->0): direction must be 'up' or 'down', got 'sideways'",
+    ]
+
+
+@pytest.mark.parametrize("document", [
+    pytest.param(INITIAL_6_5_3_50.replace('"id": 0', '"id": 1' + "0" * 5000, 1),
+                 id="int-of-5001-digits"),
+    pytest.param("[" * 100_000, id="deep-nesting"),
+])
+def test_json_that_does_not_decode_is_a_parse_error(document):
+    # json.loads raises ValueError and RecursionError here, not JSONDecodeError
+    with pytest.raises(gr.GraphParseError, match="invalid JSON"):
+        gr.parse(document)

@@ -508,3 +508,30 @@ def test_learn_debug_log_leaves_outputs_unchanged(monkeypatch, caplog):
     # the initial scores solve every window once, each accepted edit the
     # validation windows
     assert calls[0] == len(windows) + len(trace) * n_val + sum(c[2] for c in counts)
+
+
+def test_trace_jsonl_writes_the_golden_bytes():
+    g = gr.ConstraintGraph(
+        states=(gr.StateId(0, "B"), gr.StateId(1, "R"), gr.StateId(2, "S2")),
+        edges=(gr.Edge(0, 2, "up", 6.5, 50.0), gr.Edge(2, 1, "up", 0.1 + 0.2, 12.5),
+               gr.Edge(1, 0, "down", 3.0, 50.0)),
+        baseline_state=0, rpeak_state=1)
+    trace = learning.LearnTrace(4, 3, gr.initial_graph(6.5, 3.0, 50.0),
+                                [learning.LearnStep(1, "split_same_dir", 0, 1, 2, g)])
+    assert trace.to_jsonl() == (
+        '{"iteration": 0, "kind": null, "anchor_edge": null, "train_error": 4, '
+        '"validation_error": 3, "graph": {"states": [{"id": 0, "name": "B"}, '
+        '{"id": 1, "name": "R"}], "edges": [{"source": 0, "target": 1, '
+        '"direction": "up", "gap": 6.5, "penalty": 50.0}, {"source": 1, '
+        '"target": 0, "direction": "down", "gap": 3.0, "penalty": 50.0}], '
+        '"baseline_state": 0, "rpeak_state": 1}}\n'
+        '{"iteration": 1, "kind": "split_same_dir", "anchor_edge": 0, '
+        '"train_error": 1, "validation_error": 2, "graph": {"states": '
+        '[{"id": 0, "name": "B"}, {"id": 1, "name": "R"}, {"id": 2, "name": "S2"}], '
+        '"edges": [{"source": 0, "target": 2, "direction": "up", "gap": 6.5, '
+        '"penalty": 50.0}, {"source": 2, "target": 1, "direction": "up", '
+        '"gap": 0.30000000000000004, "penalty": 12.5}, {"source": 1, "target": 0, '
+        '"direction": "down", "gap": 3.0, "penalty": 50.0}], "baseline_state": 0, '
+        '"rpeak_state": 1}}\n'
+    )
+    assert trace.to_progress_csv() == "iteration,train_fn_fp,validation_fn_fp\n0,4,3\n1,1,2\n"
