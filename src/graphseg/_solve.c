@@ -14,9 +14,10 @@
  * association, e.g. `2.0 * a * gap` is (2.0 * a) * gap.
  *
  * A piece is (lo, hi, a, b, c) for a*m^2 + b*m + c on [lo, hi] plus a
- * decision tag (br, kind, pt): the edge index taken (-1 for staying), how
- * the previous mean follows from the current one, and the argmin point of
- * a point tag.  Two tags are equal when br and kind are equal and the
+ * decision tag (br, kind, pt): the edge taken (-1 for staying; its index,
+ * or in graphseg_solve its position among the state's in-edges), how the
+ * previous mean follows from the current one, and the argmin point of a
+ * point tag.  Two tags are equal when br and kind are equal and the
  * points compare equal with ==, as Python compares the tuples.  The
  * running-minimum envelope tags its pieces K_PT (argmin pt) or K_THR (the
  * argmin is the evaluation point).
@@ -30,10 +31,12 @@
  * state function carries the stay tag, so min_k reads it in place; a down
  * edge's prefix_min reads its source reflected in place; and one loop over
  * the result records its decision runs and adds the point loss.  The
- * decision record of a state is 12 bytes per run (its upper breakpoint hi
- * and code = 4 * (br + 1) + kind) plus 8 bytes per K_POINT run (its pt, in
- * a second stream), and off holds the (runs, points) counts after each step
- * as two uint32: 12 * runs + 8 * points + 8 * states * n bytes per solve.
+ * decision record of a state is three streams: a 16-bit code per run (bit
+ * 0 marks the first run of a step, bits 1-2 hold the kind, bits 3-15 hold 0
+ * for staying, else 1 + the edge's position among the state's in-edges),
+ * the upper breakpoint hi of every run but the last of its step, and the pt
+ * of every K_POINT run: 2 * runs + 8 * (runs - steps) + 8 * points bytes
+ * per solve, where steps counts the (state, step) pairs that have runs.
  */
 
 #include <float.h>
@@ -62,8 +65,12 @@ enum {
     SOLVE_INFEASIBLE_END = 2,  /* no finite minimum at the last sample */
     SOLVE_NO_MEMORY = 3,
     SOLVE_BAD_RECORD = 4,      /* backtrack met a step with no decision */
-    SOLVE_NOT_FINITE = 5       /* a NaN breakpoint stalled the minimum */
+    SOLVE_NOT_FINITE = 5,      /* a NaN breakpoint stalled the minimum */
+    SOLVE_TOO_MANY_IN_EDGES = 6 /* a state has over MAX_IN_EDGES in-edges */
 };
+
+/* the in-edges per state that bits 3-15 of a run's code tell apart */
+#define MAX_IN_EDGES 8191
 
 typedef struct {
     double lo, hi, a, b, c, pt;
@@ -100,15 +107,15 @@ typedef struct {
     size_t n, cap;
 } List;
 
-/* The decision records of one state, in two streams of fixed-size blocks,
- * so that growing them never copies them and never holds them twice: the
- * runs of equal tags of the pre-loss function, each block holding DEC_BLOCK
- * values of hi, then of code; and the argmin points of the K_POINT runs, in
- * run order. */
+/* The decision records of one state, in three streams of blocks of
+ * DEC_BLOCK values, so that growing them never copies them and never holds
+ * them twice: the code of each run of equal tags of the pre-loss function,
+ * the hi of each run but the last of its step, and the argmin point of each
+ * K_POINT run, all in run order.  The backtrack reads them from the end,
+ * each stream's n serving as its cursor, and step is the step whose runs
+ * end at the cursors. */
 #define DEC_SHIFT 14
 #define DEC_BLOCK ((size_t)1 << DEC_SHIFT)
-#define RUN_BLOCK_BYTES (DEC_BLOCK * (sizeof(double) + sizeof(int32_t)))
-#define PT_BLOCK_BYTES (DEC_BLOCK * sizeof(double))
 
 typedef struct {
     char **blocks;
@@ -116,7 +123,8 @@ typedef struct {
 } Stream;
 
 typedef struct {
-    Stream runs, pts;
+    Stream code, hi, pts;
+    int64_t step;
 } Decisions;
 
 /* the i-th double of a stream: a run's hi, or a point */
@@ -126,10 +134,9 @@ static double *dec_f64(const Stream *s, size_t i)
 }
 
 /* the i-th run's code */
-static int32_t *dec_code(const Stream *s, size_t i)
+static uint16_t *dec_code(const Stream *s, size_t i)
 {
-    return (int32_t *)(s->blocks[i >> DEC_SHIFT] + DEC_BLOCK * sizeof(double))
-           + (i & (DEC_BLOCK - 1));
+    return (uint16_t *)s->blocks[i >> DEC_SHIFT] + (i & (DEC_BLOCK - 1));
 }
 
 static int grow(void **buf, size_t *cap, size_t need, size_t elem)
@@ -155,13 +162,13 @@ static int reserve(List *l, size_t need)
     return grow((void **)&l->p, &l->cap, need, sizeof(Piece));
 }
 
-static int stream_reserve(Stream *s, size_t need, size_t block_bytes)
+static int stream_reserve(Stream *s, size_t need, size_t elem)
 {
     while (s->nblocks * DEC_BLOCK < need) {
         char *b;
         if (grow((void **)&s->blocks, &s->cap, s->nblocks + 1, sizeof(char *)))
             return -1;
-        b = malloc(block_bytes);
+        b = malloc(DEC_BLOCK * elem);
         if (!b)
             return -1;
         s->blocks[s->nblocks++] = b;
@@ -486,12 +493,18 @@ int64_t graphseg_prefix_min(const Piece *f, int64_t n, double dom_hi, Piece *out
 }
 
 /* Solve one signal.  Edges are given by index; a state's in-edges are
- * taken in edge-index order.  start < 0 lets the first segment be in any
- * state.  segs holds n entries; on SOLVE_OK entries [info[0], n) hold the
- * segments' states and means, and [info[0], n - 1) the bound (samples
- * before the change) and edge taken at each change.  info[2], info[3] hold
- * the sum and the maximum of the pre-loss piece counts over (state, step),
- * and info[4], info[5] the decision runs and the K_POINT runs stored. */
+ * taken in edge-index order, at most MAX_IN_EDGES of them.  start < 0 lets
+ * the first segment be in any state.  segs holds n entries; on SOLVE_OK
+ * entries [info[0], n) hold the segments' states and means, and [info[0],
+ * n - 1) the bound (samples before the change) and edge taken at each
+ * change.  info[2], info[3] hold the sum and the maximum of the pre-loss
+ * piece counts over (state, step), info[4], info[5] the decision runs and
+ * the K_POINT runs stored, and info[6] the bytes of the three streams.
+ *
+ * A piece's br here is the edge's position among the state's in-edges, so
+ * a run's code holds it as it is; a state that has runs at some step has
+ * them at every later step (its stay candidate is never empty again), so
+ * the backtrack can count a state's steps from the end of its streams. */
 int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                    int32_t nedges, const Edge *edges, double dlo, double dhi,
                    Segment *segs, int64_t *info, double *total_cost)
@@ -501,8 +514,6 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     List *funcs = calloc((size_t)nstates, sizeof(List));
     List *next = calloc((size_t)nstates, sizeof(List));
     Decisions *dec = calloc((size_t)nstates, sizeof(Decisions));
-    /* (runs, points) stored for state v after step t: off[2 * (v * n + t)] */
-    uint32_t *off = malloc((size_t)nstates * (size_t)n * 2 * sizeof(uint32_t));
     int32_t *in_start = calloc((size_t)nstates + 1, sizeof(int32_t));
     int32_t *in_edge = malloc(((size_t)nedges + 1) * sizeof(int32_t));
     List scratch[2] = {{0}}, branch = {0}, env = {0};
@@ -510,7 +521,7 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     int32_t v, k, best_v = -1;
     double best_arg = 0.0, best_val = INFINITY, m, y0 = y[0];
 
-    if (!funcs || !next || !dec || !off || !in_start || !in_edge)
+    if (!funcs || !next || !dec || !in_start || !in_edge)
         goto done;
 
     /* in-edges grouped by target, each group in edge-index order */
@@ -519,12 +530,14 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
         for (k = 0; k < nedges; k++)
             if (edges[k].target == v)
                 in_edge[in_start[v + 1]++] = k;
+        if (in_start[v + 1] - in_start[v] > MAX_IN_EDGES) {
+            status = SOLVE_TOO_MANY_IN_EDGES;
+            goto done;
+        }
     }
 
     /* every state function carries the stay tag */
     for (v = 0; v < nstates; v++) {
-        off[2 * (size_t)v * n] = 0;
-        off[2 * (size_t)v * n + 1] = 0;
         if (start < 0 || v == start) {
             if (reserve(&funcs[v], 1))
                 goto done;
@@ -540,8 +553,7 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
             const List *cand = &funcs[v];
             List *out = &next[v];
             Decisions *dv = &dec[v];
-            uint32_t *o = &off[2 * ((size_t)v * n + t)];
-            size_t i, nr, np;
+            size_t i, nr, nh, np;
             int w = 0;
 
             /* cand is the stay candidate in place, then each min_k result,
@@ -592,9 +604,9 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                     else
                         r = push(&branch, 0.0 - phi, 0.0 - plo, a, 0.0 - b, c);
                     if (e->kind == K_THR)
-                        tag(r, eidx, thr_kind, 0.0);
+                        tag(r, k - in_start[v], thr_kind, 0.0);
                     else
-                        tag(r, eidx, K_POINT, sgn * e->pt);
+                        tag(r, k - in_start[v], K_POINT, sgn * e->pt);
                 }
                 if (!branch.n)
                     continue;
@@ -612,18 +624,18 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                 w ^= 1;
             }
 
-            nr = dv->runs.n;
+            nr = dv->code.n;
+            nh = dv->hi.n;
             np = dv->pts.n;
             out->n = 0;
             if (cand->n) {
                 const Piece *last = NULL;
-                double *last_hi = NULL;
                 Piece *q = NULL;
 
                 any = 1;
-                if (nr + cand->n > UINT32_MAX
-                    || stream_reserve(&dv->runs, nr + cand->n, RUN_BLOCK_BYTES)
-                    || stream_reserve(&dv->pts, np + cand->n, PT_BLOCK_BYTES)
+                if (stream_reserve(&dv->code, nr + cand->n, sizeof(uint16_t))
+                    || stream_reserve(&dv->hi, nh + cand->n, sizeof(double))
+                    || stream_reserve(&dv->pts, np + cand->n, sizeof(double))
                     || reserve(out, cand->n))
                     goto done;
                 /* one pass over the result: compress its tags into runs, and
@@ -634,14 +646,12 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                     const Piece *p = &cand->p[i];
                     double a = p->a + 1.0, b = p->b + b_add, c = p->c + c_add;
 
-                    if (last && p->br == last->br && p->kind == last->kind
-                        && p->pt == last->pt) {
-                        *last_hi = p->hi;
-                    } else {
+                    if (!last || !same_tag(p, last)) {
+                        if (last) /* the previous run ends at the previous piece */
+                            *dec_f64(&dv->hi, nh++) = p[-1].hi;
                         last = p;
-                        last_hi = dec_f64(&dv->runs, nr);
-                        *last_hi = p->hi;
-                        *dec_code(&dv->runs, nr++) = 4 * (p->br + 1) + p->kind;
+                        *dec_code(&dv->code, nr++) =
+                            (uint16_t)(8 * (p->br + 1) + 2 * p->kind + !i);
                         if (p->kind == K_POINT)
                             *dec_f64(&dv->pts, np++) = p->pt;
                     }
@@ -655,14 +665,13 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                     q = push(out, p->lo, p->hi, a, b, c);
                     tag(q, -1, K_STAY, 0.0);
                 }
-                dv->runs.n = nr;
+                dv->code.n = nr;
+                dv->hi.n = nh;
                 dv->pts.n = np;
                 piece_total += (int64_t)cand->n;
                 if ((int64_t)cand->n > piece_max)
                     piece_max = (int64_t)cand->n;
             }
-            o[0] = (uint32_t)nr;
-            o[1] = (uint32_t)np;
         }
         for (v = 0; v < nstates; v++)
             swap_lists(&funcs[v], &next[v]);
@@ -690,6 +699,16 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
         goto done;
     }
 
+    /* the record's size, counted before the backtrack moves its cursors */
+    info[4] = info[5] = info[6] = 0;
+    for (v = 0; v < nstates; v++) {
+        Decisions *dv = &dec[v];
+        info[4] += (int64_t)dv->code.n;
+        info[5] += (int64_t)dv->pts.n;
+        info[6] += (int64_t)(2 * dv->code.n + 8 * (dv->hi.n + dv->pts.n));
+        dv->step = n - 1;
+    }
+
     /* backtrack through the decision records, filling the outputs from
      * their ends: the segments end up in [first, n), the boundaries and
      * edges in [first, n - 1) */
@@ -699,22 +718,36 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     segs[first].state = v;
     segs[first].mean = m;
     for (t = n - 1; t > 0; t--) {
-        const uint32_t *o = &off[2 * ((size_t)v * n + t - 1)];
-        size_t lo_i = o[0], pt_i = o[1], hi_i = o[2], i = lo_i;
-        const Decisions *dv = &dec[v];
+        Decisions *dv = &dec[v];
+        size_t i, h, end, pt_i;
         int32_t br, kind;
+        uint16_t code;
 
-        if (lo_i >= hi_i) {
-            status = SOLVE_BAD_RECORD;
-            goto done;
+        /* move v's cursors back over its steps down to t: each step's runs
+         * end at the code flagged as its first */
+        do {
+            if (!dv->code.n) {
+                status = SOLVE_BAD_RECORD;
+                goto done;
+            }
+            end = dv->code.n;
+            pt_i = dv->pts.n;
+            do {
+                code = *dec_code(&dv->code, --dv->code.n);
+                pt_i -= (code >> 1 & 3) == K_POINT;
+            } while (!(code & 1));
+            dv->hi.n -= end - dv->code.n - 1;
+            dv->pts.n = pt_i;
+        } while (dv->step-- > t);
+        /* the first run of step t whose hi is not below m, or its last */
+        for (i = dv->code.n, h = dv->hi.n; i < end - 1 && *dec_f64(&dv->hi, h) < m; i++, h++) {
+            pt_i += (code >> 1 & 3) == K_POINT;
+            code = *dec_code(&dv->code, i + 1);
         }
-        while (i < hi_i - 1 && *dec_f64(&dv->runs, i) < m) {
-            pt_i += *dec_code(&dv->runs, i) % 4 == K_POINT;
-            i++;
-        }
-        br = *dec_code(&dv->runs, i) / 4 - 1;
-        kind = *dec_code(&dv->runs, i) % 4;
+        br = (code >> 3) - 1;
+        kind = code >> 1 & 3;
         if (br >= 0) {
+            br = in_edge[in_start[v] + br];
             first--;
             segs[first].bound = t;
             segs[first].edge = br;
@@ -736,11 +769,6 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     info[0] = first;
     info[2] = piece_total;
     info[3] = piece_max;
-    info[4] = info[5] = 0;
-    for (v = 0; v < nstates; v++) {
-        info[4] += (int64_t)dec[v].runs.n;
-        info[5] += (int64_t)dec[v].pts.n;
-    }
     *total_cost = best_val;
     status = SOLVE_OK;
 
@@ -749,13 +777,13 @@ done:
         for (v = 0; v < nstates; v++) {
             free(funcs[v].p);
             free(next[v].p);
-            stream_free(&dec[v].runs);
+            stream_free(&dec[v].code);
+            stream_free(&dec[v].hi);
             stream_free(&dec[v].pts);
         }
     free(funcs);
     free(next);
     free(dec);
-    free(off);
     free(in_start);
     free(in_edge);
     free(scratch[0].p);

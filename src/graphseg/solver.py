@@ -26,6 +26,10 @@ from . import graph as gr
 # graphseg_solve status codes (see _solve.c)
 _INFEASIBLE_STEP, _INFEASIBLE_END, _NO_MEMORY, _NOT_FINITE = 1, 2, 3, 5
 
+# The most in-edges one state may have: a decision run's 16-bit code holds
+# the edge's position among them in 13 bits (MAX_IN_EDGES in _solve.c).
+MAX_IN_EDGES = 8191
+
 
 class InfeasibleModelError(RuntimeError):
     """No state admits any feasible mean at some step."""
@@ -72,9 +76,11 @@ class Segmentation:
     k covers samples[boundaries[k-1]:boundaries[k]] in 0-based slice terms.
     ``edges_taken[k]`` is the graph edge index used at ``boundaries[k]``.
     ``stats`` holds the mean and maximum pre-loss piece count per (state,
-    step) (``mean_pieces``, ``max_pieces``) and the decision runs stored
-    (``decision_runs``, of which ``point_runs`` also store a point): the
-    decision record took 12 * runs + 8 * points + 8 * states * n bytes.
+    step) (``mean_pieces``, ``max_pieces``), the decision runs stored
+    (``decision_runs``, of which ``point_runs`` also store a point) and the
+    bytes the decision record took (``decision_bytes``): 2 * runs +
+    8 * (runs - steps) + 8 * points, where steps counts the (state, step)
+    pairs that stored runs.
     """
 
     boundaries: list
@@ -146,7 +152,8 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
     Returns the optimal boundaries, per-segment means and hidden states, the
     edges taken, and the optimal total cost.  At equal cost, staying in a
     state is preferred over changing, and lower-index edges over higher.
-    The graph is not checked here: a ConstraintGraph is valid once built.
+    A ConstraintGraph is valid once built; solve refuses only one with a
+    state of more than MAX_IN_EDGES in-edges, with a ValueError.
     """
     if not isinstance(graph_, gr.ConstraintGraph):
         # the C code indexes by edge endpoints that only the constructor checked
@@ -156,6 +163,12 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
     lo, hi = float(np.min(y)), float(np.max(y))
     k = _image_exponent(lo, hi)
     edges = _edge_array(graph_)
+    if len(edges) > MAX_IN_EDGES:
+        counts = np.bincount(edges["target"])
+        v = int(np.argmax(counts))
+        if counts[v] > MAX_IN_EDGES:
+            raise ValueError(f"state {v} ({graph_.name_of(v)}) has {counts[v]} in-edges; "
+                             f"solve takes at most {MAX_IN_EDGES} per state")
     if k:
         y, lo, hi = np.ldexp(y, -k), math.ldexp(lo, -k), math.ldexp(hi, -k)
         # a gap or penalty past the float range of the image becomes inf, so
@@ -169,7 +182,7 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
     start = _resolve_start(graph_, start_state)
 
     segs = np.empty(n, dtype=_native.SEGMENT)
-    info = np.zeros(6, dtype=np.int64)
+    info = np.zeros(7, dtype=np.int64)
     total_cost = ctypes.c_double()
     status = _native.library().solve(
         y, n, nstates, -1 if start is None else start, len(edges), edges, dlo, dhi,
@@ -192,6 +205,7 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
         "max_pieces": int(info[3]),
         "decision_runs": int(info[4]),
         "point_runs": int(info[5]),
+        "decision_bytes": int(info[6]),
     }
     return Segmentation(
         boundaries=segs["bound"][first : n - 1].tolist(),

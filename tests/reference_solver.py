@@ -199,11 +199,18 @@ def _solve(signal, graph_, start_state, edges=None):
     rev_edges.reverse()
     rev_states.reverse()
     rev_means.reverse()
+    runs = sum(len(d) for d in dec_hi)
+    points = sum(d.count(_K_POINT) for d in dec_kind)
+    # the (state, step) pairs that stored runs; the compiled record keeps a
+    # 2-byte code per run, the hi of every run but the last of its step, and
+    # the point of every point run
+    steps = sum(b > a for off in dec_off for a, b in zip(off, off[1:]))
     stats = {
         "mean_pieces": piece_total / ((n - 1) * nstates) if n > 1 else 0.0,
         "max_pieces": piece_max,
-        "decision_runs": sum(len(d) for d in dec_hi),
-        "point_runs": sum(d.count(_K_POINT) for d in dec_kind),
+        "decision_runs": runs,
+        "point_runs": points,
+        "decision_bytes": 2 * runs + 8 * (runs - steps) + 8 * points,
     }
     return Segmentation(
         boundaries=rev_bounds,

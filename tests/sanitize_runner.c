@@ -12,7 +12,7 @@
  *   runner solve   in:  int64 n, int32 nstates, int32 start, int32 nedges,
  *                       double dlo, double dhi, double y[n],
  *                       Edge edges[nedges]
- *                  out: int32 status, int64 info[6], double total_cost,
+ *                  out: int32 status, int64 info[7], double total_cost,
  *                       Segment segs[n] (entries the solve does not write
  *                       are zero)
  *
@@ -97,7 +97,7 @@ struct solve_call {
     Edge *edges;
     /* out */
     int32_t status;
-    int64_t info[6];
+    int64_t info[7];
     double total;
     Segment *segs;
 };

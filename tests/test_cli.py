@@ -9,6 +9,7 @@ from graphseg import cli, data
 from graphseg import graph as gr
 from graphseg import solver
 from graphseg.data import SynthConfig, generate_synthetic, save_record
+from test_compiled_solver import limit_graph
 
 
 @pytest.fixture
@@ -492,3 +493,12 @@ def test_deeply_nested_graph_document_exits_2(tmp_path, step_files, capsys):
                    "--out-dir", str(tmp_path / "o")])
     assert rc == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def test_detect_graph_over_the_in_edge_limit_exits_2(tmp_path, step_files, capsys):
+    sig, graph = step_files
+    graph.write_text(gr.serialize(limit_graph(solver.MAX_IN_EDGES + 1)))
+    rc = cli.main(["detect", "--signal", str(sig), "--graph", str(graph),
+                   "--out-dir", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"solve takes at most {solver.MAX_IN_EDGES} per state" in capsys.readouterr().err

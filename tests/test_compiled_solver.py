@@ -7,15 +7,18 @@ total cost and piece statistics, and an infeasible model must fail with
 the same error at the same sample.
 """
 
+import ctypes
 import warnings
 
 import numpy as np
 import pytest
 
 import reference_solver
+from graphseg import _native
 from graphseg import graph as gr
 from graphseg.data import SynthConfig, generate_synthetic
-from graphseg.solver import InfeasibleModelError, Signal, solve
+from graphseg.solver import (MAX_IN_EDGES, InfeasibleModelError, Signal, _edge_array, solve,
+                             solve_domain)
 from helpers import random_graph, random_signal
 
 
@@ -186,20 +189,22 @@ def learned_four_state():
     )
 
 
+# full-length records of the benchmark's detect workload: a plain
+# 100,512-sample record under the 2-state graph and a pre-R-dip record under
+# the learned 4-state graph
+CORPUS = {
+    "plain": (SynthConfig(n_cycles=349, heart_rate_bpm=75.0, r_amplitude=10.0,
+                          noise_sigma=0.2, baseline_wander_amp=3.0, seed=31),
+              gr.initial_graph(6.5, 3.0, 50.0)),
+    "dip": (SynthConfig(n_cycles=230, heart_rate_bpm=88.0, r_amplitude=10.0,
+                        noise_sigma=0.2, baseline_wander_amp=3.0, pre_r_dip=10.5, seed=37),
+            learned_four_state()),
+}
+
+
 @pytest.mark.parametrize("record", ["plain", "dip"])
 def test_detect_corpus_records(record):
-    # full-length records of the benchmark's detect workload: a plain
-    # 100,512-sample record under the 2-state graph and a pre-R-dip record
-    # under the learned 4-state graph
-    if record == "plain":
-        cfg = SynthConfig(n_cycles=349, heart_rate_bpm=75.0, r_amplitude=10.0,
-                          noise_sigma=0.2, baseline_wander_amp=3.0, seed=31)
-        g = gr.initial_graph(6.5, 3.0, 50.0)
-    else:
-        cfg = SynthConfig(n_cycles=230, heart_rate_bpm=88.0, r_amplitude=10.0,
-                          noise_sigma=0.2, baseline_wander_amp=3.0, pre_r_dip=10.5,
-                          seed=37)
-        g = learned_four_state()
+    cfg, g = CORPUS[record]
     assert_matches_reference(generate_synthetic(cfg).signal.samples, g)
 
 
@@ -229,3 +234,77 @@ def test_state_with_three_in_edges(start):
     assert len(y) > 2500
     assert {0, 1, 2} <= set(solve(Signal(y, 360.0), g, start_state=start).edges_taken)
     assert_matches_reference(y, g, start)
+
+
+def hub_graph(n_hub):
+    """R with n_hub in-edges: even ones up from B (the gap rises as the
+    penalty falls, so different jumps take different edges), odd ones down
+    from S2.  R's edge back to B comes first and B's edge to S2 halfway, so
+    an in-edge's position among R's in-edges is not its edge index."""
+    hub = []
+    for j in range(n_hub):
+        if j % 2 == 0:
+            hub.append(gr.Edge(0, 1, gr.UP, 1.0 + 0.25 * j, 60.0 - 1.0 * j))
+        else:
+            hub.append(gr.Edge(2, 1, gr.DOWN, 0.5 + 0.1 * j, 40.0 - 0.5 * j))
+    half = n_hub // 2
+    edges = ((gr.Edge(1, 0, gr.DOWN, 3.0, 40.0),) + tuple(hub[:half])
+             + (gr.Edge(0, 2, gr.UP, 2.0, 30.0),) + tuple(hub[half:]))
+    return gr.ConstraintGraph((gr.StateId(0, "B"), gr.StateId(1, "R"), gr.StateId(2, "S2")),
+                              edges, 0, 1)
+
+
+def test_hub_state_with_forty_in_edges():
+    # a run's code holds the taken edge's position among R's in-edges;
+    # positions far above 1 must map back to the right edges
+    cfg = SynthConfig(n_cycles=2, heart_rate_bpm=75.0, r_amplitude=10.0, noise_sigma=0.3,
+                      baseline_wander_amp=2.0, pre_r_dip=4.0, seed=3)
+    y = generate_synthetic(cfg).signal.samples
+    g = hub_graph(40)
+    taken = set(solve(Signal(y, 360.0), g).edges_taken)
+    positions = {p for p, (i, _) in enumerate(g.in_edges(1)) if i in taken}
+    assert max(positions) > 20 and len(positions) >= 2
+    assert_matches_reference(y, g)
+
+
+def limit_graph(n_hub):
+    """B and R, where R has n_hub up edges from B after its edge back: only
+    the last can be taken, the others' gaps being past any record here."""
+    hub = [gr.Edge(0, 1, gr.UP, 1e6 + j, 1.0) for j in range(n_hub - 1)]
+    edges = (gr.Edge(1, 0, gr.DOWN, 1.0, 1.0), *hub, gr.Edge(0, 1, gr.UP, 1.0, 1.0))
+    return gr.ConstraintGraph((gr.StateId(0, "B"), gr.StateId(1, "R")), edges, 0, 1)
+
+
+def test_in_edge_limit(monkeypatch):
+    # the 13 bits of a run's code tell apart MAX_IN_EDGES in-edges per state
+    with open(_native.SOURCE) as fh:
+        assert f"#define MAX_IN_EDGES {MAX_IN_EDGES}\n" in fh.read()
+    y = np.array([0.0, 0.0, 10.0, 10.0, 0.0])
+    g = limit_graph(MAX_IN_EDGES)
+    assert solve(Signal(y, 360.0), g, start_state="B").edges_taken == [MAX_IN_EDGES, 0]
+    assert_matches_reference(y, g, "B")
+
+    over = limit_graph(MAX_IN_EDGES + 1)
+    # the compiled solver refuses it too, when called directly
+    dlo, dhi = solve_domain(Signal(y, 360.0))
+    status = _native.library().solve(y, len(y), 2, -1, len(over.edges), _edge_array(over),
+                                     dlo, dhi, np.zeros(len(y), _native.SEGMENT),
+                                     np.zeros(7, np.int64), ctypes.byref(ctypes.c_double()))
+    assert status == 6  # SOLVE_TOO_MANY_IN_EDGES
+    # solve refuses it before any call into C
+    monkeypatch.setattr(_native, "library", None)
+    with pytest.raises(ValueError, match=rf"state 1 \(R\) has {MAX_IN_EDGES + 1} in-edges; "
+                                         rf"solve takes at most {MAX_IN_EDGES} per state"):
+        solve(Signal(y, 360.0), over)
+
+
+@pytest.mark.parametrize("record, bound", [("plain", 100), ("dip", 175)])
+def test_decision_record_bytes_per_sample(record, bound):
+    # 2 bytes per run, 8 per run but the last of its (state, step) and 8 per
+    # point: about 91 and 160 B/sample on these records, against 139 and 256
+    # with 12 bytes per run and two 32-bit counts per (state, sample)
+    cfg, g = CORPUS[record]
+    y = generate_synthetic(cfg).signal.samples
+    stats = solve(Signal(y, 360.0), g).stats
+    assert stats["decision_bytes"] <= bound * len(y)
+    assert stats["decision_bytes"] > 2 * stats["decision_runs"] + 8 * stats["point_runs"]

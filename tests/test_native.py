@@ -72,7 +72,7 @@ def test_solve_refuses_arrays_of_another_layout():
 
     def call(edges, segs):
         return _native.library().solve(np.zeros(3), 3, len(g.states), -1, len(edges), edges,
-                                       -1.0, 1.0, segs, np.zeros(6, np.int64),
+                                       -1.0, 1.0, segs, np.zeros(7, np.int64),
                                        ctypes.byref(ctypes.c_double()))
 
     assert call(edges, np.zeros(3, _native.SEGMENT)) == 0

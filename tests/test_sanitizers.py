@@ -4,7 +4,7 @@
 process.  Built under ``-fsanitize=address,undefined`` as one translation
 unit with ``_solve.c`` (``-include``), so that a drift in an entry point's
 signature fails to compile, it solves long records, whose decision records
-fill several blocks of both streams, scans edge-case sample files, and
+fill several blocks of all three streams, scans edge-case sample files, and
 writes the sample lines of edge-case amplitudes and of lines that fill its
 buffer exactly.
 Built under ``-fsanitize=thread``, it solves the same records in several
@@ -93,7 +93,7 @@ def _solve_inputs(y, g, start):
 
 def _library_solve(args):
     segs = np.zeros(args[1], _native.SEGMENT)
-    info = np.zeros(6, dtype=np.int64)
+    info = np.zeros(7, dtype=np.int64)
     total = ctypes.c_double()
     status = _native.library().solve(*args, segs, info, ctypes.byref(total))
     return status, info, total.value, segs
@@ -106,10 +106,10 @@ def _runner_solve(runner, args, mode=("solve",)):
         np.array([dlo, dhi]).tobytes(), y.tobytes(), edges.tobytes()])
     raw = _run(runner, mode, data)
     status = int(np.frombuffer(raw, np.int32, 1)[0])
-    info = np.frombuffer(raw, np.int64, 6, 4)
-    total = float(np.frombuffer(raw, np.float64, 1, 52)[0])
-    assert len(raw) == 60 + n * _native.SEGMENT.itemsize
-    return status, info, total, np.frombuffer(raw, _native.SEGMENT, n, 60)
+    info = np.frombuffer(raw, np.int64, 7, 4)
+    total = float(np.frombuffer(raw, np.float64, 1, 60)[0])
+    assert len(raw) == 68 + n * _native.SEGMENT.itemsize
+    return status, info, total, np.frombuffer(raw, _native.SEGMENT, n, 68)
 
 
 RECORDS = {
@@ -136,9 +136,13 @@ def _assert_solves_like_library(runner, name, mode=("solve",)):
     assert info.tolist() == want_info.tolist()
     assert repr(total) == repr(want_total)
     assert segs.tobytes() == want_segs.tobytes()  # entries not written are 0 in both
-    # both decision streams of some state cross a block boundary
+    # each of the three decision streams (codes, his and points) of some
+    # state crosses a block boundary; the his are what the bytes leave
     block, nstates = _decision_block(), len(g.states)
-    assert len(y) > 25_000 and info[4] > nstates * block and info[5] > nstates * block
+    runs, points = info[4], info[5]
+    his, rest = divmod(info[6] - 2 * runs - 8 * points, 8)
+    assert len(y) > 25_000 and runs > nstates * block and points > nstates * block
+    assert rest == 0 and his > nstates * block
 
 
 @pytest.mark.parametrize("name", RECORDS)
