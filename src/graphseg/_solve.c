@@ -27,7 +27,8 @@
  * out Piece; graphseg_solve reads the graph from an array of Edge and
  * writes into one of Segment.  The static asserts below pin these layouts.
  *
- * Each state update of graphseg_solve is one pass over its pieces: every
+ * graphseg_solve runs forward, then backtrack, over one Solver.
+ * Each state update of forward is one pass over its pieces: every
  * state function carries the stay tag, so min_k reads it in place; a down
  * edge's prefix_min reads its source reflected in place; and one loop over
  * the result records its decision runs and adds the point loss.  The
@@ -492,60 +493,31 @@ int64_t graphseg_prefix_min(const Piece *f, int64_t n, double dom_hi, Piece *out
     return (int64_t)o.n;
 }
 
-/* Solve one signal.  Edges are given by index; a state's in-edges are
- * taken in edge-index order, at most MAX_IN_EDGES of them.  start < 0 lets
- * the first segment be in any state.  segs holds n entries; on SOLVE_OK
- * entries [info[0], n) hold the segments' states and means, and [info[0],
- * n - 1) the bound (samples before the change) and edge taken at each
- * change.  info[2], info[3] hold the sum and the maximum of the pre-loss
- * piece counts over (state, step), info[4], info[5] the decision runs and
- * the K_POINT runs stored, and info[6] the bytes of the three streams.
- *
- * A piece's br here is the edge's position among the state's in-edges, so
- * a run's code holds it as it is; a state that has runs at some step has
- * them at every later step (its stay candidate is never empty again), so
- * the backtrack can count a state's steps from the end of its streams. */
-int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
-                   int32_t nedges, const Edge *edges, double dlo, double dhi,
-                   Segment *segs, int64_t *info, double *total_cost)
+/* What the phases of graphseg_solve share */
+typedef struct {
+    const Edge *edges;
+    int32_t nstates, *in_start, *in_edge;
+    double dlo, dhi;
+    List *funcs, *next;
+    Decisions *dec;
+    int64_t piece_total, piece_max;
+} Solver;
+
+/* The forward pass over steps t0 <= t < t1: SOLVE_OK, SOLVE_NO_MEMORY,
+ * SOLVE_NOT_FINITE or SOLVE_INFEASIBLE_STEP at step *bad_t.  Its working
+ * lists and copies of s's fields are locals, which gcc keeps in registers. */
+static int forward(Solver *s, const double *y, int64_t t0, int64_t t1, int64_t *bad_t)
 {
+    const Edge *edges = s->edges;
+    const int32_t *in_start = s->in_start, *in_edge = s->in_edge;
+    List *funcs = s->funcs, *next = s->next, scratch[2] = {{0}}, branch = {0}, env = {0};
+    Decisions *dec = s->dec;
+    int64_t piece_total = s->piece_total, piece_max = s->piece_max, t;
+    int32_t nstates = s->nstates, v, k;
     int status = SOLVE_NO_MEMORY;
-    double width = dhi - dlo;
-    List *funcs = calloc((size_t)nstates, sizeof(List));
-    List *next = calloc((size_t)nstates, sizeof(List));
-    Decisions *dec = calloc((size_t)nstates, sizeof(Decisions));
-    int32_t *in_start = calloc((size_t)nstates + 1, sizeof(int32_t));
-    int32_t *in_edge = malloc(((size_t)nedges + 1) * sizeof(int32_t));
-    List scratch[2] = {{0}}, branch = {0}, env = {0};
-    int64_t piece_total = 0, piece_max = 0, t, first;
-    int32_t v, k, best_v = -1;
-    double best_arg = 0.0, best_val = INFINITY, m, y0 = y[0];
+    double dlo = s->dlo, dhi = s->dhi, width = dhi - dlo;
 
-    if (!funcs || !next || !dec || !in_start || !in_edge)
-        goto done;
-
-    /* in-edges grouped by target, each group in edge-index order */
-    for (v = 0; v < nstates; v++) {
-        in_start[v + 1] = in_start[v];
-        for (k = 0; k < nedges; k++)
-            if (edges[k].target == v)
-                in_edge[in_start[v + 1]++] = k;
-        if (in_start[v + 1] - in_start[v] > MAX_IN_EDGES) {
-            status = SOLVE_TOO_MANY_IN_EDGES;
-            goto done;
-        }
-    }
-
-    /* every state function carries the stay tag */
-    for (v = 0; v < nstates; v++) {
-        if (start < 0 || v == start) {
-            if (reserve(&funcs[v], 1))
-                goto done;
-            tag(push(&funcs[v], dlo, dhi, 1.0, -2.0 * y0, y0 * y0), -1, K_STAY, 0.0);
-        }
-    }
-
-    for (t = 1; t < n; t++) {
+    for (t = t0; t < t1; t++) {
         double yt = y[t], c_add = yt * yt, b_add = -2.0 * yt;
         int any = 0;
 
@@ -569,7 +541,7 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                 if (!src->n || gap >= width)
                     continue;
                 if (reserve(&env, 4 * src->n + 1) || reserve(&branch, 4 * src->n + 1))
-                    goto done;
+                    goto out;
                 /* a down edge is an up edge on the reflected axis m -> -m */
                 if (up) {
                     top = dhi;
@@ -614,10 +586,10 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                     swap_lists(&scratch[w], &branch);
                 } else {
                     if (reserve(&scratch[w], 3 * MIN_STEPS(cand->n + branch.n)))
-                        goto done;
+                        goto out;
                     if (min_k(cand, &branch, &scratch[w])) {
                         status = SOLVE_NOT_FINITE;
-                        goto done;
+                        goto out;
                     }
                 }
                 cand = &scratch[w];
@@ -637,7 +609,7 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
                     || stream_reserve(&dv->hi, nh + cand->n, sizeof(double))
                     || stream_reserve(&dv->pts, np + cand->n, sizeof(double))
                     || reserve(out, cand->n))
-                    goto done;
+                    goto out;
                 /* one pass over the result: compress its tags into runs, and
                  * add (y - m)^2 with the stay tag, merging neighbours that
                  * become equal; a merge takes the new a, b and c, as the
@@ -676,18 +648,139 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
         for (v = 0; v < nstates; v++)
             swap_lists(&funcs[v], &next[v]);
         if (!any) {
-            info[1] = t;
+            *bad_t = t;
             status = SOLVE_INFEASIBLE_STEP;
+            goto out;
+        }
+    }
+    s->piece_total = piece_total;
+    s->piece_max = piece_max;
+    status = SOLVE_OK;
+out:
+    free(scratch[0].p);
+    free(scratch[1].p);
+    free(branch.p);
+    free(env.p);
+    return status;
+}
+
+/* The backtrack over steps t1 - 1 down to t0, taking state *v and mean *m at
+ * sample t1 - 1 to those at t0 - 1 and writing each change into segs below
+ * *first, which it moves down.  Returns SOLVE_OK or SOLVE_BAD_RECORD. */
+static int backtrack(Solver *s, int64_t t1, int64_t t0, int32_t *v, double *m,
+                     Segment *segs, int64_t *first)
+{
+    for (int64_t t = t1 - 1; t >= t0; t--) {
+        Decisions *dv = &s->dec[*v];
+        size_t i, h, end, pt_i;
+        int32_t br, kind;
+        uint16_t code;
+
+        /* move v's cursors back over its steps down to t: each step's runs
+         * end at the code flagged as its first */
+        do {
+            if (!dv->code.n)
+                return SOLVE_BAD_RECORD;
+            end = dv->code.n;
+            pt_i = dv->pts.n;
+            do {
+                code = *dec_code(&dv->code, --dv->code.n);
+                pt_i -= (code >> 1 & 3) == K_POINT;
+            } while (!(code & 1));
+            dv->hi.n -= end - dv->code.n - 1;
+            dv->pts.n = pt_i;
+        } while (dv->step-- > t);
+        /* the first run of step t whose hi is not below m, or its last */
+        for (i = dv->code.n, h = dv->hi.n; i < end - 1 && *dec_f64(&dv->hi, h) < *m; i++, h++) {
+            pt_i += (code >> 1 & 3) == K_POINT;
+            code = *dec_code(&dv->code, i + 1);
+        }
+        br = (code >> 3) - 1;
+        kind = code >> 1 & 3;
+        if (br >= 0) {
+            br = s->in_edge[s->in_start[*v] + br];
+            segs[--*first].bound = t;
+            segs[*first].edge = br;
+            if (kind == K_THR_UP)
+                *m = *m - s->edges[br].gap;
+            else if (kind == K_THR_DOWN)
+                *m = *m + s->edges[br].gap;
+            else
+                *m = *dec_f64(&dv->pts, pt_i);
+            if (*m < s->dlo)
+                *m = s->dlo;
+            else if (*m > s->dhi)
+                *m = s->dhi;
+            *v = s->edges[br].source;
+            segs[*first].state = *v;
+            segs[*first].mean = *m;
+        }
+    }
+    return SOLVE_OK;
+}
+
+/* Solve one signal.  Edges are given by index; a state's in-edges are
+ * taken in edge-index order, at most MAX_IN_EDGES of them.  start < 0 lets
+ * the first segment be in any state.  segs holds n entries; on SOLVE_OK
+ * entries [info[0], n) hold the segments' states and means, and [info[0],
+ * n - 1) the bound (samples before the change) and edge taken at each
+ * change.  info[2], info[3] hold the sum and the maximum of the pre-loss
+ * piece counts over (state, step), info[4], info[5] the decision runs and
+ * the K_POINT runs stored, and info[6] the bytes of the three streams.
+ *
+ * It runs forward over steps [1, n), then backtrack from the end minimum.  A
+ * piece's br here is the edge's position among the state's in-edges, so a
+ * run's code holds it as it is; a state that has runs at some step has them
+ * at every later step (its stay candidate is never empty again), so the
+ * backtrack can count a state's steps from the end of its streams. */
+int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
+                   int32_t nedges, const Edge *edges, double dlo, double dhi,
+                   Segment *segs, int64_t *info, double *total_cost)
+{
+    Solver s = {.edges = edges, .nstates = nstates, .dlo = dlo, .dhi = dhi,
+                .in_start = calloc((size_t)nstates + 1, sizeof(int32_t)),
+                .in_edge = malloc(((size_t)nedges + 1) * sizeof(int32_t)),
+                .funcs = calloc((size_t)nstates, sizeof(List)),
+                .next = calloc((size_t)nstates, sizeof(List)),
+                .dec = calloc((size_t)nstates, sizeof(Decisions))};
+    int status = SOLVE_NO_MEMORY;
+    int64_t first = n - 1;
+    int32_t v, k, best_v = -1;
+    double best_arg = 0.0, best_val = INFINITY, y0 = y[0];
+
+    if (!s.funcs || !s.next || !s.dec || !s.in_start || !s.in_edge)
+        goto done;
+
+    /* in-edges grouped by target, each group in edge-index order */
+    for (v = 0; v < nstates; v++) {
+        s.in_start[v + 1] = s.in_start[v];
+        for (k = 0; k < nedges; k++)
+            if (edges[k].target == v)
+                s.in_edge[s.in_start[v + 1]++] = k;
+        if (s.in_start[v + 1] - s.in_start[v] > MAX_IN_EDGES) {
+            status = SOLVE_TOO_MANY_IN_EDGES;
             goto done;
         }
     }
 
+    /* every state function carries the stay tag */
+    for (v = 0; v < nstates; v++) {
+        if (start < 0 || v == start) {
+            if (reserve(&s.funcs[v], 1))
+                goto done;
+            tag(push(&s.funcs[v], dlo, dhi, 1.0, -2.0 * y0, y0 * y0), -1, K_STAY, 0.0);
+        }
+    }
+
+    if ((status = forward(&s, y, 1, n, &info[1])))
+        goto done;
+
     for (v = 0; v < nstates; v++) {
         double arg, val;
 
-        if (!funcs[v].n)
+        if (!s.funcs[v].n)
             continue;
-        val = graphseg_global_min(funcs[v].p, (int64_t)funcs[v].n, &arg);
+        val = graphseg_global_min(s.funcs[v].p, (int64_t)s.funcs[v].n, &arg);
         if (val < best_val) {
             best_v = v;
             best_arg = arg;
@@ -702,94 +795,36 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     /* the record's size, counted before the backtrack moves its cursors */
     info[4] = info[5] = info[6] = 0;
     for (v = 0; v < nstates; v++) {
-        Decisions *dv = &dec[v];
+        Decisions *dv = &s.dec[v];
         info[4] += (int64_t)dv->code.n;
         info[5] += (int64_t)dv->pts.n;
         info[6] += (int64_t)(2 * dv->code.n + 8 * (dv->hi.n + dv->pts.n));
         dv->step = n - 1;
     }
 
-    /* backtrack through the decision records, filling the outputs from
-     * their ends: the segments end up in [first, n), the boundaries and
-     * edges in [first, n - 1) */
-    m = best_arg;
-    v = best_v;
-    first = n - 1;
-    segs[first].state = v;
-    segs[first].mean = m;
-    for (t = n - 1; t > 0; t--) {
-        Decisions *dv = &dec[v];
-        size_t i, h, end, pt_i;
-        int32_t br, kind;
-        uint16_t code;
-
-        /* move v's cursors back over its steps down to t: each step's runs
-         * end at the code flagged as its first */
-        do {
-            if (!dv->code.n) {
-                status = SOLVE_BAD_RECORD;
-                goto done;
-            }
-            end = dv->code.n;
-            pt_i = dv->pts.n;
-            do {
-                code = *dec_code(&dv->code, --dv->code.n);
-                pt_i -= (code >> 1 & 3) == K_POINT;
-            } while (!(code & 1));
-            dv->hi.n -= end - dv->code.n - 1;
-            dv->pts.n = pt_i;
-        } while (dv->step-- > t);
-        /* the first run of step t whose hi is not below m, or its last */
-        for (i = dv->code.n, h = dv->hi.n; i < end - 1 && *dec_f64(&dv->hi, h) < m; i++, h++) {
-            pt_i += (code >> 1 & 3) == K_POINT;
-            code = *dec_code(&dv->code, i + 1);
-        }
-        br = (code >> 3) - 1;
-        kind = code >> 1 & 3;
-        if (br >= 0) {
-            br = in_edge[in_start[v] + br];
-            first--;
-            segs[first].bound = t;
-            segs[first].edge = br;
-            if (kind == K_THR_UP)
-                m = m - edges[br].gap;
-            else if (kind == K_THR_DOWN)
-                m = m + edges[br].gap;
-            else
-                m = *dec_f64(&dv->pts, pt_i);
-            if (m < dlo)
-                m = dlo;
-            else if (m > dhi)
-                m = dhi;
-            v = edges[br].source;
-            segs[first].state = v;
-            segs[first].mean = m;
-        }
-    }
+    segs[first].state = best_v;
+    segs[first].mean = best_arg;
+    if ((status = backtrack(&s, n, 1, &best_v, &best_arg, segs, &first)))
+        goto done;
     info[0] = first;
-    info[2] = piece_total;
-    info[3] = piece_max;
+    info[2] = s.piece_total;
+    info[3] = s.piece_max;
     *total_cost = best_val;
-    status = SOLVE_OK;
 
 done:
-    if (funcs && next && dec)
+    if (s.funcs && s.next && s.dec)
         for (v = 0; v < nstates; v++) {
-            free(funcs[v].p);
-            free(next[v].p);
-            stream_free(&dec[v].code);
-            stream_free(&dec[v].hi);
-            stream_free(&dec[v].pts);
+            free(s.funcs[v].p);
+            free(s.next[v].p);
+            stream_free(&s.dec[v].code);
+            stream_free(&s.dec[v].hi);
+            stream_free(&s.dec[v].pts);
         }
-    free(funcs);
-    free(next);
-    free(dec);
-    free(in_start);
-    free(in_edge);
-    free(scratch[0].p);
-    free(scratch[1].p);
-    free(branch.p);
-    free(env.p);
+    free(s.funcs);
+    free(s.next);
+    free(s.dec);
+    free(s.in_start);
+    free(s.in_edge);
     return status;
 }
 

@@ -233,7 +233,11 @@ class DetectionReport:
 # general axis and masked-array handling.  They are cheaper per call, and the
 # learner calls them per window: on 2,000 samples and two quantiles
 # _percentiles takes ~37 us against 93-127 us for np.percentile, and _median
-# ~30 us against ~42 us for np.median (2-vCPU VM).
+# ~30 us against ~42 us for np.median (2-vCPU VM); a cv round of the
+# benchmark makes 45 _median and 31 _percentiles calls.  They also leave
+# numpy.ma unimported: a process's first np.median or np.percentile imports
+# it, which took 9-13 ms and added 1.0 MiB of ru_maxrss (same VM), a few per
+# cent of a cv run's peak RSS.
 # ---------------------------------------------------------------------------
 
 

@@ -53,8 +53,11 @@ class LearnConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        for name in ("max_iterations", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < 0):
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
         if not (math.isfinite(self.tolerance_ms) and self.tolerance_ms >= 0.0):
             raise ValueError(f"tolerance_ms must be finite and >= 0, got {self.tolerance_ms}")
         if not (0.0 < self.validation_fraction < 1.0):

@@ -212,6 +212,19 @@ def test_cv_jobs_below_one_exit_2(tmp_path, capsys, jobs):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("flag, field", [("--seed", "seed"),
+                                         ("--max-iterations", "max_iterations")])
+@pytest.mark.parametrize("command", ["learn", "cv"])
+def test_negative_learn_counts_exit_2_by_name(tmp_path, capsys, command, flag, field):
+    # a negative seed once failed in numpy as "expected non-negative integer"
+    _rec, sp, ap = synth_files(tmp_path, "r9", n_cycles=10, seed=4)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--signal", str(sp), "--annotations", str(ap),
+                   "--out-dir", str(out), flag, "-1"])
+    assert rc == 2
+    assert f"input error: {field} must be an int >= 0, got -1" in capsys.readouterr().err
+    assert not (out / "report.json").exists() and not (out / "r9_trace.jsonl").exists()
+
 def test_rerun_is_byte_identical(tmp_path, capsys):
     rec, sp, ap = synth_files(tmp_path, "r4", n_cycles=8, heart_rate_bpm=80,
                               r_amplitude=10.0, noise_sigma=0.2, seed=6)

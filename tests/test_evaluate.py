@@ -173,9 +173,10 @@ print(sorted(set(sys.modules) - before))
 
 
 def test_cv_task_imports_no_module():
-    # a fresh pool worker runs its first task on the modules its parent had
-    # imported; a lazy import there (numpy.ma, through np.median) costs that
-    # task tens of milliseconds
+    # a lazy import in a cv task costs the process once, in time and peak
+    # RSS: a process's first np.median or np.percentile imports numpy.ma,
+    # 9-13 ms and 1.0 MiB of ru_maxrss (2-vCPU VM), which _median and
+    # _percentiles avoid (see evaluate.py)
     src = os.path.dirname(os.path.dirname(graphseg.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))

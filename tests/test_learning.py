@@ -332,6 +332,20 @@ def test_learn_config_validation():
         LearnConfig(max_iterations=-1)
 
 
+@pytest.mark.parametrize("field", ["max_iterations", "seed"])
+@pytest.mark.parametrize("value", [-1, 2.5, 1.0, True, "3", None])
+def test_learn_config_names_a_bad_count(field, value):
+    # a float once reached learn and failed there with a bare TypeError
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an int >= 0, got {value!r}")):
+        LearnConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["max_iterations", "seed"])
+def test_learn_config_takes_numpy_ints(field):
+    assert getattr(LearnConfig(**{field: np.int64(3)}), field) == 3
+    assert getattr(LearnConfig(**{field: 0}), field) == 0
+
+
 # ---------------------------------------------------------------------------
 # learn against the full-scoring oracle
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@
 process.  Built under ``-fsanitize=address,undefined`` as one translation
 unit with ``_solve.c`` (``-include``), so that a drift in an entry point's
 signature fails to compile, it solves long records, whose decision records
-fill several blocks of all three streams, scans edge-case sample files, and
-writes the sample lines of edge-case amplitudes and of lines that fill its
-buffer exactly.
+fill several blocks of all three streams, solves inputs that fail at each
+of its early exits but running out of memory, scans edge-case sample files,
+and writes the sample lines of edge-case amplitudes and of lines that fill
+its buffer exactly.
 Built under ``-fsanitize=thread``, it solves the same records in several
 threads at once, as ``cross_validate``'s thread pool does.  A sanitizer
-report fails the run, and the results must equal the ctypes library's.
+report, a leak among them, fails the run, and the results must equal the ctypes library's.
 Each build is skipped where gcc cannot link its sanitizers.
 """
 
@@ -24,9 +25,9 @@ import pytest
 from graphseg import _native
 from graphseg import graph as gr
 from graphseg.data import SynthConfig, generate_synthetic
-from graphseg.solver import Signal, _edge_array, solve_domain
+from graphseg.solver import MAX_IN_EDGES, Signal, _edge_array, solve_domain
 from helpers import halfway_tokens
-from test_compiled_solver import learned_four_state
+from test_compiled_solver import learned_four_state, limit_graph
 from test_data import neighbours
 
 RUNNER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "sanitize_runner.c")
@@ -154,6 +155,28 @@ def test_solve_under_sanitizers(runner, name):
 def test_threaded_solves_under_thread_sanitizer(tsan_runner, name):
     # the runner also requires the threads' outputs to be equal
     _assert_solves_like_library(tsan_runner, name, ("solve-threads", str(THREADS)))
+
+
+AMP = 1e154
+FAILING = {  # status: signal, graph, start
+    1: (np.array([0.0, 1.0, 2.0]), gr.initial_graph(6.5, 3.0, 50.0), 2),  # start = nstates
+    2: (np.full(10, AMP), gr.initial_graph(0.1 * AMP, 0.1 * AMP, 1.0), -1),
+    5: (np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0]) * AMP,
+        gr.initial_graph(0.1 * AMP, 0.1 * AMP, 1.0), -1),
+    6: (np.array([0.0, 0.0, 10.0, 10.0, 0.0]), limit_graph(MAX_IN_EDGES + 1), -1),
+}
+
+
+@pytest.mark.parametrize("status", FAILING)
+def test_failing_solves_under_sanitizers(runner, status):
+    # every early exit frees what the solve allocated: LeakSanitizer reports
+    # a leak at the runner's exit, which then exits 99
+    args = _solve_inputs(*FAILING[status])
+    got, want = _runner_solve(runner, args), _library_solve(args)
+    assert got[0] == want[0] == status
+    # of info, only a status 1 writes anything: the step that failed
+    assert got[1].tolist() == want[1].tolist() == [0, int(status == 1)] + [0] * 5
+    assert got[3].tobytes() == want[3].tobytes()
 
 
 SCAN_BODIES = [
