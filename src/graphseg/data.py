@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _native
-from .solver import Signal
+from .solver import Signal, is_int
 
 
 class DataFormatError(ValueError):
@@ -250,7 +250,7 @@ class SynthConfig:
     """Parameters of the synthetic generator.
 
     Each cycle gets a Gaussian R bump of fixed 30 ms width at a jittered
-    cycle centre, an optional pre-R deflection 150 ms earlier (signed:
+    cycle centre, an optional pre-R deflection 90 ms earlier (signed:
     positive is an upward bump, negative a dip), slow sinusoidal baseline
     wander, and white noise.  Ground-truth annotations sit at the exact
     bump-centre samples.
@@ -273,8 +273,7 @@ class SynthConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         for name, least in (("n_cycles", 1), ("seed", 0)):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < least):
+            if not is_int(value) or value < least:
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         if self.heart_rate_bpm <= 0 or self.sample_rate <= 0:
             raise ValueError("rates must be positive")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import LabeledRecord
-from .solver import Signal
+from .solver import Signal, is_int
 
 
 @dataclass
@@ -334,8 +334,7 @@ def windows_from_cycles(record: LabeledRecord, cycle_ids) -> list:
 
 def windows_whole_record(record: LabeledRecord, cycles_per_window=4) -> list:
     """Chop a record into consecutive fixed-size cycle groups."""
-    if isinstance(cycles_per_window, bool) or not (
-            isinstance(cycles_per_window, int) and cycles_per_window >= 1):
+    if not (is_int(cycles_per_window) and cycles_per_window >= 1):
         raise ValueError(f"cycles_per_window must be an int >= 1, got {cycles_per_window!r}")
     m = record.n_cycles
     out = []
@@ -378,8 +377,8 @@ class FoldPlan:
 
 
 def make_fold_plan(records, k: int, seed: int) -> FoldPlan:
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    if not (is_int(k) and k >= 2):
+        raise ValueError(f"k must be an int >= 2, got {k!r}")
     plan = FoldPlan(k=k, seed=seed)
     rng = np.random.default_rng(seed)
     for rec in records:
@@ -435,7 +434,7 @@ def cross_validate(records, k=5, cfg=None, initial_graph=None, n_jobs=None) -> D
     depend on n_jobs."""
     from .learning import LearnConfig
 
-    if n_jobs is not None and not (isinstance(n_jobs, int) and n_jobs >= 1):
+    if n_jobs is not None and not (is_int(n_jobs) and n_jobs >= 1):
         raise ValueError(f"n_jobs must be an int >= 1, got {n_jobs!r}")
     if cfg is None:
         cfg = LearnConfig()

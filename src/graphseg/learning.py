@@ -23,7 +23,7 @@ import numpy as np
 
 from . import graph as gr
 from .evaluate import DetectionReport, RecordCounts, _median, _percentiles, match
-from .solver import InfeasibleModelError, extract_rpeaks, solve
+from .solver import InfeasibleModelError, extract_rpeaks, is_int, solve
 
 log = logging.getLogger(__name__)
 
@@ -55,8 +55,7 @@ class LearnConfig:
     def __post_init__(self):
         for name in ("max_iterations", "seed"):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or value < 0):
+            if not is_int(value) or value < 0:
                 raise ValueError(f"{name} must be an int >= 0, got {value!r}")
         if not (math.isfinite(self.tolerance_ms) and self.tolerance_ms >= 0.0):
             raise ValueError(f"tolerance_ms must be finite and >= 0, got {self.tolerance_ms}")

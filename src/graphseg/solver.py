@@ -31,6 +31,12 @@ _INFEASIBLE_STEP, _INFEASIBLE_END, _NO_MEMORY, _NOT_FINITE = 1, 2, 3, 5
 MAX_IN_EDGES = 8191
 
 
+def is_int(value):
+    """Whether value is an int or a numpy integer, and not a bool: the rule
+    for counts, seeds and state ids."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class InfeasibleModelError(RuntimeError):
     """No state admits any feasible mean at some step."""
 
@@ -133,9 +139,8 @@ def _resolve_start(graph_, start_state):
             return graph_.state_named(start_state).id
         except KeyError:
             pass
-    if (isinstance(start_state, int) and not isinstance(start_state, bool)
-            and 0 <= start_state < len(graph_.states)):
-        return start_state
+    if is_int(start_state) and 0 <= start_state < len(graph_.states):
+        return int(start_state)
     raise ValueError(f"start_state {start_state!r} is not a state of the graph")
 
 

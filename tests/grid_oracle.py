@@ -1,10 +1,11 @@
-"""Independent brute-force oracles for the test suite.
+"""Independent oracles for the test suite.
 
-These never touch the package's piecewise-quadratic representation.  The
-segmentation oracle discretizes the mean axis and runs an exhaustive
-dynamic program over (state, grid index); a companion routine refits a
-fixed segmentation on the same grid, which the tests use to certify
-optimum-uniqueness margins.
+These import nothing from the package, its reference kernels or the test
+helpers.  The segmentation oracle discretizes the mean axis and runs an
+exhaustive dynamic program over (state, grid index); a companion routine
+refits a fixed segmentation on the same grid, which the tests use to certify
+optimum-uniqueness margins.  The function-algebra oracle replays a trace
+exactly as a minimum of convex terms (see its section).
 
 Resolution bound: snapping the continuous optimum's means down to the grid
 changes each sample's squared error by at most 2*W*delta + delta**2 with W
@@ -160,11 +161,15 @@ def resolution_bound(n, domain, n_grid=801):
 
 
 # ---------------------------------------------------------------------------
-# Function-algebra oracle: compose the same operations on a fine sample grid.
+# Function-algebra oracle: replay a random_trace exactly on convex terms.
 #
-# The grid is OVERSAMPLE times finer than the 10001-point comparison grid, so
-# within-cell curvature error stays below max|a| * step^2 / 2; envelope gaps
-# are restricted to whole numbers of fine cells so index shifts are exact.
+# Every step keeps the function a minimum of convex terms: "start" and "min"
+# add a quadratic term, "loss" and "const" add to every term, and a running
+# minimum distributes over a minimum.  On one convex term t with argmin x,
+# min{t(m') : m' <= m - gap} = t(min(m - gap, x)), which is convex again;
+# "geq" is its mirror, t(max(m + gap, x)).  Gaps are whole fine cells, so a
+# term stays feasible on whole cells.  No crossing of two functions is ever
+# computed, so the oracle shares no logic with the minima it checks.
 # ---------------------------------------------------------------------------
 
 N_COARSE = 10001
@@ -177,72 +182,75 @@ def fine_step(domain):
     return (float(domain[1]) - float(domain[0])) / (N_FINE - 1)
 
 
-_GRIDS = {}  # (lo, hi) -> the read-only fine grid of that domain
+def comparison_points(domain):
+    """Every OVERSAMPLE-th fine cell of domain: where functions are compared."""
+    return float(domain[0]) + np.arange(0, N_FINE, OVERSAMPLE) * fine_step(domain)
 
 
-class GridFunc:
-    """A function sampled on the shared fine grid; +inf marks infeasible."""
+def _shift(piece, d):
+    """A piece (start, a, b, c) of a*m^2 + b*m + c moved right by d."""
+    start, a, b, c = piece
+    return start + d, a, b - 2.0 * a * d, c + d * (a * d - b)
 
-    def __init__(self, domain, values=None):
-        self.lo, self.hi = float(domain[0]), float(domain[1])
-        self.n = N_FINE
-        self.step = fine_step(domain)
-        self.grid = _GRIDS.get((self.lo, self.hi))
-        if self.grid is None:
-            self.grid = self.lo + np.arange(self.n) * self.step
-            self.grid.flags.writeable = False
-            _GRIDS[self.lo, self.hi] = self.grid
-        self.values = np.zeros(self.n) if values is None else values
 
-    def _copy(self, values):
-        out = GridFunc.__new__(GridFunc)
-        out.lo, out.hi, out.n, out.step, out.grid = (
-            self.lo, self.hi, self.n, self.step, self.grid,
-        )
-        out.values = values
-        return out
+def _least(pieces, lo, hi):
+    """(x, t(x)) at a point x of [lo, hi] where the convex term t is least."""
+    best = (None, np.inf)
+    for (start, a, b, c), end in zip(pieces, [p[0] for p in pieces[1:]] + [np.inf]):
+        s, e = max(start, lo), min(end, hi)
+        x = min(max(-b / (2.0 * a), s), e) if a > 0.0 else (s if b >= 0.0 else e)
+        if s <= e and (a * x + b) * x + c < best[1]:
+            best = (x, (a * x + b) * x + c)
+    return best
 
-    def gap_of(self, cells):
-        return cells * self.step
 
-    def add_point_loss(self, y):
-        d = y - self.grid
-        np.square(d, out=d)
-        d += self.values
-        return self._copy(d)
+def _envelope(term, name, gap, cells, lo, step):
+    """A term after a "leq" or "geq" step; first > last once it leaves the domain."""
+    first, last, pieces = term
+    x, v = _least(pieces, lo + first * step, lo + last * step)
+    starts = [p[0] for p in pieces]
+    if name == "leq":
+        below = [_shift(p, gap) for p in pieces[:np.searchsorted(starts, x)]]
+        return first + cells, N_FINE - 1, below + [(x + gap, 0.0, 0.0, v)]
+    k = np.searchsorted(starts, x, side="right") - 1
+    above = [_shift(p, -gap) for p in [(x,) + pieces[k][1:]] + pieces[k + 1:]]
+    return 0, last - cells, [(-np.inf, 0.0, 0.0, v)] + above
 
-    def add_constant(self, k):
-        return self._copy(self.values + k)
 
-    def pointwise_min(self, other):
-        return self._copy(np.minimum(self.values, other.values))
-
-    def min_leq_envelope(self, cells):
-        pm = np.minimum.accumulate(self.values)
-        out = np.full(self.n, np.inf)
-        if cells == 0:
-            out = pm
+def trace_values(ops, domain):
+    """The random_trace ops at comparison_points(domain): the lowest term at
+    each point, +inf where no term is feasible.  A term (first cell, last
+    cell, pieces) holds each piece (start, a, b, c), a*m^2 + b*m + c, from its
+    start up to the next piece's start."""
+    lo, step = float(domain[0]), fine_step(domain)
+    terms = []
+    for name, *args in ops:
+        if name in ("start", "min"):
+            y, k = args[0], args[1] if name == "min" else 0.0
+            terms.append((0, N_FINE - 1, [(-np.inf, 1.0, -2.0 * y, y * y + k)]))
+        elif name in ("leq", "geq"):
+            terms = [t for t in (_envelope(t, name, *args, lo, step) for t in terms)
+                     if t[0] <= t[1]]
         else:
-            out[cells:] = pm[:-cells]
-        return self._copy(out)
-
-    def min_geq_envelope(self, cells):
-        sm = np.minimum.accumulate(self.values[::-1])[::-1]
-        out = np.full(self.n, np.inf)
-        if cells == 0:
-            out = sm
-        else:
-            out[:-cells] = sm[cells:]
-        return self._copy(out)
-
-    def coarse(self):
-        """(points, values) at the 10001-point comparison grid."""
-        return self.grid[::OVERSAMPLE], self.values[::OVERSAMPLE]
+            y = args[0]
+            da, db, dc = (1.0, -2.0 * y, y * y) if name == "loss" else (0.0, 0.0, y)
+            terms = [(first, last, [(s, a + da, b + db, c + dc) for s, a, b, c in ps])
+                     for first, last, ps in terms]
+    cells = np.arange(0, N_FINE, OVERSAMPLE)
+    points = comparison_points(domain)
+    out = np.full(N_COARSE, np.inf)
+    for first, last, pieces in terms:
+        on = (cells >= first) & (cells <= last)
+        starts, a, b, c = np.array(pieces).T
+        k = np.searchsorted(starts, points[on], side="right") - 1
+        out[on] = np.minimum(out[on], (a[k] * points[on] + b[k]) * points[on] + c[k])
+    return out
 
 
-def assert_matches_oracle(pwq_func, grid_func, tol=1e-9, where=""):
-    """Compare a PiecewiseQuad against the fine-grid oracle on coarse points."""
-    points, expect = grid_func.coarse()
+def assert_matches_oracle(pwq_func, ops, tol=1e-9, where=""):
+    """Compare a PiecewiseQuad with the random_trace ops at the comparison points."""
+    points = comparison_points(pwq_func.domain)
+    expect = trace_values(ops, pwq_func.domain)
     got = pwq_func(points)
     finite = np.isfinite(expect)
     assert np.array_equal(finite, np.isfinite(got)), (

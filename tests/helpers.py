@@ -8,7 +8,7 @@ import numpy as np
 from graphseg import graph as gr
 from graphseg import pwq
 from graphseg.solver import Signal, solve_domain
-from grid_oracle import GridFunc, fine_step
+from grid_oracle import fine_step
 
 
 def apply_op(f, op):
@@ -33,7 +33,7 @@ def random_trace(rng, domain=(-6.0, 6.0), n_ops=None, max_losses=8):
     Returns (PiecewiseQuad, trace).  The trace starts with ``("start", y0)``
     for ``point_loss(y0)``; each later entry is a step for ``apply_op``.  An
     envelope step ``(name, gap, cells)`` has a gap of a whole number of
-    fine-grid cells, so the grid oracle's index shifts are exact.  The
+    fine-grid cells, so the exact oracle's terms shift by whole cells.  The
     sequence stops early once the function is empty.
     """
     y0 = float(rng.uniform(-4, 4))
@@ -61,27 +61,6 @@ def random_trace(rng, domain=(-6.0, 6.0), n_ops=None, max_losses=8):
         if f.is_empty:
             break
     return f, ops
-
-
-def random_composition(rng, domain=(-6.0, 6.0), n_ops=None, max_losses=8):
-    """A random_trace and the same operations on the fine-grid oracle.
-
-    Returns (PiecewiseQuad, GridFunc, trace).
-    """
-    f, ops = random_trace(rng, domain, n_ops, max_losses)
-    o = GridFunc(domain).add_point_loss(ops[0][1])
-    for name, *args in ops[1:]:
-        if name == "loss":
-            o = o.add_point_loss(args[0])
-        elif name == "const":
-            o = o.add_constant(args[0])
-        elif name == "min":
-            o = o.pointwise_min(GridFunc(domain).add_point_loss(args[0]).add_constant(args[1]))
-        elif name == "leq":
-            o = o.min_leq_envelope(args[1])
-        else:
-            o = o.min_geq_envelope(args[1])
-    return f, o, ops
 
 
 def random_signal(rng, n=None, n_levels=None):

@@ -340,6 +340,7 @@ def test_windows_whole_record_chunks():
     rec = record_with_cycles(10)
     ws = windows_whole_record(rec, cycles_per_window=4)
     assert [w.n_cycles for w in ws] == [4, 4, 2]
+    assert [w.n_cycles for w in windows_whole_record(rec, np.int64(4))] == [4, 4, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +374,8 @@ def test_fold_plan_validation():
         make_fold_plan([record_with_cycles(10)], k=1, seed=0)
     with pytest.raises(ValueError):
         make_fold_plan([record_with_cycles(4)], k=5, seed=0)
+    with pytest.raises(ValueError, match="k must be an int >= 2, got 2.5"):
+        make_fold_plan([record_with_cycles(10)], k=2.5, seed=0)
 
 
 def test_fold_plan_rejects_repeated_record_id():
@@ -417,7 +420,7 @@ def test_cross_validate_parallel_equals_serial():
     assert r1.to_json_dict() == r2.to_json_dict()
 
 
-@pytest.mark.parametrize("n_jobs", [0, -3, 1.5, "2"])
+@pytest.mark.parametrize("n_jobs", [0, -3, 1.5, "2", True])
 def test_cross_validate_rejects_bad_n_jobs(n_jobs):
     rec = record_with_cycles(10, seed=6)
     with pytest.raises(ValueError, match="n_jobs"):
@@ -426,6 +429,7 @@ def test_cross_validate_rejects_bad_n_jobs(n_jobs):
 
 def test_cross_validate_of_no_records_is_an_empty_report():
     assert cross_validate([], k=5).records == []
+    assert cross_validate([], k=5, n_jobs=np.int64(2)).records == []
 
 
 @pytest.mark.parametrize("cycles", [0, -1, 2.0, True, None])

@@ -20,8 +20,8 @@ from graphseg.pwq import (
     pointwise_min,
     reflect,
 )
-from grid_oracle import GridFunc, assert_matches_oracle
-from helpers import apply_op, random_composition, random_trace
+from grid_oracle import assert_matches_oracle, comparison_points, fine_step
+from helpers import apply_op, random_trace
 
 DOM = (-5.0, 5.0)
 
@@ -57,12 +57,10 @@ def test_add_point_loss_two_terms():
 def test_add_point_loss_matches_grid_on_random_function():
     rng = np.random.default_rng(101)
     for _ in range(10):
-        f, o, ops = random_composition(rng, n_ops=4)
+        f, ops = random_trace(rng, n_ops=4)
         if f.is_empty:
             continue
-        f2 = add_point_loss(f, 0.7)
-        o2 = o.add_point_loss(0.7)
-        assert_matches_oracle(f2, o2, where=str(ops))
+        assert_matches_oracle(add_point_loss(f, 0.7), ops + [("loss", 0.7)], where=str(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +210,14 @@ def test_envelope_gap_too_large():
 def test_envelopes_match_grid_oracle():
     rng = np.random.default_rng(63)
     for _ in range(10):
-        f, o, ops = random_composition(rng, n_ops=3)
+        f, ops = random_trace(rng, n_ops=3)
         if f.is_empty:
             continue
         cells = int(rng.integers(0, 60_001))
-        gap = o.gap_of(cells)
-        assert_matches_oracle(min_leq_envelope(f, gap), o.min_leq_envelope(cells),
+        gap = cells * fine_step(f.domain)
+        assert_matches_oracle(min_leq_envelope(f, gap), ops + [("leq", gap, cells)],
                               where=f"leq after {ops}")
-        assert_matches_oracle(min_geq_envelope(f, gap), o.min_geq_envelope(cells),
+        assert_matches_oracle(min_geq_envelope(f, gap), ops + [("geq", gap, cells)],
                               where=f"geq after {ops}")
 
 
@@ -355,12 +353,9 @@ def test_unary_ops_preserve_breakpoint_continuity():
 
 def test_fuzzed_compositions_match_oracle():
     rng = np.random.default_rng(2024)
-    checked = 0
     for _ in range(60):
-        f, o, ops = random_composition(rng)
-        assert_matches_oracle(f, o, where=str(ops))
-        checked += 1
-    assert checked == 60
+        f, ops = random_trace(rng)
+        assert_matches_oracle(f, ops, where=str(ops))
 
 
 def test_quadpiece_value():
@@ -377,7 +372,7 @@ def test_call_equals_reference_eval_bit_for_bit():
     # compositions, against the scalar reference evaluator; a scalar
     # argument gives the same bits
     rng = np.random.default_rng(424_242)
-    points, _ = GridFunc((-6.0, 6.0)).coarse()
+    points = comparison_points((-6.0, 6.0))
     for i in range(50):
         f, ops = random_trace(rng)
         pieces = f.pieces

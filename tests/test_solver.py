@@ -87,6 +87,11 @@ def test_solve_rejects_bool_start_state(start):
         solve(sig(STEP), g, start_state=start)
 
 
+def test_solve_takes_a_numpy_int_start_state():
+    g = gr.initial_graph(1, 1, 1)
+    assert solve(sig(STEP), g, start_state=np.int64(1)) == solve(sig(STEP), g, start_state=1)
+
+
 def test_signal_validation():
     with pytest.raises(ValueError):
         Signal(np.array([1.0]), 360.0)
