@@ -48,7 +48,6 @@ from .data import (
 )
 from .evaluate import (
     DetectionReport,
-    FoldPlan,
     MatchResult,
     cross_validate,
     match,

@@ -43,7 +43,6 @@ class LabeledRecord:
     record_id: str
     signal: Signal
     rpeak_annotations: np.ndarray
-    lead: str = "MLII"
     # evaluation core of a context-padded window, as a (lo, hi) sample span;
     # detections outside it are ignored when scoring
     eval_span: tuple = None
@@ -180,7 +179,7 @@ def record_id_of(signal_path):
     return os.path.splitext(os.path.basename(signal_path))[0]
 
 
-def load_record(signal_path, annotation_path, sample_rate=360.0, lead="MLII",
+def load_record(signal_path, annotation_path, sample_rate=360.0,
                 record_id=None) -> LabeledRecord:
     """Read a record from its sample CSV and annotation file.
 
@@ -191,7 +190,7 @@ def load_record(signal_path, annotation_path, sample_rate=360.0, lead="MLII",
     ann = _load_annotations(annotation_path, len(signal))
     if record_id is None:
         record_id = record_id_of(signal_path)
-    return LabeledRecord(record_id, signal, ann, lead=lead)
+    return LabeledRecord(record_id, signal, ann)
 
 
 def replace_file(path, write):
@@ -347,5 +346,4 @@ def generate_synthetic(cfg: SynthConfig) -> LabeledRecord:
         record_id=f"synth-{cfg.seed}",
         signal=Signal(sig, rate),
         rpeak_annotations=centers,
-        lead="SYN",
     )

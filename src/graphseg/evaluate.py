@@ -6,7 +6,7 @@ import math
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -294,10 +294,15 @@ def cycle_bounds(record: LabeledRecord) -> np.ndarray:
 def windows_from_cycles(record: LabeledRecord, cycle_ids) -> list:
     """Contiguous groups of the selected cycles, padded by half the median
     cycle length on each side for solver context.  Labels and the scoring
-    span cover only the unpadded core."""
+    span cover only the unpadded core.  Cycle ids must lie in
+    [0, record.n_cycles)."""
     ids = sorted(set(int(i) for i in cycle_ids))
     if not ids:
         return []
+    m = record.n_cycles
+    for i in (ids[0], ids[-1]):
+        if not 0 <= i < m:
+            raise ValueError(f"cycle id {i} outside [0, {m}) of record {record.record_id}")
     bounds = cycle_bounds(record)
     ann = record.rpeak_annotations
     n = len(record.signal)
@@ -325,7 +330,6 @@ def windows_from_cycles(record: LabeledRecord, cycle_ids) -> list:
                 signal=Signal(record.signal.samples[win_lo:win_hi].copy(),
                               record.signal.sample_rate),
                 rpeak_annotations=labels,
-                lead=record.lead,
                 eval_span=(core_lo - win_lo, core_hi - win_lo),
             )
         )
@@ -359,56 +363,39 @@ def split_cycles(record: LabeledRecord, seed: int, test_fraction=0.25):
     )
 
 
-@dataclass
-class FoldPlan:
-    """Per-record assignment of cycles to folds; fold sizes differ by <= 1."""
-
-    k: int
-    seed: int
-    assignment: dict = field(default_factory=dict)
-
-    def cycles_in_fold(self, record_id, fold):
-        a = self.assignment[record_id]
-        return [i for i in range(len(a)) if a[i] == fold]
-
-    def cycles_outside_fold(self, record_id, fold):
-        a = self.assignment[record_id]
-        return [i for i in range(len(a)) if a[i] != fold]
-
-
-def make_fold_plan(records, k: int, seed: int) -> FoldPlan:
+def make_fold_plan(records, k: int, seed: int) -> dict:
+    """{record_id: fold id per cycle (int64)}; a record's fold sizes differ
+    by <= 1."""
     if not (is_int(k) and k >= 2):
         raise ValueError(f"k must be an int >= 2, got {k!r}")
-    plan = FoldPlan(k=k, seed=seed)
+    plan = {}
     rng = np.random.default_rng(seed)
     for rec in records:
-        if rec.record_id in plan.assignment:
+        if rec.record_id in plan:
             raise ValueError(f"record id {rec.record_id!r} appears more than once")
         m = rec.n_cycles
         if m < k:
             raise ValueError(f"record {rec.record_id} has {m} cycles, needs >= k={k}")
-        perm = rng.permutation(m)
         folds = np.empty(m, dtype=np.int64)
-        for pos, cyc in enumerate(perm):
-            folds[cyc] = pos % k
-        plan.assignment[rec.record_id] = folds
+        folds[rng.permutation(m)] = np.arange(m) % k
+        plan[rec.record_id] = folds
     return plan
 
 
 def _task_seed(base_seed, record_id, fold):
     return int(
         np.random.SeedSequence(
-            [int(base_seed) & 0x7FFFFFFF, zlib.crc32(record_id.encode()), int(fold)]
+            [int(base_seed), zlib.crc32(record_id.encode()), int(fold)]
         ).generate_state(1)[0]
     )
 
 
 def _run_cv_task(args):
-    record, fold, train_ids, test_ids, cfg, init = args
+    record, fold, folds, cfg, init = args
     from .learning import default_initial_graph, evaluate_graph, learn
 
-    train_windows = windows_from_cycles(record, train_ids)
-    test_windows = windows_from_cycles(record, test_ids)
+    train_windows = windows_from_cycles(record, np.flatnonzero(folds != fold))
+    test_windows = windows_from_cycles(record, np.flatnonzero(folds == fold))
     g0 = init if init is not None else default_initial_graph(train_windows)
     task_cfg = replace(cfg, seed=_task_seed(cfg.seed, record.record_id, fold))
     learned, _trace = learn(g0, train_windows, task_cfg)
@@ -440,19 +427,8 @@ def cross_validate(records, k=5, cfg=None, initial_graph=None, n_jobs=None) -> D
         cfg = LearnConfig()
     records = list(records)
     plan = make_fold_plan(records, k, cfg.seed)
-    tasks = []
-    for rec in records:
-        for fold in range(k):
-            tasks.append(
-                (
-                    rec,
-                    fold,
-                    plan.cycles_outside_fold(rec.record_id, fold),
-                    plan.cycles_in_fold(rec.record_id, fold),
-                    cfg,
-                    initial_graph,
-                )
-            )
+    tasks = [(rec, fold, plan[rec.record_id], cfg, initial_graph)
+             for rec in records for fold in range(k)]
     if n_jobs is None:
         n_jobs = max(1, min(len(tasks), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=n_jobs) as pool:

@@ -223,38 +223,27 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
 
 
 def extract_rpeaks(seg: Segmentation, signal: Signal, graph_: gr.ConstraintGraph):
-    """One 0-based sample index per maximal run of the R state.
+    """One 0-based sample index per R segment.
 
-    Within a run entered via an up edge the extremum is the maximum sample,
-    via a down edge the minimum; ties break to the earliest sample.  A run
-    that starts the record uses the opposite of its exit edge's direction.
+    Neighbouring segments never share a state: each boundary is an edge
+    taken, and a graph has no self-loops.  Within a segment entered via an
+    up edge the extremum is the maximum sample, via a down edge the minimum;
+    ties break to the earliest sample.  A first segment uses the opposite of
+    its exit edge's direction, and one that spans the record its maximum.
     """
-    n = len(signal)
-    cuts = [0] + list(seg.boundaries) + [n]
-    r = graph_.rpeak_state
+    cuts = [0] + list(seg.boundaries) + [len(signal)]
     peaks = []
-    k = 0
-    nseg = len(seg.states)
-    while k < nseg:
-        if seg.states[k] != r:
-            k += 1
+    for k, state in enumerate(seg.states):
+        if state != graph_.rpeak_state:
             continue
-        first = k
-        while k + 1 < nseg and seg.states[k + 1] == r:
-            k += 1
-        last = k
-        start, end = cuts[first], cuts[last + 1]
-        if first > 0:
-            direction = graph_.edges[seg.edges_taken[first - 1]].direction
-        elif last + 1 < nseg:
-            exit_dir = graph_.edges[seg.edges_taken[last]].direction
+        if k > 0:
+            direction = graph_.edges[seg.edges_taken[k - 1]].direction
+        elif seg.edges_taken:
+            exit_dir = graph_.edges[seg.edges_taken[0]].direction
             direction = gr.UP if exit_dir == gr.DOWN else gr.DOWN
         else:
             direction = gr.UP
-        window = signal.samples[start:end]
-        if direction == gr.UP:
-            peaks.append(start + int(np.argmax(window)))
-        else:
-            peaks.append(start + int(np.argmin(window)))
-        k += 1
+        window = signal.samples[cuts[k]:cuts[k + 1]]
+        extremum = np.argmax(window) if direction == gr.UP else np.argmin(window)
+        peaks.append(cuts[k] + int(extremum))
     return peaks

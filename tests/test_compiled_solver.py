@@ -27,6 +27,9 @@ def outcome(solve_fn, y, g, start):
         seg = solve_fn(Signal(y, 360.0), g, start_state=start)
     except InfeasibleModelError as exc:
         return ("infeasible", exc.state, exc.t)
+    # each boundary is an edge taken and no edge is a self-loop, which
+    # extract_rpeaks relies on to take one peak per R segment
+    assert all(a != b for a, b in zip(seg.states, seg.states[1:]))
     return tuple(repr(v) for v in (seg.boundaries, seg.states, seg.edges_taken,
                                    seg.means, seg.total_cost, seg.stats))
 

@@ -19,6 +19,7 @@ from graphseg.evaluate import (
     RecordCounts,
     _median,
     _percentiles,
+    _task_seed,
     cross_validate,
     cycle_bounds,
     make_fold_plan,
@@ -164,8 +165,7 @@ from graphseg.data import SynthConfig, generate_synthetic
 
 rec = generate_synthetic(SynthConfig(n_cycles=10, pre_r_dip=10.5, seed=3))
 plan = evaluate.make_fold_plan([rec], k=5, seed=0)
-task = (rec, 0, plan.cycles_outside_fold(rec.record_id, 0),
-        plan.cycles_in_fold(rec.record_id, 0), learning.LearnConfig(max_iterations=2), None)
+task = (rec, 0, plan[rec.record_id], learning.LearnConfig(max_iterations=2), None)
 before = set(sys.modules)
 evaluate._run_cv_task(task)
 print(sorted(set(sys.modules) - before))
@@ -336,6 +336,14 @@ def test_windows_group_contiguous_cycles():
     assert [w.n_cycles for w in windows] == [3, 2, 1]
 
 
+@pytest.mark.parametrize("cycle_id", [-2, -1, 8])
+def test_windows_refuse_cycle_ids_out_of_range(cycle_id):
+    # numpy indexing would wrap -2 to another cycle's window
+    rec = record_with_cycles(8)
+    with pytest.raises(ValueError, match=rf"cycle id {cycle_id} outside \[0, 8\)"):
+        windows_from_cycles(rec, [0, cycle_id])
+
+
 def test_windows_whole_record_chunks():
     rec = record_with_cycles(10)
     ws = windows_whole_record(rec, cycles_per_window=4)
@@ -352,20 +360,18 @@ def test_fold_plan_partitions_cycles():
     recs = [record_with_cycles(10, seed=1), record_with_cycles(13, seed=2)]
     plan = make_fold_plan(recs, k=5, seed=3)
     for rec in recs:
-        a = plan.assignment[rec.record_id]
+        a = plan[rec.record_id]
         assert len(a) == rec.n_cycles
         sizes = [int(np.sum(a == f)) for f in range(5)]
         assert max(sizes) - min(sizes) <= 1
-        union = sorted(
-            i for f in range(5) for i in plan.cycles_in_fold(rec.record_id, f)
-        )
+        union = sorted(i for f in range(5) for i in np.flatnonzero(a == f))
         assert union == list(range(rec.n_cycles))
 
 
 def test_fold_plan_ten_cycles_k5():
     recs = [record_with_cycles(10)]
     plan = make_fold_plan(recs, k=5, seed=0)
-    sizes = [len(plan.cycles_in_fold(recs[0].record_id, f)) for f in range(5)]
+    sizes = [len(np.flatnonzero(plan[recs[0].record_id] == f)) for f in range(5)]
     assert sizes == [2, 2, 2, 2, 2]
 
 
@@ -385,6 +391,12 @@ def test_fold_plan_rejects_repeated_record_id():
         make_fold_plan([a, b], k=5, seed=0)
 
 
+def test_task_seed_keeps_every_bit_of_the_base_seed():
+    assert _task_seed(5, "a", 0) == 3427626192  # seeds below 2**31 keep their value
+    for s in (0, 5, 2**31 - 1):
+        assert _task_seed(s, "a", 0) != _task_seed(s + 2**31, "a", 0)
+
+
 def test_cross_validate_frozen_graph_matches_direct_evaluation():
     # with learning disabled, pooled CV counts equal a direct evaluation of
     # the same per-fold windows
@@ -395,7 +407,7 @@ def test_cross_validate_frozen_graph_matches_direct_evaluation():
     plan = make_fold_plan([rec], k=5, seed=cfg.seed)
     all_windows = []
     for f in range(5):
-        all_windows.extend(windows_from_cycles(rec, plan.cycles_in_fold(rec.record_id, f)))
+        all_windows.extend(windows_from_cycles(rec, np.flatnonzero(plan[rec.record_id] == f)))
     _err, direct = evaluate_graph(g, all_windows, cfg)
     assert (rep.tp, rep.fp, rep.fn) == (direct.tp, direct.fp, direct.fn)
     assert len(rep.folds()) == 5

@@ -314,6 +314,28 @@ def test_extract_rpeaks_inverted_record_uses_minima():
     assert peaks == rec.rpeak_annotations.tolist()
 
 
+def test_extract_rpeaks_first_segment_takes_opposite_of_exit_edge():
+    # a free start may open the record in R; with no entry edge, the exit
+    # edge's direction is reversed: down out of R means a peak above
+    g = gr.initial_graph(1.0, 1.0, 5.0)
+    s = sig([10, 12, 11, 0, 0, 0, 0])
+    seg = solve(s, g)
+    assert seg.states == [1, 0]
+    assert extract_rpeaks(seg, s, g) == [1]
+    neg = sig([-10, -12, -11, 0, 0, 0, 0])
+    seg = solve(neg, flip(g))
+    assert seg.states == [1, 0]
+    assert extract_rpeaks(seg, neg, flip(g)) == [1]
+
+
+def test_extract_rpeaks_single_r_segment_takes_maximum():
+    g = gr.initial_graph(1.0, 1.0, 1e6)
+    s = sig([3, 5, 4, -2])
+    seg = solve(s, g, start_state="R")
+    assert seg.states == [1]
+    assert extract_rpeaks(seg, s, g) == [1]
+
+
 def test_segment_slices():
     g = gr.initial_graph(1.0, 1.0, 1.0)
     s = sig(STEP)
