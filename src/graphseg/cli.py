@@ -18,8 +18,7 @@ import traceback
 from . import __version__
 from . import graph as gr
 from ._native import NativeBuildError
-from .data import (DataFormatError, load_record, load_signal_csv, read_text, record_id_of,
-                   replace_file)
+from .data import load_record, load_signal_csv, read_text, record_id_of, replace_file
 from .evaluate import DetectionReport, cross_validate, windows_whole_record
 from .learning import LearnConfig, default_initial_graph, evaluate_graph, learn
 from .solver import InfeasibleModelError, extract_rpeaks, solve
@@ -240,8 +239,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (gr.GraphParseError, gr.GraphValidationError, DataFormatError,
-            ValueError) as exc:
+    except ValueError as exc:  # parse, validation and data-format errors too
         print(f"graphseg: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InfeasibleModelError as exc:

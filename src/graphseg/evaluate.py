@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -291,70 +292,70 @@ def cycle_bounds(record: LabeledRecord) -> np.ndarray:
     return np.concatenate(([0], mids, [n])).astype(np.int64)
 
 
-def windows_from_cycles(record: LabeledRecord, cycle_ids) -> list:
-    """Contiguous groups of the selected cycles, padded by half the median
-    cycle length on each side for solver context.  Labels and the scoring
-    span cover only the unpadded core.  Cycle ids must lie in
-    [0, record.n_cycles)."""
-    ids = sorted(set(int(i) for i in cycle_ids))
-    if not ids:
+def _windows(record: LabeledRecord, groups) -> list:
+    """One window per (first, last) cycle group: the cycles padded by half the
+    median cycle length on each side for solver context, with labels and
+    scoring span on the unpadded core [core_lo, core_hi) only.  Bounds and
+    padding are computed once and labels found by binary search; a window's
+    samples are a view of the record's.  Time and memory are linear."""
+    if not groups:
         return []
-    m = record.n_cycles
-    for i in (ids[0], ids[-1]):
-        if not 0 <= i < m:
-            raise ValueError(f"cycle id {i} outside [0, {m}) of record {record.record_id}")
     bounds = cycle_bounds(record)
-    ann = record.rpeak_annotations
-    n = len(record.signal)
     pad = int(_median(np.diff(bounds)) // 2)
-    groups = []
-    start = prev = ids[0]
-    for i in ids[1:]:
-        if i == prev + 1:
-            prev = i
-            continue
-        groups.append((start, prev))
-        start = prev = i
-    groups.append((start, prev))
-
+    ann, sig = record.rpeak_annotations, record.signal
     windows = []
-    for wi, (g0, g1) in enumerate(groups):
-        core_lo = int(bounds[g0])
-        core_hi = int(bounds[g1 + 1])
-        win_lo = max(0, core_lo - pad)
-        win_hi = min(n, core_hi + pad)
-        labels = ann[(ann >= core_lo) & (ann < core_hi)] - win_lo
-        windows.append(
-            LabeledRecord(
-                record_id=f"{record.record_id}[c{g0}-{g1}]",
-                signal=Signal(record.signal.samples[win_lo:win_hi].copy(),
-                              record.signal.sample_rate),
-                rpeak_annotations=labels,
-                eval_span=(core_lo - win_lo, core_hi - win_lo),
-            )
-        )
+    for g0, g1 in groups:
+        core_lo, core_hi = int(bounds[g0]), int(bounds[g1 + 1])
+        win_lo, win_hi = max(0, core_lo - pad), min(len(sig), core_hi + pad)
+        windows.append(LabeledRecord(
+            record_id=f"{record.record_id}[c{g0}-{g1}]",
+            signal=Signal(sig.samples[win_lo:win_hi], sig.sample_rate),
+            rpeak_annotations=ann[ann.searchsorted(core_lo):ann.searchsorted(core_hi)] - win_lo,
+            eval_span=(core_lo - win_lo, core_hi - win_lo),
+        ))
     return windows
 
 
+def windows_from_cycles(record: LabeledRecord, cycle_ids) -> list:
+    """One window (see _windows) per run of consecutive ids among cycle_ids,
+    ints or numpy integers in [0, record.n_cycles), in any order, repeats too."""
+    ids = set()
+    for i in cycle_ids:
+        if not is_int(i):
+            raise ValueError(f"cycle id {i!r} of record {record.record_id} is not an int")
+        ids.add(int(i))
+    ids, m = sorted(ids), record.n_cycles
+    for i in ids[:1] + ids[-1:]:
+        if not 0 <= i < m:
+            raise ValueError(f"cycle id {i} outside [0, {m}) of record {record.record_id}")
+    groups = []
+    for i in ids:
+        if groups and i == groups[-1][1] + 1:
+            groups[-1][1] = i
+        else:
+            groups.append([i, i])
+    return _windows(record, groups)
+
+
 def windows_whole_record(record: LabeledRecord, cycles_per_window=4) -> list:
-    """Chop a record into consecutive fixed-size cycle groups."""
+    """Chop a record into consecutive fixed-size cycle groups (see _windows)."""
     if not (is_int(cycles_per_window) and cycles_per_window >= 1):
         raise ValueError(f"cycles_per_window must be an int >= 1, got {cycles_per_window!r}")
-    m = record.n_cycles
-    out = []
-    for start in range(0, m, cycles_per_window):
-        out.extend(windows_from_cycles(record, range(start, min(start + cycles_per_window, m))))
-    return out
+    m, step = record.n_cycles, int(cycles_per_window)
+    return _windows(record, [(s, min(s + step, m) - 1) for s in range(0, m, step)])
 
 
 def split_cycles(record: LabeledRecord, seed: int, test_fraction=0.25):
     """Random per-cycle train/test split at roughly 3:1, deterministic under
-    the seed.  Returns (train_windows, test_windows)."""
+    the seed.  test_fraction lies in (0, 1); at least one cycle goes to each
+    side.  Returns (train_windows, test_windows)."""
+    if not (isinstance(test_fraction, numbers.Real) and 0 < test_fraction < 1):
+        raise ValueError(f"test_fraction must be a number in (0, 1), got {test_fraction!r}")
     m = record.n_cycles
     if m < 4:
         raise ValueError(f"record {record.record_id} has {m} cycles, needs >= 4")
     rng = np.random.default_rng(seed)
-    n_test = max(1, int(round(m * test_fraction)))
+    n_test = min(max(1, int(round(m * test_fraction))), m - 1)
     test_ids = set(rng.choice(m, size=n_test, replace=False).tolist())
     train_ids = [i for i in range(m) if i not in test_ids]
     return (

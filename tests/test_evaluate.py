@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import graphseg
+from graphseg import evaluate
 from graphseg import graph as gr
-from graphseg.data import SynthConfig, generate_synthetic
+from graphseg.data import LabeledRecord, SynthConfig, generate_synthetic
 from graphseg.evaluate import (
     DetectionReport,
     RecordCounts,
@@ -31,6 +32,7 @@ from graphseg.evaluate import (
     windows_whole_record,
 )
 from graphseg.learning import LearnConfig, evaluate_graph
+from graphseg.solver import Signal
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +311,21 @@ def test_split_cycles_smallest_case():
         split_cycles(record_with_cycles(3), seed=1)
 
 
+@pytest.mark.parametrize("fraction", [1.5, float("nan"), -0.5, 1.0, 0, True, "0.5", None])
+def test_split_cycles_refuses_test_fraction_outside_0_1(fraction):
+    with pytest.raises(ValueError, match=r"test_fraction must be a number in \(0, 1\), got "):
+        split_cycles(record_with_cycles(8), seed=1, test_fraction=fraction)
+
+
+def test_split_cycles_keeps_one_training_cycle():
+    # round(8 * 0.99) = 8 test cycles would leave none to learn on
+    train, test = split_cycles(record_with_cycles(8), seed=1, test_fraction=0.99)
+    assert sum(w.n_cycles for w in train) == 1
+    assert sum(w.n_cycles for w in test) == 7
+    train, test = split_cycles(record_with_cycles(8), seed=1, test_fraction=np.float64(0.5))
+    assert (sum(w.n_cycles for w in train), sum(w.n_cycles for w in test)) == (4, 4)
+
+
 def test_split_cycles_deterministic():
     rec = record_with_cycles(12)
     a1, b1 = split_cycles(rec, seed=9)
@@ -342,6 +359,67 @@ def test_windows_refuse_cycle_ids_out_of_range(cycle_id):
     rec = record_with_cycles(8)
     with pytest.raises(ValueError, match=rf"cycle id {cycle_id} outside \[0, 8\)"):
         windows_from_cycles(rec, [0, cycle_id])
+
+
+@pytest.mark.parametrize("cycle_id", [1.7, True, 2.0, "3", None])
+def test_windows_refuse_cycle_ids_that_are_not_ints(cycle_id):
+    # int() would truncate 1.7 and take True as cycle 1
+    rec = record_with_cycles(8)
+    with pytest.raises(ValueError, match=rf"cycle id {cycle_id!r} of record synth-0 is not an int"):
+        windows_from_cycles(rec, [0, cycle_id, 1.5])
+
+
+def test_windows_take_numpy_int_cycle_ids():
+    rec = record_with_cycles(8)
+    ws = windows_from_cycles(rec, [np.int64(3), np.int32(2), 3, np.uint8(5)])
+    assert [w.record_id for w in ws] == ["synth-0[c2-3]", "synth-0[c5-5]"]
+
+
+def _window_facts(w):
+    return (w.record_id, w.eval_span, w.rpeak_annotations.tolist(), w.signal.samples.tolist())
+
+
+def test_golden_windows_of_an_edge_case_record():
+    # cycle bounds [0, 4, 9, 17, 29, 40], padding 4; annotation 9 opens the
+    # core of cycle 2, so it is no label of cycle 1 although it ends cycle 1's
+    # annotation slice
+    rec = LabeledRecord("g", Signal(np.arange(40.0), 360.0), [0, 9, 10, 25, 33])
+    assert cycle_bounds(rec).tolist() == [0, 4, 9, 17, 29, 40]
+    c0 = ("g[c0-0]", (0, 4), [0], list(range(0, 8)))
+    assert [_window_facts(w) for w in windows_whole_record(rec, 1)] == [
+        c0,
+        ("g[c1-1]", (4, 9), [], list(range(0, 13))),
+        ("g[c2-2]", (4, 12), [4, 5], list(range(5, 21))),
+        ("g[c3-3]", (4, 16), [12], list(range(13, 33))),
+        ("g[c4-4]", (4, 15), [8], list(range(25, 40))),
+    ]
+    assert [_window_facts(w) for w in windows_from_cycles(rec, [0, 2, 3])] == [
+        c0,
+        ("g[c2-3]", (4, 24), [4, 5, 20], list(range(5, 33))),
+    ]
+
+
+def test_windows_are_views_of_the_record():
+    rec = record_with_cycles(10)
+    windows = (windows_whole_record(rec, 3) + windows_from_cycles(rec, [0, 1, 4, 9])
+               + windows_from_cycles(rec, range(10)))
+    for w in windows:
+        assert np.shares_memory(w.signal.samples, rec.signal.samples)
+
+
+def test_windowing_computes_cycle_bounds_once(monkeypatch):
+    calls = []
+
+    def counting(record):
+        calls.append(record.record_id)
+        return cycle_bounds(record)
+
+    monkeypatch.setattr(evaluate, "cycle_bounds", counting)
+    rec = record_with_cycles(40)
+    assert len(windows_whole_record(rec, 4)) == 10
+    assert calls == ["synth-0"]
+    assert len(windows_from_cycles(rec, [0, 1, 5, 7, 8, 20])) == 4
+    assert calls == ["synth-0"] * 2
 
 
 def test_windows_whole_record_chunks():
