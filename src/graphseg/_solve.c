@@ -17,10 +17,11 @@
  * decision tag (br, kind, pt): the edge taken (-1 for staying; its index,
  * or in graphseg_solve its position among the state's in-edges), how the
  * previous mean follows from the current one, and the argmin point of a
- * point tag.  Two tags are equal when br and kind are equal and the
+ * K_PT tag.  Two tags are equal when br and kind are equal and the
  * points compare equal with ==, as Python compares the tuples.  The
  * running-minimum envelope tags its pieces K_PT (argmin pt) or K_THR (the
- * argmin is the evaluation point).
+ * argmin is the evaluation point), and a change keeps that kind: the
+ * backtrack reads the sign of a K_THR change's gap from its edge.
  *
  * graphseg.pwq calls min_k, prefix_min and graphseg_global_min through the
  * entry points before graphseg_solve, on numpy arrays whose dtype spells
@@ -36,7 +37,7 @@
  * 0 marks the first run of a step, bits 1-2 hold the kind, bits 3-15 hold 0
  * for staying, else 1 + the edge's position among the state's in-edges),
  * the upper breakpoint hi of every run but the last of its step, and the pt
- * of every K_POINT run: 2 * runs + 8 * (runs - steps) + 8 * points bytes
+ * of every K_PT run: 2 * runs + 8 * (runs - steps) + 8 * points bytes
  * per solve, where steps counts the (state, step) pairs that have runs.
  */
 
@@ -52,12 +53,11 @@
 #define DISC_TOL 1e-14
 
 enum {
-    K_STAY = 0,     /* previous mean equals the current mean */
-    K_THR_UP = 1,   /* previous mean = m - gap (up edge) */
-    K_THR_DOWN = 2, /* previous mean = m + gap (down edge) */
-    K_POINT = 3,    /* previous mean is the fixed point pt */
-    K_PT = 4,       /* envelope: constant stretch, argmin pt */
-    K_THR = 5       /* envelope: follows the input's descending branch */
+    K_STAY = 0, /* previous mean equals the current mean */
+    K_THR = 1,  /* previous mean = m - gap on an up edge, m + gap on a down
+                 * one: the envelope follows its input's descending branch */
+    K_PT = 2    /* previous mean is the fixed point pt: the envelope is
+                 * constant there */
 };
 
 enum {
@@ -112,7 +112,7 @@ typedef struct {
  * DEC_BLOCK values, so that growing them never copies them and never holds
  * them twice: the code of each run of equal tags of the pre-loss function,
  * the hi of each run but the last of its step, and the argmin point of each
- * K_POINT run, all in run order.  The backtrack reads them from the end,
+ * K_PT run, all in run order.  The backtrack reads them from the end,
  * each stream's n serving as its cursor, and step is the step whose runs
  * end at the cursors. */
 #define DEC_SHIFT 14
@@ -535,7 +535,6 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1, int64_t *
                 const List *src = &funcs[edges[eidx].source];
                 double gap = edges[eidx].gap, lam = edges[eidx].penalty, top, sgn;
                 int up = edges[eidx].up;
-                int8_t thr_kind;
                 size_t jj;
 
                 if (!src->n || gap >= width)
@@ -546,18 +545,17 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1, int64_t *
                 if (up) {
                     top = dhi;
                     sgn = 1.0;
-                    thr_kind = K_THR_UP;
                     prefix_min(src->p, src->n, top, &env, 0);
                 } else {
                     top = -dlo;
                     sgn = -1.0;
-                    thr_kind = K_THR_DOWN;
                     prefix_min(src->p, src->n, top, &env, 1);
                 }
-                /* shift by gap with clipping at top, add the penalty, tag,
-                 * and map a down piece back to the original axis (0.0 - x
-                 * rather than -x, so an exact zero comes back as +0.0);
-                 * a down edge walks the envelope in reverse */
+                /* shift by gap with clipping at top, add the penalty, tag
+                 * with the envelope's kind, and map a down piece and its
+                 * point back to the original axis (0.0 - x rather than -x,
+                 * so an exact zero comes back as +0.0); a down edge walks
+                 * the envelope in reverse */
                 branch.n = 0;
                 for (jj = 0; jj < env.n; jj++) {
                     const Piece *e = &env.p[up ? jj : env.n - 1 - jj];
@@ -575,10 +573,7 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1, int64_t *
                         r = push(&branch, plo, phi, a, b, c);
                     else
                         r = push(&branch, 0.0 - phi, 0.0 - plo, a, 0.0 - b, c);
-                    if (e->kind == K_THR)
-                        tag(r, k - in_start[v], thr_kind, 0.0);
-                    else
-                        tag(r, k - in_start[v], K_POINT, sgn * e->pt);
+                    tag(r, k - in_start[v], e->kind, e->kind == K_PT ? sgn * e->pt : 0.0);
                 }
                 if (!branch.n)
                     continue;
@@ -624,7 +619,7 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1, int64_t *
                         last = p;
                         *dec_code(&dv->code, nr++) =
                             (uint16_t)(8 * (p->br + 1) + 2 * p->kind + !i);
-                        if (p->kind == K_POINT)
+                        if (p->kind == K_PT)
                             *dec_f64(&dv->pts, np++) = p->pt;
                     }
                     if (q && q->hi == p->lo && q->a == a && q->b == b && q->c == c) {
@@ -685,14 +680,14 @@ static int backtrack(Solver *s, int64_t t1, int64_t t0, int32_t *v, double *m,
             pt_i = dv->pts.n;
             do {
                 code = *dec_code(&dv->code, --dv->code.n);
-                pt_i -= (code >> 1 & 3) == K_POINT;
+                pt_i -= (code >> 1 & 3) == K_PT;
             } while (!(code & 1));
             dv->hi.n -= end - dv->code.n - 1;
             dv->pts.n = pt_i;
         } while (dv->step-- > t);
         /* the first run of step t whose hi is not below m, or its last */
         for (i = dv->code.n, h = dv->hi.n; i < end - 1 && *dec_f64(&dv->hi, h) < *m; i++, h++) {
-            pt_i += (code >> 1 & 3) == K_POINT;
+            pt_i += (code >> 1 & 3) == K_PT;
             code = *dec_code(&dv->code, i + 1);
         }
         br = (code >> 3) - 1;
@@ -701,10 +696,8 @@ static int backtrack(Solver *s, int64_t t1, int64_t t0, int32_t *v, double *m,
             br = s->in_edge[s->in_start[*v] + br];
             segs[--*first].bound = t;
             segs[*first].edge = br;
-            if (kind == K_THR_UP)
-                *m = *m - s->edges[br].gap;
-            else if (kind == K_THR_DOWN)
-                *m = *m + s->edges[br].gap;
+            if (kind == K_THR)
+                *m = s->edges[br].up ? *m - s->edges[br].gap : *m + s->edges[br].gap;
             else
                 *m = *dec_f64(&dv->pts, pt_i);
             if (*m < s->dlo)
@@ -726,7 +719,7 @@ static int backtrack(Solver *s, int64_t t1, int64_t t0, int32_t *v, double *m,
  * n - 1) the bound (samples before the change) and edge taken at each
  * change.  info[2], info[3] hold the sum and the maximum of the pre-loss
  * piece counts over (state, step), info[4], info[5] the decision runs and
- * the K_POINT runs stored, and info[6] the bytes of the three streams.
+ * the K_PT runs stored, and info[6] the bytes of the three streams.
  *
  * It runs forward over steps [1, n), then backtrack from the end minimum.  A
  * piece's br here is the edge's position among the state's in-edges, so a

@@ -179,18 +179,16 @@ def record_id_of(signal_path):
     return os.path.splitext(os.path.basename(signal_path))[0]
 
 
-def load_record(signal_path, annotation_path, sample_rate=360.0,
-                record_id=None) -> LabeledRecord:
-    """Read a record from its sample CSV and annotation file.
+def load_record(signal_path, annotation_path, sample_rate=360.0) -> LabeledRecord:
+    """Read a record from its sample CSV and annotation file; its id is
+    ``record_id_of(signal_path)``.
 
     The text format carries no sampling rate, so it is passed in (default
     360 Hz).
     """
     signal = load_signal_csv(signal_path, sample_rate)
     ann = _load_annotations(annotation_path, len(signal))
-    if record_id is None:
-        record_id = record_id_of(signal_path)
-    return LabeledRecord(record_id, signal, ann)
+    return LabeledRecord(record_id_of(signal_path), signal, ann)
 
 
 def replace_file(path, write):

@@ -28,7 +28,7 @@ from . import _native
 from ._native import PIECE
 
 CONVEXITY_TOL = 1e-12  # a piece with a < -CONVEXITY_TOL is not convex
-K_STAY, K_PT, K_THR = 0, 4, 5  # the tag kinds of _solve.c
+K_STAY, K_THR, K_PT = 0, 1, 2  # the tag kinds of _solve.c
 _OVERFLOW = "the costs overflow float64"
 
 

@@ -137,10 +137,10 @@ def test_load_record_gap_in_indices(tmp_path):
 
 def test_save_load_roundtrip(tmp_path):
     rec = generate_synthetic(SynthConfig(n_cycles=5, noise_sigma=0.3, seed=4))
-    sp = str(tmp_path / "r.csv")
+    sp = str(tmp_path / f"{rec.record_id}.csv")
     ap = str(tmp_path / "r.ann")
     save_record(rec, sp, ap)
-    back = load_record(sp, ap, sample_rate=rec.signal.sample_rate, record_id=rec.record_id)
+    back = load_record(sp, ap, sample_rate=rec.signal.sample_rate)
     assert back.record_id == rec.record_id
     assert np.array_equal(back.rpeak_annotations, rec.rpeak_annotations)
     assert np.array_equal(back.signal.samples, rec.signal.samples)

@@ -41,6 +41,29 @@ def test_exact_fit_free_start():
     assert seg.total_cost == pytest.approx(2.0, abs=1e-9)
 
 
+def test_binding_gap_means_follow_each_edge_direction():
+    # B has an up in-edge from Q and a down in-edge from R, each of gap 2.
+    # Q at 2 then B at 3.5 are 1.5 apart, so the up change binds: the pair
+    # fits m_B = (4 * (2 + 2) + 4 * 3.5) / 8 = 3.75 and m_Q = m_B - 2 = 1.75.
+    # R at 10 then B at 8.5 bind the down change the same way: m_B = (4 *
+    # (10 - 2) + 4 * 8.5) / 8 = 8.25 and m_R = m_B + 2 = 10.25.  The other
+    # changes clear their gaps; the last segment widens the domain so that
+    # no mean is clipped.  Cost: 4 * 4 * 0.25^2 + 5 * 0.5.
+    g = gr.ConstraintGraph(
+        states=(gr.StateId(0, "B"), gr.StateId(1, "R"), gr.StateId(2, "Q")),
+        edges=(gr.Edge(2, 0, gr.UP, 2.0, 0.5), gr.Edge(0, 1, gr.UP, 2.0, 0.5),
+               gr.Edge(1, 0, gr.DOWN, 2.0, 0.5), gr.Edge(0, 2, gr.DOWN, 2.0, 0.5)),
+        baseline_state=0,
+        rpeak_state=1,
+    )
+    seg = solve(sig(np.repeat([2.0, 3.5, 10.0, 8.5, 12.0, 0.0], 4)), g, start_state="Q")
+    assert seg.boundaries == [4, 8, 12, 16, 20]
+    assert seg.states == [2, 0, 1, 0, 1, 0]
+    assert seg.edges_taken == [0, 1, 2, 1, 2]
+    assert seg.means == pytest.approx([1.75, 3.75, 10.25, 8.25, 12.0, 0.0], abs=1e-9)
+    assert seg.total_cost == pytest.approx(3.5, abs=1e-9)
+
+
 def test_constant_signal_huge_penalty():
     g = gr.initial_graph(1.0, 1.0, 1e6)
     seg = solve(sig([4.2] * 100), g)
