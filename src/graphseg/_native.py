@@ -1,9 +1,9 @@
 """Build and load the compiled library in ``_solve.c``: the solver's forward
 pass and backtrack (``graphseg_solve``, which takes the graph as one array
 of ``EDGE`` and writes one array of ``SEGMENT``), the kernels of the public
-``graphseg.pwq`` operations (``graphseg_min``, ``graphseg_prefix_min``,
-``graphseg_global_min``), the sample-file scanner
-(``graphseg_parse_samples``) and the sample-file writer
+``graphseg.pwq`` operations (``graphseg_min``, ``graphseg_global_min`` and
+``graphseg_envelope``, the change operator of ``solve``'s edges), the
+sample-file scanner (``graphseg_parse_samples``) and the sample-file writer
 (``graphseg_format_samples``, whose amplitudes are byte for byte their
 Python ``repr``).
 
@@ -73,7 +73,7 @@ class Library(NamedTuple):
     parse_samples: object
     format_samples: object
     min: object
-    prefix_min: object
+    envelope: object
     global_min: object
 
 
@@ -168,13 +168,14 @@ def load():
     pmin = lib.graphseg_min
     pmin.argtypes = [pieces, ctypes.c_int64, pieces, ctypes.c_int64, pieces]
     pmin.restype = ctypes.c_int64
-    prefix_min = lib.graphseg_prefix_min
-    prefix_min.argtypes = [pieces, ctypes.c_int64, ctypes.c_double, pieces]
-    prefix_min.restype = ctypes.c_int64
+    envelope = lib.graphseg_envelope
+    envelope.argtypes = [pieces, ctypes.c_int64, ctypes.c_double, ctypes.c_int32,  # f, n, gap, up
+                         ctypes.c_double, ctypes.c_double, pieces, pieces]  # domain, env, out
+    envelope.restype = ctypes.c_int64
     global_min = lib.graphseg_global_min
     global_min.argtypes = [pieces, ctypes.c_int64, ctypes.POINTER(ctypes.c_double)]
     global_min.restype = ctypes.c_double
-    return Library(solve, parse, fmt, pmin, prefix_min, global_min)
+    return Library(solve, parse, fmt, pmin, envelope, global_min)
 
 
 # Built or found in the cache once, at import: before any timed call and

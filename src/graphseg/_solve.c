@@ -23,15 +23,16 @@
  * argmin is the evaluation point), and a change keeps that kind: the
  * backtrack reads the sign of a K_THR change's gap from its edge.
  *
- * graphseg.pwq calls min_k, prefix_min and graphseg_global_min through the
- * entry points before graphseg_solve, on numpy arrays whose dtype spells
- * out Piece; graphseg_solve reads the graph from an array of Edge and
- * writes into one of Segment.  The static asserts below pin these layouts.
+ * graphseg.pwq calls min_k (graphseg_min), envelope (graphseg_envelope)
+ * and graphseg_global_min on numpy arrays whose dtype spells out Piece, so
+ * its change operators run the code of solve's edges; graphseg_solve reads
+ * the graph from an array of Edge and writes into one of Segment.  The
+ * static asserts below pin these layouts.
  *
  * graphseg_solve runs forward, then backtrack, over one Solver.
  * Each state update of forward is one pass over its pieces: every
  * state function carries the stay tag, so min_k reads it in place; a down
- * edge's prefix_min reads its source reflected in place; and one loop over
+ * edge's envelope reads its source reflected in place; and one loop over
  * the result records its decision runs and adds the point loss.  The
  * decision record of a state is three streams: a 16-bit code per run (bit
  * 0 marks the first run of a step, bits 1-2 hold the kind, bits 3-15 hold 0
@@ -385,7 +386,7 @@ static void push_thr(List *out, double lo, double hi, double a, double b, double
  * room for 4 * n + 1 pieces.  With reflect set it is the running minimum of
  * m -> F(-m), read from F in place: F's pieces in reverse order, with lo
  * and hi swapped and negated and b negated.  Always inlined, so that each
- * caller passes a constant flag and gets the branches folded. */
+ * call passes a constant flag and gets the branches folded. */
 static inline __attribute__((always_inline)) void
 prefix_min(const Piece *F, size_t n, double dom_hi, List *out, int reflect)
 {
@@ -482,14 +483,58 @@ int64_t graphseg_min(const Piece *f, int64_t nf, const Piece *g, int64_t ng,
     return (int64_t)o.n;
 }
 
-/* graphseg.pwq.min_leq_envelope before the shift: prefix_min of f's n
- * pieces into out, which has room for 4 * n + 1 pieces.  Returns the piece
- * count (0 when n is 0). */
-int64_t graphseg_prefix_min(const Piece *f, int64_t n, double dom_hi, Piece *out)
+/* The change operator of an edge on [dlo, dhi] from F's n pieces, plus the
+ * penalty lam: min{F(m') : m' <= m - gap} on an up edge, min{F(m') : m' >=
+ * m + gap} on a down one, which is an up edge on the axis m -> -m, mapped
+ * back with 0.0 - x (an exact zero comes back as +0.0).  Its pieces, with
+ * those that rounding leaves with lo >= hi, go to out, tagged br, their
+ * envelope piece's kind and, for K_PT, the argmin on the original axis.
+ * Returns -1 when out of memory.  Always inlined, as min_k is. */
+static inline __attribute__((always_inline)) int
+envelope(const Piece *F, size_t n, double gap, double lam, int up, double dlo,
+         double dhi, int32_t br, List *env, List *out)
 {
-    List o = {out, 0, 0};
+    double top = up ? dhi : -dlo;
+    size_t jj;
 
-    prefix_min(f, (size_t)n, dom_hi, &o, 0);
+    if (reserve(env, 4 * n + 1) || reserve(out, 4 * n + 1))
+        return -1;
+    if (up)
+        prefix_min(F, n, top, env, 0);
+    else
+        prefix_min(F, n, top, env, 1);
+    /* shift by gap with clipping at top, add the penalty and tag */
+    out->n = 0;
+    for (jj = 0; jj < env->n; jj++) {
+        const Piece *e = &env->p[up ? jj : env->n - 1 - jj];
+        double plo = e->lo + gap, phi, a = e->a, b = e->b, c;
+        Piece *r;
+
+        if (plo >= top)
+            continue;
+        phi = e->hi + gap;
+        if (phi > top)
+            phi = top;
+        c = (a * gap - b) * gap + e->c + lam;
+        b -= 2.0 * a * gap;
+        if (up)
+            r = push(out, plo, phi, a, b, c);
+        else
+            r = push(out, 0.0 - phi, 0.0 - plo, a, 0.0 - b, c);
+        tag(r, br, e->kind, e->kind != K_PT ? 0.0 : up ? e->pt : -e->pt);
+    }
+    return 0;
+}
+
+/* graphseg.pwq.min_leq_envelope (up = 1) and min_geq_envelope (up = 0):
+ * envelope with no penalty and br 0, through env into out, which both have
+ * room for 4 * n + 1 pieces.  Returns out's piece count. */
+int64_t graphseg_envelope(const Piece *f, int64_t n, double gap, int32_t up, double dlo,
+                          double dhi, Piece *env, Piece *out)
+{
+    List e = {env, 0, 4 * (size_t)n + 1}, o = {out, 0, 4 * (size_t)n + 1};
+
+    envelope(f, (size_t)n, gap, 0.0, up, dlo, dhi, 0, &e, &o); /* has the room */
     return (int64_t)o.n;
 }
 
@@ -531,50 +576,14 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1, int64_t *
             /* cand is the stay candidate in place, then each min_k result,
              * written to the scratch list that cand does not point to */
             for (k = in_start[v]; k < in_start[v + 1]; k++) {
-                int32_t eidx = in_edge[k];
-                const List *src = &funcs[edges[eidx].source];
-                double gap = edges[eidx].gap, lam = edges[eidx].penalty, top, sgn;
-                int up = edges[eidx].up;
-                size_t jj;
+                const Edge *e = &edges[in_edge[k]];
+                const List *src = &funcs[e->source];
 
-                if (!src->n || gap >= width)
+                if (!src->n || e->gap >= width)
                     continue;
-                if (reserve(&env, 4 * src->n + 1) || reserve(&branch, 4 * src->n + 1))
+                if (envelope(src->p, src->n, e->gap, e->penalty, e->up, dlo, dhi,
+                             k - in_start[v], &env, &branch))
                     goto out;
-                /* a down edge is an up edge on the reflected axis m -> -m */
-                if (up) {
-                    top = dhi;
-                    sgn = 1.0;
-                    prefix_min(src->p, src->n, top, &env, 0);
-                } else {
-                    top = -dlo;
-                    sgn = -1.0;
-                    prefix_min(src->p, src->n, top, &env, 1);
-                }
-                /* shift by gap with clipping at top, add the penalty, tag
-                 * with the envelope's kind, and map a down piece and its
-                 * point back to the original axis (0.0 - x rather than -x,
-                 * so an exact zero comes back as +0.0); a down edge walks
-                 * the envelope in reverse */
-                branch.n = 0;
-                for (jj = 0; jj < env.n; jj++) {
-                    const Piece *e = &env.p[up ? jj : env.n - 1 - jj];
-                    double plo = e->lo + gap, phi, a = e->a, b = e->b, c;
-                    Piece *r;
-
-                    if (plo >= top)
-                        continue;
-                    phi = e->hi + gap;
-                    if (phi > top)
-                        phi = top;
-                    c = (a * gap - b) * gap + e->c + lam;
-                    b -= 2.0 * a * gap;
-                    if (up)
-                        r = push(&branch, plo, phi, a, b, c);
-                    else
-                        r = push(&branch, 0.0 - phi, 0.0 - plo, a, 0.0 - b, c);
-                    tag(r, k - in_start[v], e->kind, e->kind == K_PT ? sgn * e->pt : 0.0);
-                }
                 if (!branch.n)
                     continue;
                 if (!cand->n) {

@@ -4,16 +4,19 @@ dynamic program: data terms, pointwise minima, change envelopes, constants.
 A ``PiecewiseQuad`` holds one numpy array of the ``Piece`` struct of
 ``_solve.c`` (dtype ``_native.PIECE``): ordered, disjoint [lo, hi] in a
 fixed domain, each with a convex a*m^2 + b*m + c; elsewhere it is +inf.
-``pointwise_min``, ``min_leq_envelope``'s running minimum and ``global_min``
-call the C kernels of ``solve``; the rest are numpy expressions.  No
-tolerance joins neighbours.  ``tests/reference_pwq.py`` keeps the kernels
-in Python as the test oracle, equal bit for bit.
+``pointwise_min``, the change envelopes and ``global_min`` call the C
+kernels of ``solve``: ``min_leq_envelope`` and ``min_geq_envelope`` both
+call ``graphseg_envelope``, the operator of ``solve``'s up and down edges.
+The rest are numpy expressions.  No tolerance joins neighbours.
+``tests/reference_pwq.py`` keeps the kernels in Python as the test oracle,
+equal bit for bit.
 
 A tag is ``None`` (C kind K_STAY), ``("pt", x)`` (K_PT: a constant stretch
-of a running minimum attained at x) or ``("thr",)`` (K_THR: the input's
-descending branch, attained at the evaluation point).  Any other tag, a
-non-finite sample, constant, gap or coefficient, and a result whose
-coefficients or minimum overflow are ``ValueError``s.
+of a running minimum attained at x; for ``min_geq_envelope`` too, x is the
+argmin m' itself) or ``("thr",)`` (K_THR: the input's descending branch,
+attained at the evaluation point).  Any other tag, a non-finite sample,
+constant, gap or coefficient, and a result whose coefficients or minimum
+overflow are ``ValueError``s.
 """
 
 from __future__ import annotations
@@ -202,31 +205,27 @@ def pointwise_min(f: PiecewiseQuad, g: PiecewiseQuad) -> PiecewiseQuad:
     return _result(out[:n], f.domain)
 
 
-@np.errstate(over="ignore")
+def _envelope(f, gap, up):  # _solve.c's change operator of an edge, with no penalty
+    gap, (lo, hi) = float(gap), f.domain
+    if not 0.0 <= gap < hi - lo:
+        raise ValueError(f"gap must be in [0, {hi - lo}), the domain width; got {gap}")
+    env, r = np.zeros((2, 4 * len(f) + 1), dtype=PIECE)
+    r = r[: _native.library().envelope(f._arr, len(f), gap, up, lo, hi, env, r)]
+    # lo + gap == hi + gap by rounding leaves a piece of no width
+    return _result(r[r["lo"] < r["hi"]], f.domain)
+
+
 def min_leq_envelope(f: PiecewiseQuad, gap: float) -> PiecewiseQuad:
     """Up-change operator D(m) = min{f(m') : m' <= m - gap}: infeasible where
     m - gap is below f's feasible start, constant past its last piece."""
-    gap, (lo, top) = float(gap), f.domain
-    if not 0.0 <= gap < top - lo:
-        raise ValueError(f"gap must be in [0, {top - lo}), the domain width; got {gap}")
-    r = np.zeros(4 * len(f) + 1, dtype=PIECE)
-    r = r[: _native.library().prefix_min(f._arr, len(f), top, r)]
-    if gap != 0.0:
-        # substitute m - gap and clip above top, as _solve.c's shift does;
-        # lo + gap == hi + gap by rounding leaves a piece of no width
-        r = r[r["lo"] + gap < top]
-        r["c"] = (r["a"] * gap - r["b"]) * gap + r["c"]
-        r["b"] -= 2.0 * r["a"] * gap
-        r["lo"] += gap
-        r["hi"] = np.where(r["hi"] + gap > top, top, r["hi"] + gap)
-        r = r[r["lo"] < r["hi"]]
-    return _result(r, f.domain)
+    return _envelope(f, gap, 1)
 
 
 def min_geq_envelope(f: PiecewiseQuad, gap: float) -> PiecewiseQuad:
     """Down-change operator D(m) = min{f(m') : m' >= m + gap}: the up-change one
-    on the axis m -> -m, so a ("pt", x) tag holds the reflected argmin -m'."""
-    return reflect(min_leq_envelope(reflect(f), gap))
+    on the axis m -> -m, computed there and mapped back, so a ("pt", x) tag
+    holds the argmin m' itself."""
+    return _envelope(f, gap, 0)
 
 
 def global_min(f: PiecewiseQuad):

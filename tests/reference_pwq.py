@@ -216,19 +216,28 @@ def _prefix_min_k(F, dom_hi):
     return out
 
 
-def _shift_right_k(R, gap, dom_hi):
-    """Substitute m - gap and clip above: D(m) = R(m - gap) on [.., dom_hi]."""
-    if gap == 0.0:
-        return list(R)
+def _envelope_k(F, gap, lam, up, dom_lo, dom_hi):
+    """An edge's change operator on [dom_lo, dom_hi] plus lam: min{f(m') :
+    m' <= m - gap} (up) or min{f(m') : m' >= m + gap} (down: the up one on
+    the axis m -> -m, mapped back with 0.0 - x, its ("pt", x) tags holding
+    the argmin m').  Pieces that rounding leaves with no width are kept."""
+    top = dom_hi if up else -dom_lo
+    env = _prefix_min_k(F if up else _reflect_k(F), top)
     out = []
-    for (lo, hi, a, b, c, t) in R:
-        nlo = lo + gap
-        if nlo >= dom_hi:
-            break
-        nhi = hi + gap
-        if nhi > dom_hi:
-            nhi = dom_hi
-        out.append((nlo, nhi, a, b - 2.0 * a * gap, (a * gap - b) * gap + c, t))
+    for (lo, hi, a, b, c, t) in (env if up else reversed(env)):
+        lo += gap
+        if lo >= top:
+            continue
+        hi += gap
+        if hi > top:
+            hi = top
+        c = (a * gap - b) * gap + c + lam
+        b -= 2.0 * a * gap
+        if not up:
+            lo, hi, b = 0.0 - hi, 0.0 - lo, 0.0 - b
+            if t[0] == "pt":
+                t = ("pt", -t[1])
+        out.append((lo, hi, a, b, c, t))
     return out
 
 

@@ -13,23 +13,14 @@ from dataclasses import replace
 import numpy as np
 
 from graphseg import graph as gr
+from graphseg.pwq import K_PT, K_STAY, K_THR  # the decision kinds of _solve.c
 from graphseg.solver import (InfeasibleModelError, Segmentation, Signal, _resolve_start,
                              _image_exponent, solve_domain)
-from reference_pwq import _add_point_loss_k, _global_min_k, _min_k, _prefix_min_k, _reflect_k
-
-
-# decision kinds stored per piece of the pre-loss candidate function
-_K_STAY = 0      # previous mean equals the current mean
-_K_THR_UP = 1    # previous mean = m - gap (up edge, envelope still descending)
-_K_THR_DOWN = 2  # previous mean = m + gap (down edge)
-_K_POINT = 3     # previous mean is a fixed argmin point
+from reference_pwq import _add_point_loss_k, _envelope_k, _global_min_k, _min_k
 
 
 def solve(signal, graph_, start_state="free"):
     """``graphseg.solver.solve``, computed in Python."""
-    violations = gr.validate(graph_)
-    if violations:
-        raise gr.GraphValidationError(violations)
     k = _image_exponent(float(np.min(signal.samples)), float(np.max(signal.samples)))
     if k == 0:
         return _solve(signal, graph_, start_state)
@@ -67,12 +58,10 @@ def _solve(signal, graph_, start_state, edges=None):
         [base] if (start is None or v == start) else [] for v in range(nstates)
     ]
 
-    # flat decision stores per state: interval upper bound, branch (edge index
-    # or -1 for stay), argmin kind, argmin point; offsets index them by step
+    # flat decision stores per state: each run's upper bound and tag (edge
+    # index or -1 for stay, kind, argmin point); offsets index them by step
     dec_hi = [array("d") for _ in range(nstates)]
-    dec_br = [array("i") for _ in range(nstates)]
-    dec_kind = [array("b") for _ in range(nstates)]
-    dec_pt = [array("d") for _ in range(nstates)]
+    dec_tag = [[] for _ in range(nstates)]
     dec_off = [array("q", [0]) for _ in range(nstates)]
 
     piece_total = 0
@@ -88,32 +77,10 @@ def _solve(signal, graph_, start_state, edges=None):
                 src = funcs[src_v]
                 if not src or gap >= width:
                     continue
-                # a down edge is an up edge on the reflected axis m -> -m
-                if is_up:
-                    top, sgn, thr_tag = dhi, 1.0, (eidx, _K_THR_UP, 0.0)
-                    env = _prefix_min_k(src, top)
-                else:
-                    top, sgn, thr_tag = -dlo, -1.0, (eidx, _K_THR_DOWN, 0.0)
-                    env = _prefix_min_k(_reflect_k(src), top)
-                    env.reverse()
-                # shift by gap with clipping at top, add the penalty, tag, and
-                # map a down edge's piece back to the original axis (0.0 - x
-                # rather than -x, so an exact zero comes back as +0.0)
-                branch = []
-                for (plo, phi, a, b, c, tg) in env:
-                    plo += gap
-                    if plo >= top:
-                        continue
-                    phi += gap
-                    if phi > top:
-                        phi = top
-                    c = (a * gap - b) * gap + c + lam
-                    b -= 2.0 * a * gap
-                    ntag = thr_tag if tg[0] == "thr" else (eidx, _K_POINT, sgn * tg[1])
-                    if is_up:
-                        branch.append((plo, phi, a, b, c, ntag))
-                    else:
-                        branch.append((0.0 - phi, 0.0 - plo, a, 0.0 - b, c, ntag))
+                # tag each piece with the edge and the kind of its envelope piece
+                branch = [(lo, hi, a, b, c, (eidx, K_THR, 0.0) if tg[0] == "thr"
+                           else (eidx, K_PT, tg[1]))
+                          for lo, hi, a, b, c, tg in _envelope_k(src, gap, lam, is_up, dlo, dhi)]
                 cand = _min_k(cand, branch) if cand else branch
             if not cand:
                 new_funcs.append(cand)
@@ -122,20 +89,14 @@ def _solve(signal, graph_, start_state, edges=None):
 
             # compress the per-piece decisions into runs
             d_hi = dec_hi[v]
-            d_br = dec_br[v]
-            d_kind = dec_kind[v]
-            d_pt = dec_pt[v]
             last_key = None
             for p in cand:
-                tg = p[5]
-                key = (-1, _K_STAY, 0.0) if tg is None else tg
+                key = (-1, K_STAY, 0.0) if p[5] is None else p[5]
                 if key == last_key:
                     d_hi[-1] = p[1]
                 else:
                     d_hi.append(p[1])
-                    d_br.append(key[0])
-                    d_kind.append(key[1])
-                    d_pt.append(key[2])
+                    dec_tag[v].append(key)
                     last_key = key
             dec_off[v].append(len(d_hi))
 
@@ -175,18 +136,15 @@ def _solve(signal, graph_, start_state, edges=None):
         i = lo_i
         while i < hi_i - 1 and d_hi[i] < m:
             i += 1
-        br = dec_br[v][i]
+        br, kind, pt = dec_tag[v][i]
         if br >= 0:
             e = edges[br]
             rev_bounds.append(t)
             rev_edges.append(br)
-            kind = dec_kind[v][i]
-            if kind == _K_THR_UP:
-                m = m - e.gap
-            elif kind == _K_THR_DOWN:
-                m = m + e.gap
+            if kind == K_THR:
+                m = m - e.gap if e.direction == gr.UP else m + e.gap
             else:
-                m = dec_pt[v][i]
+                m = pt
             if m < dlo:
                 m = dlo
             elif m > dhi:
@@ -200,7 +158,7 @@ def _solve(signal, graph_, start_state, edges=None):
     rev_states.reverse()
     rev_means.reverse()
     runs = sum(len(d) for d in dec_hi)
-    points = sum(d.count(_K_POINT) for d in dec_kind)
+    points = sum(tag[1] == K_PT for d in dec_tag for tag in d)
     # the (state, step) pairs that stored runs; the compiled record keeps a
     # 2-byte code per run, the hi of every run but the last of its step, and
     # the point of every point run

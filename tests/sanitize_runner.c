@@ -21,6 +21,13 @@
  *                  each with outputs of its own; all K must be equal, and
  *                  the first is written
  *
+ *   runner envelope UP
+ *                  in:  int64 n, double gap, double dlo, double dhi,
+ *                       Piece f[n]
+ *                  out: int64 count, then Piece out[count] of
+ *                       graphseg_envelope (a down edge if UP is 0, else up);
+ *                       the padding bytes of out are zero
+ *
  *   runner parse START
  *                  in:  a sample file's bytes, its body from START
  *                  out: int32 status, int64 info[3] (samples read, offset
@@ -170,6 +177,28 @@ static int run_solve(int threads)
     return 0;
 }
 
+static int run_envelope(int32_t up)
+{
+    int64_t *n = take(sizeof *n), count;
+    double *args = take(3 * sizeof(double)); /* gap, dlo, dhi */
+    Piece *f = take((size_t)*n * sizeof(Piece));
+    Piece *env = malloc((4 * (size_t)*n + 1) * sizeof(Piece));
+    Piece *out = calloc(4 * (size_t)*n + 1, sizeof(Piece));
+
+    if (!env || !out)
+        die("out of memory");
+    count = graphseg_envelope(f, *n, args[0], up, args[1], args[2], env, out);
+    put(&count, sizeof count);
+    if (count > 0)
+        put(out, (size_t)count * sizeof(Piece));
+    free(n);
+    free(args);
+    free(f);
+    free(env);
+    free(out);
+    return 0;
+}
+
 static int run_parse(int64_t start)
 {
     char *buf = take(input_len);
@@ -221,13 +250,15 @@ int main(int argc, char **argv)
     else if (argc == 3 && !strcmp(argv[1], "solve-threads") && atoi(argv[2]) > 0 &&
              atoi(argv[2]) <= MAX_THREADS)
         rc = run_solve(atoi(argv[2]));
+    else if (argc == 3 && !strcmp(argv[1], "envelope"))
+        rc = run_envelope(atoi(argv[2]) != 0);
     else if (argc == 3 && !strcmp(argv[1], "parse"))
         rc = run_parse(strtoll(argv[2], NULL, 10));
     else if (argc == 4 && !strcmp(argv[1], "format"))
         rc = run_format(strtoll(argv[2], NULL, 10), strtoll(argv[3], NULL, 10));
     else
-        die("usage: runner solve | runner solve-threads K | runner parse START | "
-            "runner format START CAP");
+        die("usage: runner solve | runner solve-threads K | runner envelope UP | "
+            "runner parse START | runner format START CAP");
     free(input);
     return rc;
 }

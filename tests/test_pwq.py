@@ -164,6 +164,21 @@ def test_min_geq_envelope_gap0():
     assert e(3.0) == pytest.approx(4.0)
 
 
+def test_min_geq_envelope_tags_the_argmin_itself():
+    # (m-1)^2 has its minimum 0 at m' = 1: D(m) = 0 for m <= 1 - 0.5, and
+    # (m + 0.5 - 1)^2 above, up to where m + 0.5 leaves the domain
+    e = min_geq_envelope(PiecewiseQuad([(-5, 5, 1, -2, 1)], DOM), 0.5)
+    assert e.pieces == (QuadPiece(-5.0, 0.5, 0.0, 0.0, 0.0, ("pt", 1.0)),
+                        QuadPiece(0.5, 4.5, 1.0, -1.0, 0.25, ("thr",)))
+    assert math.copysign(1.0, e.pieces[0].b) == 1.0  # +0.0, mapped back as 0.0 - x
+
+
+def test_envelopes_of_the_infeasible_function_are_empty():
+    for gap in (0.0, 1.5):
+        assert min_leq_envelope(PiecewiseQuad.infeasible(DOM), gap).is_empty
+        assert min_geq_envelope(PiecewiseQuad.infeasible(DOM), gap).is_empty
+
+
 def test_envelope_reflection_identity():
     rng = np.random.default_rng(5)
     for _ in range(10):
@@ -399,16 +414,8 @@ def _reference_step(pieces, op, domain):
         y, k = args
         g = ref._add_constant_k([(dom_lo, dom_hi, 1.0, -2.0 * y, y * y, None)], k)
         return ref._min_k(pieces, g)
-
-    def leq(ps, top):
-        if not ps:
-            return []
-        shifted = ref._shift_right_k(ref._prefix_min_k(ps, top), args[0], top)
-        return [p for p in shifted if p[0] < p[1]]
-
-    if name == "leq":
-        return leq(pieces, dom_hi)
-    return ref._reflect_k(leq(ref._reflect_k(pieces), -dom_lo))
+    env = ref._envelope_k(pieces, args[0], 0.0, name == "leq", dom_lo, dom_hi)
+    return [p for p in env if p[0] < p[1]]
 
 
 def _piece_bits(pieces):
@@ -425,7 +432,7 @@ def _assert_equal_bits(f, want, where):
 
 def test_operations_equal_reference_kernels_bit_for_bit():
     # every public operation, step by step over 300 random compositions, on
-    # the same input bits as the reference kernels; the reference shift is
+    # the same input bits as the reference kernels; the reference envelope is
     # followed by the same drop of pieces with lo >= hi
     rng = np.random.default_rng(9)
     dom = (-6.0, 6.0)

@@ -5,9 +5,10 @@ process.  Built under ``-fsanitize=address,undefined`` as one translation
 unit with ``_solve.c`` (``-include``), so that a drift in an entry point's
 signature fails to compile, it solves long records, whose decision records
 fill several blocks of all three streams, solves inputs that fail at each
-of its early exits but running out of memory, scans edge-case sample files,
-and writes the sample lines of edge-case amplitudes and of lines that fill
-its buffer exactly.
+of its early exits but running out of memory, builds the up and down
+change envelopes of a tagged and of an empty piece list, scans edge-case
+sample files, and writes the sample lines of edge-case amplitudes and of
+lines that fill its buffer exactly.
 Built under ``-fsanitize=thread``, it solves the same records in several
 threads at once, as ``cross_validate``'s thread pool does.  A sanitizer
 report, a leak among them, fails the run, and the results must equal the ctypes library's.
@@ -22,7 +23,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from graphseg import _native
+from graphseg import _native, pwq
 from graphseg import graph as gr
 from graphseg.data import SynthConfig, generate_synthetic
 from graphseg.solver import MAX_IN_EDGES, Signal, _edge_array, solve_domain
@@ -177,6 +178,28 @@ def test_failing_solves_under_sanitizers(runner, status):
     # of info, only a status 1 writes anything: the step that failed
     assert got[1].tolist() == want[1].tolist() == [0, int(status == 1)] + [0] * 5
     assert got[3].tobytes() == want[3].tobytes()
+
+
+@pytest.mark.parametrize("up", [1, 0])
+@pytest.mark.parametrize("case", ["tagged", "empty"])
+def test_envelope_under_sanitizers(runner, up, case):
+    # the tagged input, an up envelope plus a data term, has K_PT and K_THR
+    # stretches, and so has its envelope either way
+    dom = (-6.0, 6.0)
+    f = pwq.PiecewiseQuad.infeasible(dom)
+    if case == "tagged":
+        f = pwq.pointwise_min(pwq.PiecewiseQuad.point_loss(-2.0, dom),
+                              pwq.PiecewiseQuad.point_loss(3.0, dom))
+        f = pwq.add_point_loss(pwq.min_leq_envelope(f, 1.0), 1.0)
+    arr, gap = f._arr, 1.25
+    data = np.int64(len(arr)).tobytes() + np.array([gap, *f.domain]).tobytes() + arr.tobytes()
+    raw = _run(runner, ["envelope", str(up)], data)
+    env, want = np.zeros((2, 4 * len(arr) + 1), _native.PIECE)
+    n = _native.library().envelope(arr, len(arr), gap, up, *f.domain, env, want)
+    assert int(np.frombuffer(raw, np.int64, 1)[0]) == n
+    assert raw[8:] == want[:n].tobytes()
+    kinds = {pwq.K_PT, pwq.K_THR} if case == "tagged" else set()
+    assert set(arr["kind"].tolist()) == set(want["kind"][:n].tolist()) == kinds
 
 
 SCAN_BODIES = [
