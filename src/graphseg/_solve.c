@@ -63,12 +63,11 @@ enum {
 
 enum {
     SOLVE_OK = 0,
-    SOLVE_INFEASIBLE_STEP = 1, /* every state empty at sample info[1] */
     SOLVE_INFEASIBLE_END = 2,  /* no finite minimum at the last sample */
     SOLVE_NO_MEMORY = 3,
     SOLVE_BAD_RECORD = 4,      /* backtrack met a step with no decision */
     SOLVE_NOT_FINITE = 5,      /* a NaN breakpoint stalled the minimum */
-    SOLVE_TOO_MANY_IN_EDGES = 6 /* a state has over MAX_IN_EDGES in-edges */
+    SOLVE_TOO_MANY_IN_EDGES = 6 /* state info[1] has info[2] in-edges */
 };
 
 /* the in-edges per state that bits 3-15 of a run's code tell apart */
@@ -548,10 +547,12 @@ typedef struct {
     int64_t piece_total, piece_max;
 } Solver;
 
-/* The forward pass over steps t0 <= t < t1: SOLVE_OK, SOLVE_NO_MEMORY,
- * SOLVE_NOT_FINITE or SOLVE_INFEASIBLE_STEP at step *bad_t.  Its working
- * lists and copies of s's fields are locals, which gcc keeps in registers. */
-static int forward(Solver *s, const double *y, int64_t t0, int64_t t1, int64_t *bad_t)
+/* The forward pass over steps t0 <= t < t1: SOLVE_OK, SOLVE_NO_MEMORY or
+ * SOLVE_NOT_FINITE.  No step can leave every state empty: a state that has
+ * pieces keeps them, since its stay candidate is its own function, so with
+ * at least one state started every step has one.  Its working lists and
+ * copies of s's fields are locals, which gcc keeps in registers. */
+static int forward(Solver *s, const double *y, int64_t t0, int64_t t1)
 {
     const Edge *edges = s->edges;
     const int32_t *in_start = s->in_start, *in_edge = s->in_edge;
@@ -564,7 +565,6 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1, int64_t *
 
     for (t = t0; t < t1; t++) {
         double yt = y[t], c_add = yt * yt, b_add = -2.0 * yt;
-        int any = 0;
 
         for (v = 0; v < nstates; v++) {
             const List *cand = &funcs[v];
@@ -608,7 +608,6 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1, int64_t *
                 const Piece *last = NULL;
                 Piece *q = NULL;
 
-                any = 1;
                 if (stream_reserve(&dv->code, nr + cand->n, sizeof(uint16_t))
                     || stream_reserve(&dv->hi, nh + cand->n, sizeof(double))
                     || stream_reserve(&dv->pts, np + cand->n, sizeof(double))
@@ -651,11 +650,6 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1, int64_t *
         }
         for (v = 0; v < nstates; v++)
             swap_lists(&funcs[v], &next[v]);
-        if (!any) {
-            *bad_t = t;
-            status = SOLVE_INFEASIBLE_STEP;
-            goto out;
-        }
     }
     s->piece_total = piece_total;
     s->piece_max = piece_max;
@@ -722,8 +716,11 @@ static int backtrack(Solver *s, int64_t t1, int64_t t0, int32_t *v, double *m,
 }
 
 /* Solve one signal.  Edges are given by index; a state's in-edges are
- * taken in edge-index order, at most MAX_IN_EDGES of them.  start < 0 lets
- * the first segment be in any state.  segs holds n entries; on SOLVE_OK
+ * taken in edge-index order, at most MAX_IN_EDGES of them: a state with more
+ * ends the solve with SOLVE_TOO_MANY_IN_EDGES, its id in info[1] and its
+ * in-edge count in info[2].  start < 0 lets the first segment be in any
+ * state; a start of nstates or more starts none, and the solve ends with
+ * SOLVE_INFEASIBLE_END.  segs holds n entries; on SOLVE_OK
  * entries [info[0], n) hold the segments' states and means, and [info[0],
  * n - 1) the bound (samples before the change) and edge taken at each
  * change.  info[2], info[3] hold the sum and the maximum of the pre-loss
@@ -760,6 +757,8 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
             if (edges[k].target == v)
                 s.in_edge[s.in_start[v + 1]++] = k;
         if (s.in_start[v + 1] - s.in_start[v] > MAX_IN_EDGES) {
+            info[1] = v;
+            info[2] = s.in_start[v + 1] - s.in_start[v];
             status = SOLVE_TOO_MANY_IN_EDGES;
             goto done;
         }
@@ -774,7 +773,7 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
         }
     }
 
-    if ((status = forward(&s, y, 1, n, &info[1])))
+    if ((status = forward(&s, y, 1, n)))
         goto done;
 
     for (v = 0; v < nstates; v++) {

@@ -11,11 +11,11 @@ be read, or holds a byte that is not UTF-8, is a DataFormatError too,
 naming the file (and the line).
 
 save_record writes each amplitude as Python's repr writes it, so it reads
-back to the same bits.  The compiled library formats the sample lines a
-chunk at a time into one small buffer; the rare amplitude whose digits it
-does not compute (below 1e-5 or from 1e15 up in magnitude, other than
-zero) is written with repr.  Each file is written beside its path and
-renamed into place, so a failed save leaves no partial file.
+back to the same bits.  The compiled library fills one small buffer with
+whole sample lines at a time; the rare amplitude whose digits it does not
+compute (below 1e-5 or from 1e15 up in magnitude, other than zero) is
+written with repr.  Each file is written beside its path and renamed into
+place, so a failed save leaves no partial file.
 """
 
 from __future__ import annotations
@@ -207,25 +207,24 @@ def replace_file(path, write):
         raise
 
 
-# lines per call of the compiled writer, and the longest line it writes: an
-# int64 index, a comma, 24 bytes of repr and LF
-_CHUNK_LINES = 4096
-_LINE_BYTES = 48
+# the compiled writer's buffer: it stops at the first line that would not fit
+_BUFFER_BYTES = 1 << 17
 
 
 def _write_samples(fh, samples):
     """The sample CSV of samples: the header, then "i,repr(samples[i])" per
-    line, formatted by the compiled library a chunk of lines at a time into
-    one buffer.  It leaves the amplitudes whose digits it does not compute
-    (below 1e-5 or from 1e15 up in magnitude, other than zero) to repr."""
+    line, formatted by the compiled library into one buffer, which it fills
+    with whole lines before each write.  It leaves the amplitudes whose
+    digits it does not compute (below 1e-5 or from 1e15 up in magnitude,
+    other than zero) to repr."""
     fh.write(f"{_HEADER}\n".encode())
     fmt = _native.library().format_samples
     samples = np.ascontiguousarray(samples, dtype=np.float64)
-    buf = np.empty(_CHUNK_LINES * _LINE_BYTES, dtype=np.uint8)
+    buf = np.empty(_BUFFER_BYTES, dtype=np.uint8)
     view, info = memoryview(buf), np.zeros(2, dtype=np.int64)
     i, n = 0, len(samples)
     while i < n:
-        left = fmt(samples, i, min(i + _CHUNK_LINES, n), buf, len(buf), info)
+        left = fmt(samples, i, n, buf, len(buf), info)
         i, used = info.tolist()
         fh.write(view[:used])
         if left:

@@ -24,7 +24,7 @@ from . import _native
 from . import graph as gr
 
 # graphseg_solve status codes (see _solve.c)
-_INFEASIBLE_STEP, _INFEASIBLE_END, _NO_MEMORY, _NOT_FINITE = 1, 2, 3, 5
+_INFEASIBLE_END, _NO_MEMORY, _NOT_FINITE, _TOO_MANY_IN_EDGES = 2, 3, 5, 6
 
 # The most in-edges one state may have: a decision run's 16-bit code holds
 # the edge's position among them in 13 bits (MAX_IN_EDGES in _solve.c).
@@ -168,12 +168,6 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
     lo, hi = float(np.min(y)), float(np.max(y))
     k = _image_exponent(lo, hi)
     edges = _edge_array(graph_)
-    if len(edges) > MAX_IN_EDGES:
-        counts = np.bincount(edges["target"])
-        v = int(np.argmax(counts))
-        if counts[v] > MAX_IN_EDGES:
-            raise ValueError(f"state {v} ({graph_.name_of(v)}) has {counts[v]} in-edges; "
-                             f"solve takes at most {MAX_IN_EDGES} per state")
     if k:
         y, lo, hi = np.ldexp(y, -k), math.ldexp(lo, -k), math.ldexp(hi, -k)
         # a gap or penalty past the float range of the image becomes inf, so
@@ -193,14 +187,16 @@ def solve(signal: Signal, graph_: gr.ConstraintGraph, start_state="free") -> Seg
         y, n, nstates, -1 if start is None else start, len(edges), edges, dlo, dhi,
         segs, info, ctypes.byref(total_cost),
     )
-    if status == _INFEASIBLE_STEP:
-        raise InfeasibleModelError("every state", int(info[1]))
     if status == _INFEASIBLE_END:
         raise InfeasibleModelError("all", n - 1)
     if status == _NO_MEMORY:
         raise MemoryError(f"solve: out of memory at {n} samples")
     if status == _NOT_FINITE:
         raise ValueError("signal amplitudes too large: the segment costs overflow float64")
+    if status == _TOO_MANY_IN_EDGES:
+        v, count = int(info[1]), int(info[2])
+        raise ValueError(f"state {v} ({graph_.name_of(v)}) has {count} in-edges; "
+                         f"solve takes at most {MAX_IN_EDGES} per state")
     if status != 0:
         raise RuntimeError(f"solve: compiled solver returned status {status}")
 

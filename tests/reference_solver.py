@@ -106,8 +106,6 @@ def _solve(signal, graph_, start_state, edges=None):
                 piece_max = npieces
             new_funcs.append(_add_point_loss_k(cand, yt, strip_tags=True))
         funcs = new_funcs
-        if not any(funcs):
-            raise InfeasibleModelError("every state", t)
 
     best_v = None
     best_arg = None

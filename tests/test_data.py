@@ -169,6 +169,10 @@ EDGE_BODIES = {
     "nan": "0,1\n1,nan\n",
     "inf": "0,inf\n1,2\n",
     "overflow to inf": "0,1\n1,1e400\n",
+    "exponent without digits": "0,1\n1,1e\n",
+    "exponent sign without digits": "0,1\n1,2E+\n",
+    "exponent overflow": "0,1\n1,1e999999\n",
+    "saturated exponent": "0,1\n1,1e9999999\n",
     "one field": "0,1\n1\n",
     "three fields": "0,1\n1,2,3\n",
     "empty amplitude": "0,\n1,2\n",
@@ -260,6 +264,8 @@ SCANNED_BODIES = {
     "signs and bare points": "+0,+1\n1,.5\n2,5.\n3,-.25e1\n4,+5.E-1\n5,-0.\n",
     "blanks around fields": "\t\n 0\t, \t+1.5 \r\n \n1 ,2\t\r\n\t \n2,3\n \t ",
     "long tokens with a point": f"0,.{'0' * 330}1\n1,{'9' * 30}.\n2,+{'1' * 70}.5\n",
+    "exponent underflow": "0,1e-999999\n1,-1e-9999999\n",
+    "76-byte tokens": f"0,{'1' * 70}.5e-60\n1,0.{'0' * 70}1e80\n",
 }
 
 
@@ -371,7 +377,7 @@ def test_lowered_x87_precision_leaves_tokens_to_strtod():
 def test_lowered_x87_precision_leaves_writer_checks_to_strtod():
     # the writer reads its 16-digit candidates back as the scanner does
     y = np.random.default_rng(59).normal(0.0, 3.0, 2000)
-    buf, info = np.empty(len(y) * data._LINE_BYTES, dtype=np.uint8), np.zeros(2, np.int64)
+    buf, info = np.empty(data._BUFFER_BYTES, dtype=np.uint8), np.zeros(2, np.int64)
     with x87_rounding_to_24_bits():
         left = _native.library().format_samples(y, 0, len(y), buf, len(buf), info)
     assert left == 0 and info[0] == len(y)
@@ -543,15 +549,40 @@ def test_neighbours_of_the_format_thresholds_are_saved_as_their_repr(x):
     _assert_writes_like_repr(neighbours(x))
 
 
+def _lines_filling(rng, start, nbytes):
+    """Amplitudes whose lines "i,repr(v)\n", from i = start, take exactly
+    nbytes."""
+    y, left = [], nbytes
+    while left:
+        i = start + len(y)
+        room = left - len(f"{i},\n")  # the bytes left for this amplitude
+        if room > 50:
+            v = float(rng.uniform(1.0, 9.0))
+        else:  # repr(1 + 2^(2 - L)) takes L bytes for 3 <= L <= 18; the
+            # next line, if any, keeps at least 3 bytes for its amplitude
+            size = room if room <= 18 else min(18, room - len(f"{i + 1},\n") - 3)
+            v = 1.0 + 2.0 ** (2 - size)
+        y.append(v)
+        left -= len(f"{i},{v!r}\n")
+    return y
+
+
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_records_of_about_one_chunk_are_saved_as_their_repr(extra):
-    n = data._CHUNK_LINES + extra
-    y = np.random.default_rng(61 + extra).normal(0.0, 2.0, n)
-    # amplitudes left to repr at the ends of the chunk and of the record
-    for i in (0, data._CHUNK_LINES - 2, n - 2, n - 1):
-        y[i] = 1e-300 * (i + 1)
-    y[1] = -0.0
+def test_records_of_about_one_chunk_are_saved_as_their_repr(extra, monkeypatch):
+    # line 0 is left to repr; lines 1 to m then fill the writer's buffer
+    # exactly, and a record ends one line short of that, on it, or one line
+    # past it, where the writer stops at the line that does not fit
+    fill = _lines_filling(np.random.default_rng(61), 1, data._BUFFER_BYTES)
+    y = [1e-300, *fill, 2.5][:len(fill) + 1 + extra]
+    lib, starts = _native.library(), []
+
+    def format_samples(*args):
+        starts.append(args[1])
+        return lib.format_samples(*args)
+
+    monkeypatch.setattr(_native, "_LIBRARY", lib._replace(format_samples=format_samples))
     _assert_writes_like_repr(y)
+    assert starts == [0, 1] + [len(fill) + 1] * (extra == 1)
 
 
 def test_strided_samples_are_saved_as_their_repr():
@@ -560,10 +591,12 @@ def test_strided_samples_are_saved_as_their_repr():
 
 
 def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch):
-    # a save that fails after its first chunk of lines leaves each path
+    # a save that fails after its first buffer of lines leaves each path
     # absent or as it was, and no temporary file beside it
-    n = 3 * data._CHUNK_LINES
-    rec = LabeledRecord("r", Signal(np.arange(n) / 7.0, 360.0), np.array([5]))
+    y = np.arange(data._BUFFER_BYTES // 4) / 7.0
+    rec = LabeledRecord("r", Signal(y, 360.0), np.array([5]))
+    ends = np.cumsum([len(f"{i},{v!r}\n") for i, v in enumerate(y.tolist())])
+    full = int(np.searchsorted(ends, data._BUFFER_BYTES, side="right"))
     old = tmp_path / "old"
     old.mkdir()
     (old / "r.csv").write_bytes(b"previous samples\n")
@@ -571,18 +604,18 @@ def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch):
     lib = _native.library()
     calls = []
 
-    def fail_after_one_chunk(*args):
+    def fail_after_one_buffer(*args):
         calls.append(args[1])
         if len(calls) > 1:
             raise OSError(errno.ENOSPC, "No space left on device")
         return lib.format_samples(*args)
 
-    monkeypatch.setattr(_native, "_LIBRARY", lib._replace(format_samples=fail_after_one_chunk))
+    monkeypatch.setattr(_native, "_LIBRARY", lib._replace(format_samples=fail_after_one_buffer))
     for d in (tmp_path, old):
         calls.clear()
         with pytest.raises(OSError, match="No space left"):
             save_record(rec, str(d / "r.csv"), str(d / "r.ann"))
-        assert calls == [0, data._CHUNK_LINES]
+        assert calls == [0, full]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
     assert sorted(p.name for p in old.iterdir()) == ["r.ann", "r.csv"]
     assert (old / "r.csv").read_bytes() == b"previous samples\n"

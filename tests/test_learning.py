@@ -128,6 +128,34 @@ def test_delete_candidates_on_unprotected_chain_node():
     assert gi.name_of(gi.baseline_state) == "B"
 
 
+def test_edit_that_duplicates_an_edge_is_omitted():
+    # parallel up edges B -> R with penalties 1 and 2: doubling the first's
+    # penalty or halving the second's would make two identical edges
+    g = gr.ConstraintGraph(
+        states=(gr.StateId(0, "B"), gr.StateId(1, "R")),
+        edges=(gr.Edge(0, 1, "up", 2.0, 1.0), gr.Edge(0, 1, "up", 2.0, 2.0),
+               gr.Edge(1, 0, "down", 3.0, 30.0)),
+        baseline_state=0,
+        rpeak_state=1,
+    )
+    got = {(c.kind, c.anchor_edge) for c in enumerate_candidates(g)}
+    assert len(got) == 22
+    assert ("penalty_up", 0) not in got and ("penalty_down", 1) not in got
+    assert {("penalty_down", 0), ("penalty_up", 1)} <= got
+
+
+def test_new_states_avoid_taken_names():
+    # the first new state's id is 2, and S2 is taken
+    g = gr.ConstraintGraph(
+        states=(gr.StateId(0, "B"), gr.StateId(1, "S2")),
+        edges=(gr.Edge(0, 1, "up", 2.0, 10.0), gr.Edge(1, 0, "down", 2.0, 10.0)),
+        baseline_state=0,
+        rpeak_state=1,
+    )
+    bump = next(c for c in enumerate_candidates(g) if c.kind == "insert_two_bump")
+    assert [s.name for s in bump.resulting_graph.states] == ["B", "S2", "S2x", "S3"]
+
+
 def test_candidate_closure_under_repeated_edits():
     rng = np.random.default_rng(11)
     for _ in range(25):

@@ -456,6 +456,36 @@ def test_operations_equal_reference_kernels_bit_for_bit():
     assert steps > 1000
 
 
+def test_operations_on_functions_with_holes_equal_reference_kernels():
+    # pieces with gaps between them, as solve makes for a state whose up and
+    # down in-edges each cover only part of the domain: pointwise_min skips
+    # to the next covered piece, and an envelope fills each gap with its
+    # running minimum
+    dom = (-6.0, 6.0)
+    f = PiecewiseQuad([(-6.0, -2.0, 1.0, 4.0, 4.0), (1.0, 3.0, 1.0, -2.0, 1.5),
+                       (4.5, 6.0, 0.0, 0.5, -1.0)], dom)
+    g = PiecewiseQuad([(-5.0, -3.0, 0.0, 0.0, 2.0), (-1.0, 2.0, 1.0, 0.0, 0.0)], dom)
+    for x, y in ((f, g), (g, f)):
+        _assert_equal_bits(pointwise_min(x, y), ref._min_k(x.pieces, y.pieces), (x, y))
+    for h in (f, g):
+        for gap in (0.0, 1.25):
+            for up, op in ((True, min_leq_envelope), (False, min_geq_envelope)):
+                want = ref._envelope_k(h.pieces, gap, 0.0, up, *dom)
+                _assert_equal_bits(op(h, gap), [p for p in want if p[0] < p[1]], (h, gap, up))
+
+
+def test_constant_and_linear_pieces():
+    # a = 0: the running minimum of 3 - m crosses the constant 0 at m = 3,
+    # and a linear piece takes its minimum at the end it descends to
+    dom = (-6.0, 6.0)
+    f = PiecewiseQuad([(-6.0, 0.0, 0.0, 0.0, 0.0), (0.0, 6.0, 0.0, -1.0, 3.0)], dom)
+    assert min_leq_envelope(f, 0.0).pieces == (
+        QuadPiece(-6.0, 3.0, 0.0, 0.0, 0.0, ("pt", -6.0)),
+        QuadPiece(3.0, 6.0, 0.0, -1.0, 3.0, ("thr",)))
+    assert global_min(PiecewiseQuad.constant(1.5, dom)) == (-6.0, 1.5)
+    assert global_min(PiecewiseQuad([(-6.0, 6.0, 0.0, 2.0, 0.0)], dom)) == (-6.0, -12.0)
+
+
 # ---------------------------------------------------------------------------
 # Non-finite input and overflow are typed errors
 # ---------------------------------------------------------------------------

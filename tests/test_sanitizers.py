@@ -159,8 +159,9 @@ def test_threaded_solves_under_thread_sanitizer(tsan_runner, name):
 
 
 AMP = 1e154
-FAILING = {  # status: signal, graph, start
-    1: (np.array([0.0, 1.0, 2.0]), gr.initial_graph(6.5, 3.0, 50.0), 2),  # start = nstates
+FAILING = {  # status, or the case: signal, graph, start
+    # a start of nstates starts no state, so every state stays empty
+    "start out of range": (np.array([0.0, 1.0, 2.0]), gr.initial_graph(6.5, 3.0, 50.0), 2),
     2: (np.full(10, AMP), gr.initial_graph(0.1 * AMP, 0.1 * AMP, 1.0), -1),
     5: (np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.5, 1.0, 1.0, 0.0, 0.0]) * AMP,
         gr.initial_graph(0.1 * AMP, 0.1 * AMP, 1.0), -1),
@@ -168,15 +169,17 @@ FAILING = {  # status: signal, graph, start
 }
 
 
-@pytest.mark.parametrize("status", FAILING)
-def test_failing_solves_under_sanitizers(runner, status):
+@pytest.mark.parametrize("case", FAILING)
+def test_failing_solves_under_sanitizers(runner, case):
     # every early exit frees what the solve allocated: LeakSanitizer reports
     # a leak at the runner's exit, which then exits 99
-    args = _solve_inputs(*FAILING[status])
+    status = 2 if case == "start out of range" else case
+    args = _solve_inputs(*FAILING[case])
     got, want = _runner_solve(runner, args), _library_solve(args)
     assert got[0] == want[0] == status
-    # of info, only a status 1 writes anything: the step that failed
-    assert got[1].tolist() == want[1].tolist() == [0, int(status == 1)] + [0] * 5
+    # of info, only a status 6 writes anything: the state and its in-edge count
+    named = [1, MAX_IN_EDGES + 1] if status == 6 else [0, 0]
+    assert got[1].tolist() == want[1].tolist() == [0, *named] + [0] * 4
     assert got[3].tobytes() == want[3].tobytes()
 
 
