@@ -34,12 +34,15 @@
  * state function carries the stay tag, so min_k reads it in place; a down
  * edge's envelope reads its source reflected in place; and one loop over
  * the result records its decision runs and adds the point loss.  The
- * decision record of a state is three streams: a 16-bit code per run (bit
+ * decision record of a state is two streams: a 16-bit code per run (bit
  * 0 marks the first run of a step, bits 1-2 hold the kind, bits 3-15 hold 0
  * for staying, else 1 + the edge's position among the state's in-edges),
- * the upper breakpoint hi of every run but the last of its step, and the pt
- * of every K_PT run: 2 * runs + 8 * (runs - steps) + 8 * points bytes
- * per solve, where steps counts the (state, step) pairs that have runs.
+ * and the values: each run's predecessor's upper breakpoint hi, then the
+ * run's pt if it is K_PT.  That is 2 * runs + 8 * (runs - steps) + 8 *
+ * points bytes per solve, where steps counts the (state, step) pairs that
+ * have runs.  The backtrack reads a step's runs once, from its last: it
+ * takes the last run whose predecessor's hi is below the mean, or else the
+ * step's first run.
  */
 
 #include <float.h>
@@ -108,13 +111,13 @@ typedef struct {
     size_t n, cap;
 } List;
 
-/* The decision records of one state, in three streams of blocks of
+/* The decision records of one state, in two streams of blocks of
  * DEC_BLOCK values, so that growing them never copies them and never holds
  * them twice: the code of each run of equal tags of the pre-loss function,
- * the hi of each run but the last of its step, and the argmin point of each
- * K_PT run, all in run order.  The backtrack reads them from the end,
- * each stream's n serving as its cursor, and step is the step whose runs
- * end at the cursors. */
+ * and the values, in run order: for each run but the first of its step its
+ * predecessor's hi, then for each K_PT run its argmin point.  The backtrack
+ * pops them from the end, each stream's n serving as its cursor, and step
+ * is the step of the last run not yet popped. */
 #define DEC_SHIFT 14
 #define DEC_BLOCK ((size_t)1 << DEC_SHIFT)
 
@@ -124,11 +127,11 @@ typedef struct {
 } Stream;
 
 typedef struct {
-    Stream code, hi, pts;
+    Stream code, vals;
     int64_t step;
 } Decisions;
 
-/* the i-th double of a stream: a run's hi, or a point */
+/* the i-th value: a run's predecessor's hi, or a point */
 static double *dec_f64(const Stream *s, size_t i)
 {
     return (double *)s->blocks[i >> DEC_SHIFT] + (i & (DEC_BLOCK - 1));
@@ -544,7 +547,7 @@ typedef struct {
     double dlo, dhi;
     List *funcs, *next;
     Decisions *dec;
-    int64_t piece_total, piece_max;
+    int64_t piece_total, piece_max, points;
 } Solver;
 
 /* The forward pass over steps t0 <= t < t1: SOLVE_OK, SOLVE_NO_MEMORY or
@@ -558,7 +561,7 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1)
     const int32_t *in_start = s->in_start, *in_edge = s->in_edge;
     List *funcs = s->funcs, *next = s->next, scratch[2] = {{0}}, branch = {0}, env = {0};
     Decisions *dec = s->dec;
-    int64_t piece_total = s->piece_total, piece_max = s->piece_max, t;
+    int64_t piece_total = s->piece_total, piece_max = s->piece_max, points = s->points, t;
     int32_t nstates = s->nstates, v, k;
     int status = SOLVE_NO_MEMORY;
     double dlo = s->dlo, dhi = s->dhi, width = dhi - dlo;
@@ -570,7 +573,7 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1)
             const List *cand = &funcs[v];
             List *out = &next[v];
             Decisions *dv = &dec[v];
-            size_t i, nr, nh, np;
+            size_t i, nr, nv;
             int w = 0;
 
             /* cand is the stay candidate in place, then each min_k result,
@@ -601,16 +604,14 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1)
             }
 
             nr = dv->code.n;
-            nh = dv->hi.n;
-            np = dv->pts.n;
+            nv = dv->vals.n;
             out->n = 0;
             if (cand->n) {
                 const Piece *last = NULL;
                 Piece *q = NULL;
 
                 if (stream_reserve(&dv->code, nr + cand->n, sizeof(uint16_t))
-                    || stream_reserve(&dv->hi, nh + cand->n, sizeof(double))
-                    || stream_reserve(&dv->pts, np + cand->n, sizeof(double))
+                    || stream_reserve(&dv->vals, nv + 2 * cand->n, sizeof(double))
                     || reserve(out, cand->n))
                     goto out;
                 /* one pass over the result: compress its tags into runs, and
@@ -623,12 +624,14 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1)
 
                     if (!last || !same_tag(p, last)) {
                         if (last) /* the previous run ends at the previous piece */
-                            *dec_f64(&dv->hi, nh++) = p[-1].hi;
+                            *dec_f64(&dv->vals, nv++) = p[-1].hi;
                         last = p;
                         *dec_code(&dv->code, nr++) =
                             (uint16_t)(8 * (p->br + 1) + 2 * p->kind + !i);
-                        if (p->kind == K_PT)
-                            *dec_f64(&dv->pts, np++) = p->pt;
+                        if (p->kind == K_PT) {
+                            *dec_f64(&dv->vals, nv++) = p->pt;
+                            points++;
+                        }
                     }
                     if (q && q->hi == p->lo && q->a == a && q->b == b && q->c == c) {
                         q->hi = p->hi;
@@ -641,8 +644,7 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1)
                     tag(q, -1, K_STAY, 0.0);
                 }
                 dv->code.n = nr;
-                dv->hi.n = nh;
-                dv->pts.n = np;
+                dv->vals.n = nv;
                 piece_total += (int64_t)cand->n;
                 if ((int64_t)cand->n > piece_max)
                     piece_max = (int64_t)cand->n;
@@ -653,6 +655,7 @@ static int forward(Solver *s, const double *y, int64_t t0, int64_t t1)
     }
     s->piece_total = piece_total;
     s->piece_max = piece_max;
+    s->points = points;
     status = SOLVE_OK;
 out:
     free(scratch[0].p);
@@ -664,45 +667,39 @@ out:
 
 /* The backtrack over steps t1 - 1 down to t0, taking state *v and mean *m at
  * sample t1 - 1 to those at t0 - 1 and writing each change into segs below
- * *first, which it moves down.  Returns SOLVE_OK or SOLVE_BAD_RECORD. */
+ * *first, which it moves down.  At step t it pops v's runs, each with its
+ * point and its predecessor's hi, down to the last run of step t whose
+ * predecessor's hi is below m, or else to the step's first run: the run
+ * that holds m, since the his of a step never decrease, and a tie takes the
+ * left run.  The runs left above it are popped unread at v's next visit.
+ * Returns SOLVE_OK or SOLVE_BAD_RECORD. */
 static int backtrack(Solver *s, int64_t t1, int64_t t0, int32_t *v, double *m,
                      Segment *segs, int64_t *first)
 {
     for (int64_t t = t1 - 1; t >= t0; t--) {
         Decisions *dv = &s->dec[*v];
-        size_t i, h, end, pt_i;
-        int32_t br, kind;
+        int64_t step;
+        int32_t br;
         uint16_t code;
 
-        /* move v's cursors back over its steps down to t: each step's runs
-         * end at the code flagged as its first */
         do {
             if (!dv->code.n)
                 return SOLVE_BAD_RECORD;
-            end = dv->code.n;
-            pt_i = dv->pts.n;
-            do {
-                code = *dec_code(&dv->code, --dv->code.n);
-                pt_i -= (code >> 1 & 3) == K_PT;
-            } while (!(code & 1));
-            dv->hi.n -= end - dv->code.n - 1;
-            dv->pts.n = pt_i;
-        } while (dv->step-- > t);
-        /* the first run of step t whose hi is not below m, or its last */
-        for (i = dv->code.n, h = dv->hi.n; i < end - 1 && *dec_f64(&dv->hi, h) < *m; i++, h++) {
-            pt_i += (code >> 1 & 3) == K_PT;
-            code = *dec_code(&dv->code, i + 1);
-        }
+            code = *dec_code(&dv->code, --dv->code.n);
+            dv->vals.n -= (code >> 1 & 3) == K_PT;
+            dv->vals.n -= !(code & 1);
+            step = dv->step;
+            dv->step -= code & 1;
+        } while (step > t || (!(code & 1) && !(*dec_f64(&dv->vals, dv->vals.n) < *m)));
         br = (code >> 3) - 1;
-        kind = code >> 1 & 3;
         if (br >= 0) {
             br = s->in_edge[s->in_start[*v] + br];
             segs[--*first].bound = t;
             segs[*first].edge = br;
-            if (kind == K_THR)
+            if ((code >> 1 & 3) == K_THR)
                 *m = s->edges[br].up ? *m - s->edges[br].gap : *m + s->edges[br].gap;
-            else
-                *m = *dec_f64(&dv->pts, pt_i);
+            else /* the point follows the predecessor's hi */
+                *m = *dec_f64(&dv->vals, dv->vals.n + !(code & 1));
             if (*m < s->dlo)
                 *m = s->dlo;
             else if (*m > s->dhi)
@@ -725,9 +722,10 @@ static int backtrack(Solver *s, int64_t t1, int64_t t0, int32_t *v, double *m,
  * n - 1) the bound (samples before the change) and edge taken at each
  * change.  info[2], info[3] hold the sum and the maximum of the pre-loss
  * piece counts over (state, step), info[4], info[5] the decision runs and
- * the K_PT runs stored, and info[6] the bytes of the three streams.
+ * the K_PT runs stored, and info[6] the bytes of the two streams.
  *
- * It runs forward over steps [1, n), then backtrack from the end minimum.  A
+ * It runs forward over steps [1, n), then backtrack from the end minimum,
+ * which reads each step's runs once, from the last.  A
  * piece's br here is the edge's position among the state's in-edges, so a
  * run's code holds it as it is; a state that has runs at some step has them
  * at every later step (its stay candidate is never empty again), so the
@@ -794,12 +792,12 @@ int graphseg_solve(const double *y, int64_t n, int32_t nstates, int32_t start,
     }
 
     /* the record's size, counted before the backtrack moves its cursors */
-    info[4] = info[5] = info[6] = 0;
+    info[4] = info[6] = 0;
+    info[5] = s.points;
     for (v = 0; v < nstates; v++) {
         Decisions *dv = &s.dec[v];
         info[4] += (int64_t)dv->code.n;
-        info[5] += (int64_t)dv->pts.n;
-        info[6] += (int64_t)(2 * dv->code.n + 8 * (dv->hi.n + dv->pts.n));
+        info[6] += (int64_t)(2 * dv->code.n + 8 * dv->vals.n);
         dv->step = n - 1;
     }
 
@@ -818,8 +816,7 @@ done:
             free(s.funcs[v].p);
             free(s.next[v].p);
             stream_free(&s.dec[v].code);
-            stream_free(&s.dec[v].hi);
-            stream_free(&s.dec[v].pts);
+            stream_free(&s.dec[v].vals);
         }
     free(s.funcs);
     free(s.next);

@@ -4,7 +4,8 @@
 process.  Built under ``-fsanitize=address,undefined`` as one translation
 unit with ``_solve.c`` (``-include``), so that a drift in an entry point's
 signature fails to compile, it solves long records, whose decision records
-fill several blocks of all three streams, solves inputs that fail at each
+fill several blocks of both streams (the codes, and the values: each run's
+predecessor's hi and each point), solves inputs that fail at each
 of its early exits but running out of memory, builds the up and down
 change envelopes of a tagged and of an empty piece list, scans edge-case
 sample files, and writes the sample lines of edge-case amplitudes and of
@@ -138,13 +139,13 @@ def _assert_solves_like_library(runner, name, mode=("solve",)):
     assert info.tolist() == want_info.tolist()
     assert repr(total) == repr(want_total)
     assert segs.tobytes() == want_segs.tobytes()  # entries not written are 0 in both
-    # each of the three decision streams (codes, his and points) of some
-    # state crosses a block boundary; the his are what the bytes leave
+    # both decision streams (codes, and values: his and points) of some
+    # state cross a block boundary; the values are what the bytes leave
     block, nstates = _decision_block(), len(g.states)
-    runs, points = info[4], info[5]
-    his, rest = divmod(info[6] - 2 * runs - 8 * points, 8)
-    assert len(y) > 25_000 and runs > nstates * block and points > nstates * block
-    assert rest == 0 and his > nstates * block
+    runs = info[4]
+    vals, rest = divmod(info[6] - 2 * runs, 8)
+    assert len(y) > 25_000 and runs > nstates * block
+    assert rest == 0 and vals > nstates * block
 
 
 @pytest.mark.parametrize("name", RECORDS)

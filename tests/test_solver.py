@@ -268,6 +268,27 @@ def test_sign_flip_equivariance():
         assert neg.total_cost == base.total_cost
 
 
+def test_flipped_functions_with_holes():
+    # test_functions_with_holes's graphs with every edge turned: R's function
+    # is covered below dhi - B's gap and above dlo + S2's, and a backtrack
+    # step after a change can land a rounding above dhi, which it clamps to
+    # dhi (graph 4, free start and start in B)
+    from test_compiled_solver import assert_matches_reference, hole_graph
+
+    rng = np.random.default_rng(102)
+    at_dhi = 0
+    for _ in range(5):
+        y = random_signal(rng)
+        dlo, dhi = solve_domain(sig(y))
+        g = flip(hole_graph(rng, dhi - dlo))
+        for start in ("free", 0, 1, 2):
+            assert_matches_reference(y, g, start)
+            seg = solve(sig(y), g, start_state=start)
+            assert_valid_segmentation(y, g, seg)
+            at_dhi += dhi in seg.means
+    assert at_dhi == 2
+
+
 def test_penalty_monotonicity():
     rng = np.random.default_rng(42)
     for _ in range(15):
