@@ -11,11 +11,15 @@ be read, or holds a byte that is not UTF-8, is a DataFormatError too,
 naming the file (and the line).
 
 save_record writes each amplitude as Python's repr writes it, so it reads
-back to the same bits.  The compiled library fills one small buffer with
-whole sample lines at a time; the rare amplitude whose digits it does not
-compute (below 1e-5 or from 1e15 up in magnitude, other than zero) is
-written with repr.  Each file is written beside its path and renamed into
-place, so a failed save leaves no partial file.
+back to the same bits.  The compiled library formats the sample lines; the
+rare amplitude whose digits it does not compute (below 1e-5 or from 1e15
+up in magnitude, other than zero) is written with repr.  A record of fewer
+than two chunks of 8,192 lines fills one small buffer with whole lines at
+a time.  A longer one, in a process that may run on two CPUs or more, is
+formatted a chunk at a time on two threads, the calling one and a helper
+that lives for the call only; the calling thread writes the chunks in file
+order, and at most two are held at once.  Each file is written beside its
+path and renamed into place, so a failed save leaves no partial file.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import math
 import os
 import re
 import secrets
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,20 +214,41 @@ def replace_file(path, write):
 
 # the compiled writer's buffer: it stops at the first line that would not fit
 _BUFFER_BYTES = 1 << 17
+# the two-thread writer's chunk of lines; a record of fewer than two chunks
+# is written on the calling thread alone
+_CHUNK_LINES = 8192
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
 
 
 def _write_samples(fh, samples):
     """The sample CSV of samples: the header, then "i,repr(samples[i])" per
-    line, formatted by the compiled library into one buffer, which it fills
-    with whole lines before each write.  It leaves the amplitudes whose
+    line, formatted by the compiled library.  It leaves the amplitudes whose
     digits it does not compute (below 1e-5 or from 1e15 up in magnitude,
-    other than zero) to repr."""
+    other than zero) to repr.
+
+    A record of fewer than two chunks of lines, or a process that may run
+    on one CPU only, is formatted into one buffer, which the library fills
+    with whole lines before each write.  A longer one is formatted a chunk
+    at a time on two threads: this one formats the even chunks and a helper
+    thread the odd ones, into two buffers that take turns, and this one
+    writes them in file order.  The library call releases the GIL."""
     fh.write(f"{_HEADER}\n".encode())
     fmt = _native.library().format_samples
     samples = np.ascontiguousarray(samples, dtype=np.float64)
+    n = len(samples)
+    if n >= 2 * _CHUNK_LINES and _cpus() > 1:
+        _write_in_two_threads(fh, fmt, samples)
+        return
     buf = np.empty(_BUFFER_BYTES, dtype=np.uint8)
     view, info = memoryview(buf), np.zeros(2, dtype=np.int64)
-    i, n = 0, len(samples)
+    i = 0
     while i < n:
         left = fmt(samples, i, n, buf, len(buf), info)
         i, used = info.tolist()
@@ -230,6 +256,46 @@ def _write_samples(fh, samples):
         if left:
             fh.write(f"{i},{float(samples[i])!r}\n".encode())
             i += 1
+
+
+def _write_in_two_threads(fh, fmt, samples):
+    """Write the lines of samples a chunk at a time, the odd chunks
+    formatted on a helper thread that ends before this returns or raises.
+    Two chunk buffers take turns: while the helper fills one with the next
+    odd chunk, this thread writes the last odd chunk from the other, then
+    formats the even chunk after it there and writes it."""
+    n = len(samples)
+    # a line takes at most the index's digits, a comma, 24 bytes of repr and LF
+    size = _CHUNK_LINES * (len(str(n)) + 26)
+    a, b = ((np.empty(size, dtype=np.uint8), np.zeros(2, dtype=np.int64)) for _ in range(2))
+
+    def chunk(i, buf):
+        """The bytes of the chunk from line i, formatted into buf, which has
+        room for all of its lines, those left to repr included."""
+        out, info = buf
+        stop, used = min(i + _CHUNK_LINES, n), 0
+        while i < stop:
+            left = fmt(samples, i, stop, out[used:], len(out) - used, info)
+            i, wrote = info.tolist()
+            used += wrote
+            if left:
+                line = f"{i},{float(samples[i])!r}\n".encode()
+                out[used:used + len(line)] = np.frombuffer(line, dtype=np.uint8)
+                used += len(line)
+                i += 1
+        return out[:used]
+
+    with ThreadPoolExecutor(1) as helper:
+        odd = None  # the helper's chunk under way, in b
+        for i in range(0, n, 2 * _CHUNK_LINES):
+            last = odd.result() if odd else None
+            odd = helper.submit(chunk, i + _CHUNK_LINES, a) if i + _CHUNK_LINES < n else None
+            if last is not None:
+                fh.write(last)
+            fh.write(chunk(i, b))
+            a, b = b, a
+        if odd:
+            fh.write(odd.result())
 
 
 def save_record(record: LabeledRecord, signal_path, annotation_path):
@@ -299,12 +365,29 @@ PRE_R_WIDTH_S = 0.060
 WANDER_FREQ_HZ = (0.05, 0.12)  # slow respiratory-style drift
 
 
-def _add_bump(sig, center, sigma, amp):
-    half = int(math.ceil(6.0 * sigma))
-    lo = max(0, center - half)
-    hi = min(len(sig), center + half + 1)
-    t = np.arange(lo, hi, dtype=np.float64)
-    sig[lo:hi] += amp * np.exp(-0.5 * ((t - center) / sigma) ** 2)
+# the bump samples (bumps times bump width) that _add_bumps holds at once
+_BUMP_BATCH_SAMPLES = 1 << 16
+
+
+def _add_bumps(sig, centers, sigma, amp):
+    """Add to sig, for each centre c in turn, the Gaussian bump
+    amp * exp(-0.5 * ((t - c) / sigma) ** 2) on the samples t of sig within
+    ceil(6 sigma) of c.  A batch of bumps is evaluated at once and added
+    with np.add.at in bump order, so each sample takes the same additions
+    in the same order as from one bump at a time."""
+    n, half = len(sig), int(math.ceil(6.0 * sigma))
+    batch = max(1, _BUMP_BATCH_SAMPLES // (2 * half + 1))
+    for k in range(0, len(centers), batch):
+        c = centers[k:k + batch, None]
+        # the offsets t - c that fall in [0, n) for some centre of the batch
+        lo, hi = max(-half, -int(c.max())), min(half, n - 1 - int(c.min()))
+        if lo > hi:
+            continue
+        offsets = np.arange(lo, hi + 1)
+        bump = amp * np.exp(-0.5 * (offsets.astype(np.float64) / sigma) ** 2)
+        t = c + offsets
+        inside = (t >= 0) & (t < n)
+        np.add.at(sig, t[inside], np.broadcast_to(bump, t.shape)[inside])
 
 
 def generate_synthetic(cfg: SynthConfig) -> LabeledRecord:
@@ -317,24 +400,29 @@ def generate_synthetic(cfg: SynthConfig) -> LabeledRecord:
     jitter = rng.uniform(-0.05, 0.05, cfg.n_cycles)
     centers = np.round((np.arange(cfg.n_cycles) + 0.5 + jitter) * cyc).astype(np.int64)
     centers = np.clip(centers, 0, n - 1)
+    if np.any(centers[1:] <= centers[:-1]):
+        raise ValueError(
+            f"heart_rate_bpm {cfg.heart_rate_bpm!r} at sample_rate {cfg.sample_rate!r} "
+            f"gives cycles of {cyc:.3g} samples, and two R peaks fall on one sample")
 
     sig = np.zeros(n)
-    r_sigma = R_WAVE_WIDTH_S * rate / 6.0
     r_amp = -cfg.r_amplitude if cfg.invert_qrs else cfg.r_amplitude
-    for c in centers:
-        _add_bump(sig, int(c), r_sigma, r_amp)
-
+    _add_bumps(sig, centers, R_WAVE_WIDTH_S * rate / 6.0, r_amp)
     if cfg.pre_r_dip != 0.0:
         offset = int(round(PRE_R_OFFSET_S * rate))
-        p_sigma = PRE_R_WIDTH_S * rate / 6.0
-        for c in centers:
-            _add_bump(sig, int(c) - offset, p_sigma, cfg.pre_r_dip)
+        _add_bumps(sig, centers - offset, PRE_R_WIDTH_S * rate / 6.0, cfg.pre_r_dip)
 
     wander_freq = rng.uniform(*WANDER_FREQ_HZ)
     wander_phase = rng.uniform(0.0, 2.0 * math.pi)
     if cfg.baseline_wander_amp != 0.0:
-        t = np.arange(n) / rate
-        sig += cfg.baseline_wander_amp * np.sin(2.0 * math.pi * wander_freq * t + wander_phase)
+        # amp * sin(2 pi f t + phase) at t = i / rate, computed in place
+        wander = np.arange(n, dtype=np.float64)
+        wander /= rate
+        wander *= 2.0 * math.pi * wander_freq
+        wander += wander_phase
+        np.sin(wander, out=wander)
+        wander *= cfg.baseline_wander_amp
+        sig += wander
 
     if cfg.noise_sigma > 0.0:
         sig += rng.normal(0.0, cfg.noise_sigma, n)

@@ -10,15 +10,25 @@ other body the two must give the same float64 bits, or errors that name
 the same line.
 
 The writer is the oracle of the compiled writer that
-``graphseg.data.save_record`` runs (``graphseg_format_samples``): both must
-write the same bytes.
+``graphseg.data.save_record`` runs (``graphseg_format_samples``), on one
+thread or two: both must write the same bytes.
+
+``generate_signal_bumps`` is the oracle of ``graphseg.data.generate_synthetic``,
+which adds its Gaussian bumps in batches: it adds them one numpy call per
+bump, and both must give the same samples and annotations, bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from graphseg.data import DataFormatError
+from graphseg.data import (
+    PRE_R_OFFSET_S,
+    PRE_R_WIDTH_S,
+    R_WAVE_WIDTH_S,
+    WANDER_FREQ_HZ,
+    DataFormatError,
+)
 
 _HEADER = "sample_index,amplitude"
 
@@ -71,3 +81,47 @@ def save_signal_lines(samples, path):
         fh.write(_HEADER + "\n")
         for i, v in enumerate(np.asarray(samples, dtype=np.float64).tolist()):
             fh.write(f"{i},{v!r}\n")
+
+
+def _add_bump(sig, center, sigma, amp):
+    half = int(math.ceil(6.0 * sigma))
+    lo = max(0, center - half)
+    hi = min(len(sig), center + half + 1)
+    if lo < hi:  # a pre-R bump may end before sample 0
+        t = np.arange(lo, hi, dtype=np.float64)
+        sig[lo:hi] += amp * np.exp(-0.5 * ((t - center) / sigma) ** 2)
+
+
+def generate_signal_bumps(cfg):
+    """The samples and R annotations of generate_synthetic(cfg), from the
+    same random draws, with each bump added by a call of its own."""
+    rng = np.random.default_rng(cfg.seed)
+    rate = cfg.sample_rate
+    cyc = cfg.cycle_samples
+    n = int(round(cfg.n_cycles * cyc))
+
+    jitter = rng.uniform(-0.05, 0.05, cfg.n_cycles)
+    centers = np.round((np.arange(cfg.n_cycles) + 0.5 + jitter) * cyc).astype(np.int64)
+    centers = np.clip(centers, 0, n - 1)
+
+    sig = np.zeros(n)
+    r_sigma = R_WAVE_WIDTH_S * rate / 6.0
+    r_amp = -cfg.r_amplitude if cfg.invert_qrs else cfg.r_amplitude
+    for c in centers:
+        _add_bump(sig, int(c), r_sigma, r_amp)
+
+    if cfg.pre_r_dip != 0.0:
+        offset = int(round(PRE_R_OFFSET_S * rate))
+        p_sigma = PRE_R_WIDTH_S * rate / 6.0
+        for c in centers:
+            _add_bump(sig, int(c) - offset, p_sigma, cfg.pre_r_dip)
+
+    wander_freq = rng.uniform(*WANDER_FREQ_HZ)
+    wander_phase = rng.uniform(0.0, 2.0 * math.pi)
+    if cfg.baseline_wander_amp != 0.0:
+        t = np.arange(n) / rate
+        sig += cfg.baseline_wander_amp * np.sin(2.0 * math.pi * wander_freq * t + wander_phase)
+
+    if cfg.noise_sigma > 0.0:
+        sig += rng.normal(0.0, cfg.noise_sigma, n)
+    return sig, centers

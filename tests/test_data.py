@@ -10,6 +10,9 @@ import platform
 import re
 import struct
 import tempfile
+import threading
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +23,9 @@ from hypothesis.extra import numpy as hnp
 
 from graphseg import _native, data
 from graphseg.data import (
+    PRE_R_OFFSET_S,
+    PRE_R_WIDTH_S,
+    R_WAVE_WIDTH_S,
     DataFormatError,
     LabeledRecord,
     SynthConfig,
@@ -30,7 +36,7 @@ from graphseg.data import (
 )
 from graphseg.solver import Signal
 from helpers import halfway_tokens
-from reference_data import load_signal_lines, save_signal_lines
+from reference_data import generate_signal_bumps, load_signal_lines, save_signal_lines
 
 
 def write_record(tmp_path, lines, ann_lines):
@@ -590,36 +596,145 @@ def test_strided_samples_are_saved_as_their_repr():
     _assert_writes_like_repr(np.linspace(-3.0, 3.0, 101)[::3])
 
 
-def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch):
-    # a save that fails after its first buffer of lines leaves each path
-    # absent or as it was, and no temporary file beside it
+def _on_cpus(monkeypatch, count):
+    """Let save_record see count CPUs, whatever this machine has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def _spy_on_format(monkeypatch, fail_at=None):
+    """Record (start, calling thread) of each compiled writer call; the
+    call that starts at line fail_at raises ENOSPC."""
+    lib, calls = _native.library(), []
+
+    def format_samples(*args):
+        calls.append((args[1], threading.get_ident()))
+        if args[1] == fail_at:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return lib.format_samples(*args)
+
+    monkeypatch.setattr(_native, "_LIBRARY", lib._replace(format_samples=format_samples))
+    return calls
+
+
+def _two_thread_record(lines, left_to_repr=()):
+    """Amplitudes of lines lines that the compiled writer formats, but for
+    the lines left_to_repr."""
+    y = np.random.default_rng(lines).normal(0.0, 3.0, lines)
+    y[list(left_to_repr)] = 1e-300
+    return y
+
+
+@pytest.mark.parametrize("chunks, extra", [(2, -1), (2, 0), (2, 1), (3, 0), (5, -3)], ids=[
+    "threshold-1", "threshold", "threshold+1", "3 chunks", "5 chunks, the last short"])
+def test_records_about_the_two_thread_threshold_are_saved_as_their_repr(
+        chunks, extra, monkeypatch):
+    # two chunks of lines are the threshold of the two-thread path
+    chunk = data._CHUNK_LINES
+    n = chunks * chunk + extra
+    _on_cpus(monkeypatch, 2)
+    calls = _spy_on_format(monkeypatch)
+    _assert_writes_like_repr(_two_thread_record(n))
+    main = threading.get_ident()
+    if n < 2 * chunk:  # one thread, one buffer at a time
+        assert {t for _, t in calls} == {main}
+    else:  # one call per chunk: the even ones here, the odd ones on the helper
+        assert sorted(i for i, _ in calls) == list(range(0, n, chunk))
+        assert all((t == main) == (i // chunk % 2 == 0) for i, t in calls)
+
+
+def test_lines_left_to_repr_open_and_close_a_helper_chunk(monkeypatch):
+    # lines C and 2C - 1 open and close the first helper chunk, lines 3C
+    # and 4C - 1 the second; the record's last line, in a chunk of its own,
+    # is left to repr too
+    chunk = data._CHUNK_LINES
+    left = [chunk, 2 * chunk - 1, 3 * chunk, 4 * chunk - 1, 4 * chunk]
+    _on_cpus(monkeypatch, 2)
+    calls = _spy_on_format(monkeypatch)
+    _assert_writes_like_repr(_two_thread_record(4 * chunk + 1, left))
+    main = threading.get_ident()
+    assert sorted(i for i, t in calls if t != main) == [chunk, chunk + 1, 3 * chunk, 3 * chunk + 1]
+    assert sorted(i for i, t in calls if t == main) == [0, 2 * chunk, 4 * chunk]
+
+
+def test_a_slow_write_reads_no_buffer_the_helper_fills(tmp_path, monkeypatch):
+    # each write takes its bytes 2 ms late, by which time the helper has
+    # formatted much of its next chunk: that chunk must go to the other buffer
+    class SlowFile:
+        def __init__(self):
+            self.parts = []
+
+        def write(self, data):
+            time.sleep(0.002)
+            self.parts.append(bytes(data))
+
+    y = _two_thread_record(6 * data._CHUNK_LINES + 5)
+    _on_cpus(monkeypatch, 2)
+    fh = SlowFile()
+    data._write_samples(fh, y)
+    save_signal_lines(y, tmp_path / "oracle.csv")
+    assert b"".join(fh.parts) == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_one_cpu_saves_on_the_calling_thread(monkeypatch):
+    n = 3 * data._CHUNK_LINES
+    _on_cpus(monkeypatch, 1)
+    calls = _spy_on_format(monkeypatch)
+    _assert_writes_like_repr(_two_thread_record(n))
+    assert {t for _, t in calls} == {threading.get_ident()}
+
+
+def test_two_thread_save_holds_two_chunks(tmp_path, monkeypatch):
+    # two chunk buffers, however long the record: no chunk is copied or kept
+    n = 20 * data._CHUNK_LINES
+    y = _two_thread_record(n)
+    rec = LabeledRecord("r", Signal(y, 360.0), np.array([], dtype=np.int64))
+    _on_cpus(monkeypatch, 2)
+    tracemalloc.start()
+    try:
+        save_record(rec, str(tmp_path / "r.csv"), str(tmp_path / "r.ann"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers = 2 * data._CHUNK_LINES * (len(str(n)) + 26)
+    assert buffers < peak < buffers + (256 << 10)
+    assert _bits(load_signal_csv(str(tmp_path / "r.csv")).samples) == _bits(y)
+
+
+def _check_failed_save(tmp_path, monkeypatch, fail_at, calls_made):
+    """A save whose chunk fail_at fails must make the calls of calls_made
+    (chunks) and leave each path absent or as it was, no temporary file
+    beside it, and no thread running."""
     y = np.arange(data._BUFFER_BYTES // 4) / 7.0
+    chunk = data._CHUNK_LINES
+    assert len(y) == 4 * chunk  # the two-thread path, in four chunks
     rec = LabeledRecord("r", Signal(y, 360.0), np.array([5]))
-    ends = np.cumsum([len(f"{i},{v!r}\n") for i, v in enumerate(y.tolist())])
-    full = int(np.searchsorted(ends, data._BUFFER_BYTES, side="right"))
     old = tmp_path / "old"
     old.mkdir()
     (old / "r.csv").write_bytes(b"previous samples\n")
     (old / "r.ann").write_bytes(b"previous annotations\n")
-    lib = _native.library()
-    calls = []
-
-    def fail_after_one_buffer(*args):
-        calls.append(args[1])
-        if len(calls) > 1:
-            raise OSError(errno.ENOSPC, "No space left on device")
-        return lib.format_samples(*args)
-
-    monkeypatch.setattr(_native, "_LIBRARY", lib._replace(format_samples=fail_after_one_buffer))
+    _on_cpus(monkeypatch, 2)
+    calls = _spy_on_format(monkeypatch, fail_at=fail_at * chunk)
+    threads = threading.active_count()
     for d in (tmp_path, old):
         calls.clear()
         with pytest.raises(OSError, match="No space left"):
             save_record(rec, str(d / "r.csv"), str(d / "r.ann"))
-        assert calls == [0, full]
+        assert sorted(i for i, _ in calls) == [k * chunk for k in calls_made]
+        assert threading.active_count() == threads
     assert sorted(p.name for p in tmp_path.iterdir()) == ["old"]
     assert sorted(p.name for p in old.iterdir()) == ["r.ann", "r.csv"]
     assert (old / "r.csv").read_bytes() == b"previous samples\n"
     assert (old / "r.ann").read_bytes() == b"previous annotations\n"
+
+
+def test_failed_save_leaves_no_partial_file(tmp_path, monkeypatch):
+    # the third chunk, this thread's second, fails while the helper's
+    # fourth is under way; the helper finishes it before the error is raised
+    _check_failed_save(tmp_path, monkeypatch, 2, [0, 1, 2, 3])
+
+
+def test_failed_save_in_a_helper_chunk_leaves_no_partial_file(tmp_path, monkeypatch):
+    _check_failed_save(tmp_path, monkeypatch, 1, [0, 1])
 
 
 def test_labeled_record_validation():
@@ -682,6 +797,94 @@ def test_synthetic_annotation_count_always_matches():
     for n in (1, 3, 17):
         rec = generate_synthetic(SynthConfig(n_cycles=n, seed=n))
         assert rec.n_cycles == n
+
+
+def _oracle_equal(cfg):
+    """generate_synthetic(cfg), checked bit for bit against the oracle; None
+    where the oracle's R centres collide and the config is refused."""
+    samples, centers = generate_signal_bumps(cfg)
+    if np.any(np.diff(centers) <= 0):
+        with pytest.raises(ValueError, match="heart_rate_bpm .* at sample_rate .* two R peaks"):
+            generate_synthetic(cfg)
+        return None
+    rec = generate_synthetic(cfg)
+    assert rec.signal.samples.tobytes() == samples.tobytes(), cfg
+    assert rec.rpeak_annotations.tobytes() == centers.tobytes(), cfg
+    return rec
+
+
+def test_synthetic_matches_its_one_bump_at_a_time_oracle():
+    # a seeded sweep of configs against the loop that adds one bump per
+    # call; seen names each case the sweep must cover
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(200):
+        rate = float(rng.uniform(128.0, 1000.0))
+        # cycles of 1 to 1.2 samples may put an R centre on sample 0 or two
+        # on one sample; of 2 to 6 they overlap many bumps; longer ones few
+        cycle = float(rng.choice([rng.uniform(1.0, 1.2), rng.uniform(2.0, 6.0),
+                                  rng.uniform(6.0, 500.0)], p=[0.2, 0.3, 0.5]))
+        cfg = SynthConfig(
+            n_cycles=int(rng.integers(2, 60)), heart_rate_bpm=60.0 * rate / cycle,
+            sample_rate=rate, r_amplitude=float(rng.uniform(0.5, 20.0)),
+            noise_sigma=float(rng.choice([0.0, 0.3])),
+            baseline_wander_amp=float(rng.choice([0.0, 2.0])),
+            pre_r_dip=float(rng.choice([0.0, -4.0, 3.0])), invert_qrs=bool(rng.integers(2)),
+            seed=int(rng.integers(1000)))
+        rec = _oracle_equal(cfg)
+        if rec is None:
+            seen.add("refused")
+            continue
+        ann, n = rec.rpeak_annotations, len(rec.signal)
+        r_half = math.ceil(R_WAVE_WIDTH_S * rate)
+        p_half = math.ceil(PRE_R_WIDTH_S * rate)
+        p_first = ann[0] - round(PRE_R_OFFSET_S * rate)
+        seen |= {name for name, hit in [
+            ("cycles of 2 to 3 samples", 2.0 <= cfg.cycle_samples < 3.0),
+            ("overlapping R bumps", len(ann) > 1 and np.diff(ann).min() <= 2 * r_half),
+            ("R centre at 0", ann[0] == 0),
+            ("R centre at n-1", ann[-1] == n - 1),
+            ("pre-R bump starting before 0", cfg.pre_r_dip and p_first - p_half < 0),
+            ("pre-R bump ending before 0", cfg.pre_r_dip and p_first + p_half < 0),
+            ("inverted", cfg.invert_qrs), ("upright", not cfg.invert_qrs),
+            ("noise", cfg.noise_sigma), ("no noise", not cfg.noise_sigma),
+            ("wander", cfg.baseline_wander_amp), ("no wander", not cfg.baseline_wander_amp),
+            ("below 200 Hz", rate < 200.0), ("above 900 Hz", rate > 900.0),
+        ] if hit}
+    assert len(seen) == 15, seen
+
+
+def test_synthetic_bumps_hold_a_bounded_batch():
+    # a 2-hour record (2,592,000 samples) with pre-R dips: the batches of
+    # bumps add far less than the record's own 8 B/sample at their peak
+    cfg = SynthConfig(n_cycles=9000, heart_rate_bpm=75.0, pre_r_dip=-2.0, seed=3)
+    n = round(cfg.n_cycles * cfg.cycle_samples)
+    tracemalloc.start()
+    try:
+        rec = generate_synthetic(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rec.signal) == n == 2_592_000
+    assert 8 * n < peak < 1.25 * 8 * n
+
+
+@pytest.mark.parametrize("bpm", [21600.0, 30000.0])
+def test_colliding_r_centres_are_refused_by_name(bpm):
+    # cycles of 1 sample or less round two R centres onto one sample
+    for seed in range(5):
+        with pytest.raises(ValueError, match=f"heart_rate_bpm {bpm!r} at sample_rate 360.0 "):
+            generate_synthetic(SynthConfig(n_cycles=20, heart_rate_bpm=bpm, seed=seed))
+
+
+def test_fast_heart_rates_match_the_oracle():
+    # 18,000 bpm (cycles of 1.2 samples) keeps its R centres apart; with
+    # pre-R dips, whose first bumps end before sample 0, the one-bump-a-call
+    # loop once ended in a numpy broadcast error
+    for seed in range(5):
+        for dip in (0.0, 2.0):
+            cfg = SynthConfig(n_cycles=20, heart_rate_bpm=18000.0, pre_r_dip=dip, seed=seed)
+            assert _oracle_equal(cfg) is not None
 
 
 def test_synth_config_validation():
