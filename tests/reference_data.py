@@ -14,8 +14,9 @@ The writer is the oracle of the compiled writer that
 thread or two: both must write the same bytes.
 
 ``generate_signal_bumps`` is the oracle of ``graphseg.data.generate_synthetic``,
-which adds its Gaussian bumps in batches: it adds them one numpy call per
-bump, and both must give the same samples and annotations, bit for bit.
+which adds its Gaussian bumps one offset from the centres at a time: it
+adds them one numpy call per bump, and both must give the same samples and
+annotations, bit for bit.
 """
 
 import math

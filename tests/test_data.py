@@ -854,9 +854,9 @@ def test_synthetic_matches_its_one_bump_at_a_time_oracle():
     assert len(seen) == 15, seen
 
 
-def test_synthetic_bumps_hold_a_bounded_batch():
-    # a 2-hour record (2,592,000 samples) with pre-R dips: the batches of
-    # bumps add far less than the record's own 8 B/sample at their peak
+def test_synthetic_bumps_hold_no_record_sized_temporary():
+    # a 2-hour record (2,592,000 samples) with pre-R dips: the bumps, added
+    # one offset at a time, add far less than the record's own 8 B/sample
     cfg = SynthConfig(n_cycles=9000, heart_rate_bpm=75.0, pre_r_dip=-2.0, seed=3)
     n = round(cfg.n_cycles * cfg.cycle_samples)
     tracemalloc.start()
